@@ -35,26 +35,28 @@ Quickstart::
     print(det.reports[0].message)
 """
 
-from .core import DataRaceError, OurDetector, RaceReport
-from .detectors import McCChecker, MustRma, ParkMirror, RmaAnalyzerLegacy
-from .intervals import AccessType, DebugInfo, Interval, MemoryAccess
-from .mpi import World, run_spmd
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccessType",
-    "DataRaceError",
-    "DebugInfo",
-    "Interval",
-    "McCChecker",
-    "MemoryAccess",
-    "MustRma",
-    "OurDetector",
-    "ParkMirror",
-    "RaceReport",
-    "RmaAnalyzerLegacy",
-    "World",
-    "run_spmd",
-    "__version__",
-]
+#: public name -> defining subpackage, resolved on first access so
+#: ``import repro.<anything>`` never drags in the simulator and numpy
+_EXPORTS = {
+    "DataRaceError": ".core",
+    "OurDetector": ".core",
+    "RaceReport": ".core",
+    "McCChecker": ".detectors",
+    "MustRma": ".detectors",
+    "ParkMirror": ".detectors",
+    "RmaAnalyzerLegacy": ".detectors",
+    "AccessType": ".intervals",
+    "DebugInfo": ".intervals",
+    "Interval": ".intervals",
+    "MemoryAccess": ".intervals",
+    "World": ".mpi",
+    "run_spmd": ".mpi",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

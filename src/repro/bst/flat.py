@@ -47,7 +47,10 @@ from .avl import FANOUT_NBUCKETS, TreeStats
 __all__ = ["FLAT_LAYOUT", "FlatIntervalStore"]
 
 #: checkpoint layout tag of one serialized store (inside ``repro-ckpt-v1``)
-FLAT_LAYOUT = "repro-flat-bst-v1"
+FLAT_LAYOUT = "repro-flat-bst-v2"
+
+#: the previous layout (records with resolved strings), still loaded
+_FLAT_LAYOUT_V1 = "repro-flat-bst-v1"
 
 
 class FlatIntervalStore:
@@ -677,23 +680,25 @@ class FlatIntervalStore:
     def save_state(self) -> dict:
         """Portable ``repro-ckpt-v1`` encoding of the columns.
 
-        Interned ids are process-local, so the site and accum columns
-        are resolved back to (filename, line) and op strings — a store
-        restored in another process re-interns against that process's
-        tables.  Structure (indices, free list, root) round-trips
-        exactly, so the restored store's future behavior — including
-        slot reuse order and every stats delta — is identical.
+        Interned ids are process-local, so the records travel with the
+        id → value tables of the sites (filename, line) and accum ops
+        they use; a store restored in another process re-interns those
+        values and remaps its records.  The records themselves are
+        copied as they are — a checkpoint per chunk must not rebuild
+        every stored record.  Structure (indices, free list, root)
+        round-trips exactly, so the restored store's future behavior —
+        including slot reuse order and every stats delta — is
+        identical.
         """
+        recs = list(self._rec)
+        sites = set()
+        accums = set()
+        for r in recs:
+            if r is not None:
+                sites.add(r[3])
+                accums.add(r[7])
         site_val = SITES.value
         accum_val = ACCUMS.value
-        recs = []
-        for r in self._rec:
-            if r is None:
-                recs.append(None)
-            else:
-                dbg = site_val(r[3])
-                recs.append((r[0], r[1], r[2], dbg.filename, dbg.line,
-                             r[4], r[5], r[6], accum_val(r[7]), r[8]))
         return {
             "layout": FLAT_LAYOUT,
             "balanced": self._balanced,
@@ -707,13 +712,16 @@ class FlatIntervalStore:
             "height": list(self._height),
             "aug": list(self._aug),
             "recs": recs,
+            "sites": {i: (site_val(i).filename, site_val(i).line)
+                      for i in sites},
+            "accums": {i: accum_val(i) for i in accums},
             "stats": self.stats.to_dict(),
         }
 
     def load_state(self, state: dict) -> None:
         """Rebuild from :meth:`save_state` output (re-interning ids)."""
         layout = state.get("layout")
-        if layout != FLAT_LAYOUT:
+        if layout not in (FLAT_LAYOUT, _FLAT_LAYOUT_V1):
             raise ValueError(
                 f"flat store cannot load layout {layout!r} "
                 f"(expected {FLAT_LAYOUT!r})")
@@ -730,13 +738,25 @@ class FlatIntervalStore:
         site_id = SITES.id_of
         accum_id = ACCUMS.id_of
         recs: List[Optional[Rec]] = []
-        for r in state["recs"]:
-            if r is None:
-                recs.append(None)
-            else:
-                recs.append((r[0], r[1], r[2],
-                             site_id(DebugInfo(r[3], r[4])),
-                             r[5], r[6], r[7], accum_id(r[8]), r[9]))
+        if layout == _FLAT_LAYOUT_V1:
+            for r in state["recs"]:
+                if r is None:
+                    recs.append(None)
+                else:
+                    recs.append((r[0], r[1], r[2],
+                                 site_id(DebugInfo(r[3], r[4])),
+                                 r[5], r[6], r[7], accum_id(r[8]), r[9]))
+        else:
+            sites = {i: site_id(DebugInfo(*v))
+                     for i, v in state["sites"].items()}
+            accums = {i: accum_id(v) for i, v in state["accums"].items()}
+            recs = list(state["recs"])
+            if any(i != j for i, j in sites.items()) or any(
+                    i != j for i, j in accums.items()):
+                # another process interned in another order: remap
+                recs = [None if r is None else
+                        r[:3] + (sites[r[3]],) + r[4:7]
+                        + (accums[r[7]], r[8]) for r in recs]
         self._rec = recs
         self.stats = TreeStats.from_dict(state["stats"])
 

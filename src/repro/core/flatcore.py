@@ -14,7 +14,10 @@ Batch ingestion (:meth:`FlatDetector.ingest_batch`) is the second half
 of the speedup: one chunk of trace events is fed through a loop that
 hoists every loop-invariant — the obs registry, the alias-filter
 policy, the open-epoch routing index — so the per-event cost is the
-event-kind dispatch plus the record path itself.
+event-kind dispatch plus the record path itself.  Wire ingestion
+(:meth:`FlatDetector.ingest_wire`) goes further for ``repro-trace-v2``
+files: it reads the chunk's binary records directly, builds no event
+objects, and is what every serial analysis of a strict v2 trace runs.
 
 The object core stays available behind ``REPRO_CORE=object`` (see
 :data:`repro.pipeline.engine.DETECTOR_SPECS`) as the differential
@@ -32,6 +35,7 @@ resume to confidently wrong verdicts.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from time import perf_counter_ns
 from typing import List
@@ -49,6 +53,7 @@ from ..intervals.intern import (
     rec_to_access,
 )
 from ..intervals.access import DebugInfo
+from ..mpi.errors import TraceFormatError
 from ..mpi.memory import RegionKind
 from ..mpi.trace import LocalEvent, RmaEvent, SyncEvent
 from . import insertion as _insertion
@@ -172,7 +177,7 @@ class FlatDetector(OurDetector):
         return n
 
     def ingest_wire(self, payload, off: int, nevents: int, ctx,
-                    nranks: int) -> int:
+                    nranks: int, *, timeline=None, lane=None) -> int:
         """Algorithm 1 straight off a v2 chunk payload (no event objects).
 
         ``ctx`` is the :class:`~repro.pipeline.format.WireStream` the
@@ -188,8 +193,20 @@ class FlatDetector(OurDetector):
         entering :meth:`_ingest_rec` is identical to decoded-event
         ingestion, so verdicts, forensics, filter counters and obs
         metrics cannot diverge.
+
+        ``timeline`` gets every event before it is analyzed, fanned out
+        by the same projection as :meth:`Timeline.record_event_fanout
+        <repro.obs.timeline.Timeline.record_event_fanout>`: accesses as
+        ``(seq, kind, rank, wid, ctx, record bytes)`` tuples that
+        ``ctx`` formats lazily, sync events as plain sync tuples.  The
+        record bytes are copied out, so a ring never pins a chunk.
+
+        ``lane`` makes this a shard's detector (sharded file dispatch):
+        only the events :func:`~repro.pipeline.shard.shards_of` routes
+        to that memory rank are analyzed and recorded into that one
+        timeline lane; the others are skipped by their rank fields
+        before any decoding.  Returns the number of events analyzed.
         """
-        from ..mpi.errors import TraceFormatError
         from ..pipeline import format as _fmt
         from ..pipeline.shard import dispatch_event
 
@@ -219,43 +236,38 @@ class FlatDetector(OurDetector):
         site_new = SITES.id_of
         accum_new = ACCUMS.id_of
 
+        # per-flags access size: the two optional fields are 4-byte
+        # accum-op id (flag 1) and 8-byte exclusive epoch (flag 2)
+        skiptab = (nacc, nacc + 4, nacc + 8, nacc + 12)
+
         def access_rec(pos):
             # wire access → interned record; seq is 0 exactly as the
-            # decoded path's take_access builds it
+            # decoded path builds it
             flags = payload[pos]
-            pos += 1
             lo, hi, tid, fid, line, origin, flush_gen = \
-                access_at(payload, pos)
-            pos += nacc
+                access_at(payload, pos + 1)
             if flags & 1:  # _FLAG_ACCUM
-                aid = u32_at(payload, pos)[0]
-                pos += 4
+                aid = u32_at(payload, pos + 1 + nacc)[0]
                 naccum = accum_get(aid)
                 if naccum is None:
                     naccum = accum_ids[aid] = accum_new(strings[aid])
             else:
                 naccum = 0
-            if flags & 2:  # _FLAG_EXCL
-                excl = q_at(payload, pos)[0]
-                pos += 8
-            else:
-                excl = None
+            excl = q_at(payload, pos + 1 + nacc + (flags & 1) * 4)[0] \
+                if flags & 2 else None  # _FLAG_EXCL
             sk = fid << 32 | line
             nsite = site_get(sk)
             if nsite is None:
                 nsite = site_ids[sk] = site_new(
                     DebugInfo(strings[fid], line))
             return (lo, hi, access_table[tid], nsite, origin, 0,
-                    flush_gen, naccum, excl), pos
+                    flush_gen, naccum, excl), pos + 1 + skiptab[flags & 3]
 
         ingest = self._ingest_rec
         filt = self.filter
         policy = filt.policy
         window = RegionKind.WINDOW
         stack = RegionKind.STACK
-        # per-flags access size: the two optional fields are 4-byte
-        # accum-op id (flag 1) and 8-byte exclusive epoch (flag 2)
-        skiptab = (nacc, nacc + 4, nacc + 8, nacc + 12)
         # the filter decision is a pure function of the two region
         # bytes (kind id, may-alias — the writer emits 0/1): fold the
         # whole policy into one table lookup per local event
@@ -269,79 +281,127 @@ class FlatDetector(OurDetector):
             droptab = bytes(
                 1 if k is stack else 0
                 for k in region_table for rma in (0, 1))
+        rings: dict = {}
+        ring_of = timeline.ring if timeline is not None else None
+        # a local's rank is read before the filter when a timeline or a
+        # lane needs it (filtered locals are recorded, foreign skipped)
+        eager = ring_of is not None or lane is not None
+        sync_lanes = range(nranks) if lane is None else (lane,)
+        skipped = 0
         by_rank: dict = {}
         for r, w in self._open_epochs:
             by_rank.setdefault(r, []).append(w)
         get_wids = by_rank.get
         seen = 0
         kept = 0
-        for _ in range(nevents):
-            tag = payload[off]
-            off += 1
-            if tag == tag_local:
-                seen += 1
-                fpos = off + nlocal
-                flags = payload[fpos]
-                rpos = fpos + 1 + skiptab[flags & 3]  # region bytes
-                if droptab[payload[rpos] * 2 + payload[rpos + 1]]:
-                    off = rpos + 2
-                    continue
-                kept += 1
-                rank = local_at(payload, off)[1]
-                wids = get_wids(rank)
-                if wids:
-                    # access_rec, inlined: this is the one hot decode
-                    body = fpos + 1
-                    lo, hi, tid, fid, line, origin, flush_gen = \
-                        access_at(payload, body)
-                    if flags & 1:
-                        aid = u32_at(payload, body + nacc)[0]
-                        naccum = accum_get(aid)
-                        if naccum is None:
-                            naccum = accum_ids[aid] = accum_new(
-                                strings[aid])
-                    else:
-                        naccum = 0
-                    excl = q_at(payload, rpos - 8)[0] if flags & 2 else None
-                    sk = fid << 32 | line
-                    nsite = site_get(sk)
-                    if nsite is None:
-                        nsite = site_ids[sk] = site_new(
-                            DebugInfo(strings[fid], line))
-                    nrec = (lo, hi, access_table[tid], nsite, origin, 0,
-                            flush_gen, naccum, excl)
-                    for wid in wids:
-                        ingest(rank, wid, nrec, reg)
-                off = rpos + 2
-            elif tag == tag_rma:
-                _seq, rank, target, wid = rma_at(payload, off)
-                pos = off + nrma + 12  # skip op-string id + nbytes
-                orec, pos = access_rec(pos)
-                trec, pos = access_rec(pos)
-                off = pos + 4  # skip the two region byte pairs
-                ingest(rank, wid, orec, reg)
-                ingest(target, wid, trec, reg)
-            elif tag == tag_sync:
-                seq, rank, kid, wid = sync_at(payload, off)
-                off += nsync
-                filt.seen += seen
-                filt.kept += kept
-                seen = kept = 0
-                dispatch_event(
-                    self, SyncEvent(seq, rank, sync_table[kid], wid),
-                    nranks)
-                by_rank = {}
-                for r, w in self._open_epochs:
-                    by_rank.setdefault(r, []).append(w)
-                get_wids = by_rank.get
-            else:
-                raise TraceFormatError(f"unknown event tag {tag}")
+        try:
+            for _ in range(nevents):
+                tag = payload[off]
+                off += 1
+                if tag == tag_local:
+                    fpos = off + nlocal
+                    flags = payload[fpos]
+                    rpos = fpos + 1 + skiptab[flags & 3]  # region bytes
+                    end = rpos + 2
+                    if eager:
+                        seq, rank = local_at(payload, off)
+                        if lane is not None and rank != lane:
+                            skipped += 1
+                            off = end
+                            continue
+                        if ring_of is not None:
+                            ring = rings.get(rank)
+                            if ring is None:
+                                ring = rings[rank] = ring_of(rank)
+                            ring.append((seq, "local", rank, -1, ctx,
+                                         payload[off:end]))
+                    seen += 1
+                    if droptab[payload[rpos] * 2 + payload[rpos + 1]]:
+                        off = end
+                        continue
+                    kept += 1
+                    if not eager:
+                        rank = local_at(payload, off)[1]
+                    wids = get_wids(rank)
+                    if wids:
+                        # access_rec, inlined: this is the one hot decode
+                        body = fpos + 1
+                        lo, hi, tid, fid, line, origin, flush_gen = \
+                            access_at(payload, body)
+                        if flags & 1:
+                            aid = u32_at(payload, body + nacc)[0]
+                            naccum = accum_get(aid)
+                            if naccum is None:
+                                naccum = accum_ids[aid] = accum_new(
+                                    strings[aid])
+                        else:
+                            naccum = 0
+                        excl = q_at(payload, rpos - 8)[0] if flags & 2 \
+                            else None
+                        sk = fid << 32 | line
+                        nsite = site_get(sk)
+                        if nsite is None:
+                            nsite = site_ids[sk] = site_new(
+                                DebugInfo(strings[fid], line))
+                        nrec = (lo, hi, access_table[tid], nsite, origin, 0,
+                                flush_gen, naccum, excl)
+                        for wid in wids:
+                            ingest(rank, wid, nrec, reg)
+                    off = end
+                elif tag == tag_rma:
+                    seq, rank, target, wid = rma_at(payload, off)
+                    pos = off + nrma + 12  # skip the op-string id + nbytes
+                    if lane is not None and lane != rank and lane != target:
+                        skipped += 1
+                        pos += 1 + skiptab[payload[pos] & 3]
+                        off = pos + 1 + skiptab[payload[pos] & 3] + 4
+                        continue
+                    orec, pos = access_rec(pos)
+                    trec, pos = access_rec(pos)
+                    end = pos + 4  # past the two region byte pairs
+                    if ring_of is not None:
+                        rec = (seq, "rma", rank, wid, ctx, payload[off:end])
+                        for side in ((lane,) if lane is not None
+                                     else (rank,) if target == rank
+                                     else (rank, target)):
+                            ring = rings.get(side)
+                            if ring is None:
+                                ring = rings[side] = ring_of(side)
+                            ring.append(rec)
+                    off = end
+                    ingest(rank, wid, orec, reg)
+                    ingest(target, wid, trec, reg)
+                elif tag == tag_sync:
+                    seq, rank, kid, wid = sync_at(payload, off)
+                    off += nsync
+                    kind = sync_table[kid]
+                    if ring_of is not None:
+                        timeline.record_sync(kind.value, rank, wid,
+                                             sync_lanes, seq=seq)
+                    filt.seen += seen
+                    filt.kept += kept
+                    seen = kept = 0
+                    dispatch_event(self, SyncEvent(seq, rank, kind, wid),
+                                   nranks)
+                    by_rank = {}
+                    for r, w in self._open_epochs:
+                        by_rank.setdefault(r, []).append(w)
+                    get_wids = by_rank.get
+                else:
+                    raise TraceFormatError(
+                        f"chunk {ctx.chunk}: unknown event tag {tag}",
+                        path=ctx.path)
+        except (struct.error, IndexError) as exc:
+            raise TraceFormatError(
+                f"chunk {ctx.chunk}: malformed event record ({exc})",
+                path=ctx.path) from exc
         if off != len(payload):
             raise TraceFormatError(
-                f"{len(payload) - off} trailing bytes in chunk")
+                f"chunk {ctx.chunk}: {len(payload) - off} trailing bytes",
+                path=ctx.path)
         filt.seen += seen
         filt.kept += kept
-        return nevents
+        return nevents - skipped
 
     def on_local(self, rank, access, region) -> None:
         if not self.filter.instrument(region):

@@ -8,29 +8,23 @@
 * :class:`McCChecker` — clock-based post-mortem analysis (related work).
 """
 
-from .base import Detector, NodeStats
-from .bst_common import BstDetector
-from .mc_cchecker import McCChecker
-from .must_rma import MustRma
-from .park_mirror import ParkMirror
-from .rma_analyzer import RmaAnalyzerLegacy
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BstDetector",
-    "Detector",
-    "McCChecker",
-    "MustRma",
-    "NodeStats",
-    "ParkMirror",
-    "RmaAnalyzerLegacy",
-]
+#: public name -> defining module, resolved on first access:
+#: the flat core subclasses ``BstDetector`` and must not pull the
+#: baseline tools (and their vector-clock substrate) into trace analysis
+_EXPORTS = {
+    "BstDetector": ".bst_common",
+    "Detector": ".base",
+    "McCChecker": ".mc_cchecker",
+    "MustRma": ".must_rma",
+    "NodeStats": ".base",
+    # OurDetector is defined in repro.core (it *is* the contribution)
+    "OurDetector": "..core.detector",
+    "ParkMirror": ".park_mirror",
+    "RmaAnalyzerLegacy": ".rma_analyzer",
+}
 
+__all__ = sorted(n for n in _EXPORTS if n != "OurDetector")
 
-def __getattr__(name: str):
-    # OurDetector is defined in repro.core (it *is* the contribution);
-    # lazy import avoids a package cycle
-    if name == "OurDetector":
-        from ..core.detector import OurDetector
-
-        return OurDetector
-    raise AttributeError(name)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,13 +17,15 @@ about the size of the analysis state, not about verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .. import obs
 from ..core.report import DataRaceError, RaceReport
 from ..intervals import MemoryAccess
 from ..mpi.memory import RegionInfo
-from ..mpi.window import Window
+
+if TYPE_CHECKING:  # the simulator's Window; never imported at runtime
+    from ..mpi.window import Window
 
 __all__ = ["Detector", "NodeStats"]
 

@@ -20,14 +20,16 @@ accesses that are contained within each epoch").
 from __future__ import annotations
 
 import copy
-from typing import Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from ..aliasing import AliasFilter, FilterPolicy
 from ..bst import IntervalBST, TreeStats
 from ..intervals import MemoryAccess
 from ..mpi.memory import RegionInfo
-from ..mpi.window import Window
 from .base import Detector, NodeStats
+
+if TYPE_CHECKING:
+    from ..mpi.window import Window
 
 __all__ = ["BstDetector"]
 

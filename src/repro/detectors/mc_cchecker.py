@@ -21,13 +21,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..intervals import MemoryAccess
 from ..mpi.memory import RegionInfo
-from ..mpi.window import Window
 from ..tsan import GRANULE, HappensBefore, Stamp, VectorClock
 from .base import Detector, NodeStats
+
+if TYPE_CHECKING:
+    from ..mpi.window import Window
 
 __all__ = ["McCChecker"]
 

@@ -25,14 +25,16 @@ properties the paper measures are all modelled here:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..aliasing import AliasFilter, FilterPolicy
 from ..intervals import MemoryAccess
 from ..mpi.memory import RegionInfo
-from ..mpi.window import Window
 from ..tsan import HappensBefore, ShadowMemory
 from .base import Detector, NodeStats
+
+if TYPE_CHECKING:
+    from ..mpi.window import Window
 
 __all__ = ["MustRma"]
 

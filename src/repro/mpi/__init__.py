@@ -5,72 +5,57 @@ LLVM-instrumentation stack: rank programs are generator functions driven
 by :class:`World`, every memory access and synchronization call flows
 through the PMPI-like :class:`Interposition` to the attached detectors,
 and an alpha-beta :class:`SimClock` models cluster timing.
+
+Exports resolve lazily (:mod:`repro._lazy`): trace analysis imports the
+trace and error types from this package, and must not pay for the
+simulator and numpy it never runs.
 """
 
-from .costmodel import CostParams, SimClock
-from .datatypes import BYTE, FLOAT32, FLOAT64, GRAPH_TYPE, INT32, INT64, Datatype
-from .epoch import EpochTracker
-from .errors import (
-    CollectiveMismatchError,
-    DeadlockError,
-    EpochError,
-    MpiSimError,
-    OutOfWindowError,
-    RmaUsageError,
-    TraceFormatError,
-)
-from .interposition import DetectorProtocol, Interposition
-from .memory import AddressSpace, Region, RegionInfo, RegionKind
-from .simulator import Buffer, RankContext, Request, World, run_spmd
-from .trace import (
-    LocalEvent,
-    RmaEvent,
-    StreamingTraceLog,
-    SyncEvent,
-    SyncKind,
-    TraceLog,
-)
-from .trace_io import LoadedTrace, load_trace, replay_trace, save_trace
-from .window import Window
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AddressSpace",
-    "BYTE",
-    "Buffer",
-    "CollectiveMismatchError",
-    "CostParams",
-    "Datatype",
-    "DeadlockError",
-    "DetectorProtocol",
-    "EpochError",
-    "EpochTracker",
-    "FLOAT32",
-    "FLOAT64",
-    "GRAPH_TYPE",
-    "INT32",
-    "INT64",
-    "Interposition",
-    "LoadedTrace",
-    "LocalEvent",
-    "MpiSimError",
-    "OutOfWindowError",
-    "RankContext",
-    "Region",
-    "RegionInfo",
-    "Request",
-    "RegionKind",
-    "RmaEvent",
-    "RmaUsageError",
-    "SimClock",
-    "StreamingTraceLog",
-    "SyncEvent",
-    "SyncKind",
-    "TraceFormatError",
-    "TraceLog",
-    "load_trace",
-    "replay_trace",
-    "save_trace",
-    "Window",
-    "World",
-    "run_spmd",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "CostParams": ".costmodel",
+    "SimClock": ".costmodel",
+    "BYTE": ".datatypes",
+    "FLOAT32": ".datatypes",
+    "FLOAT64": ".datatypes",
+    "GRAPH_TYPE": ".datatypes",
+    "INT32": ".datatypes",
+    "INT64": ".datatypes",
+    "Datatype": ".datatypes",
+    "EpochTracker": ".epoch",
+    "CollectiveMismatchError": ".errors",
+    "DeadlockError": ".errors",
+    "EpochError": ".errors",
+    "MpiSimError": ".errors",
+    "OutOfWindowError": ".errors",
+    "RmaUsageError": ".errors",
+    "TraceFormatError": ".errors",
+    "DetectorProtocol": ".interposition",
+    "Interposition": ".interposition",
+    "AddressSpace": ".memory",
+    "Region": ".memory",
+    "RegionInfo": ".memory",
+    "RegionKind": ".memory",
+    "Buffer": ".simulator",
+    "RankContext": ".simulator",
+    "Request": ".simulator",
+    "World": ".simulator",
+    "run_spmd": ".simulator",
+    "LocalEvent": ".trace",
+    "RmaEvent": ".trace",
+    "StreamingTraceLog": ".trace",
+    "SyncEvent": ".trace",
+    "SyncKind": ".trace",
+    "TraceLog": ".trace",
+    "LoadedTrace": ".trace_io",
+    "load_trace": ".trace_io",
+    "replay_trace": ".trace_io",
+    "save_trace": ".trace_io",
+    "Window": ".window",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..intervals import Interval
 from .errors import RmaUsageError
@@ -31,6 +29,17 @@ from .errors import RmaUsageError
 __all__ = ["RegionKind", "RegionInfo", "Region", "AddressSpace"]
 
 _GUARD = 64  # unmapped bytes between regions
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def _zeros(size: int) -> np.ndarray:
+    # numpy is imported on first allocation: trace analysis uses the
+    # region *types* below but never allocates simulated memory
+    import numpy as np
+
+    return np.zeros(size, dtype=np.uint8)
 
 
 class RegionKind(enum.Enum):
@@ -87,9 +96,9 @@ class Region:
             )
         return Interval(self.base + offset, self.base + offset + nbytes)
 
-    def view(self, dtype: np.dtype = np.dtype(np.uint8)) -> np.ndarray:
-        """The region's backing store reinterpreted as ``dtype``."""
-        return self.data.view(dtype)
+    def view(self, dtype=None) -> np.ndarray:
+        """The region's backing store reinterpreted as ``dtype`` (bytes)."""
+        return self.data.view(dtype if dtype is not None else self.data.dtype)
 
 
 class AddressSpace:
@@ -113,7 +122,7 @@ class AddressSpace:
             base=self._next,
             size=size,
             rank=self.rank,
-            data=np.zeros(size, dtype=np.uint8),
+            data=_zeros(size),
         )
         self._next += size + _GUARD
         self._regions.append(region)

@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from ..intervals import AccessType, DebugInfo, Interval, MemoryAccess
-from .interposition import DetectorProtocol
 from .memory import RegionInfo, RegionKind
 from .trace import LocalEvent, RmaEvent, SyncEvent, SyncKind, TraceEvent, TraceLog
+
+if TYPE_CHECKING:
+    from .interposition import DetectorProtocol
 
 __all__ = ["save_trace", "load_trace", "replay_trace"]
 

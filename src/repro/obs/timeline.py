@@ -22,8 +22,11 @@ Design constraints mirror the registry's:
 * **Cheap.**  The replay feed (:meth:`Timeline.record_event`) appends
   the trace-event object itself — zero per-event allocation; the live
   feed (:meth:`Timeline.record`) is one tuple construction and a
-  ``deque.append``.  Payloads are held by reference and only formatted
-  at :meth:`snapshot`/:meth:`lane_events` time, never on the hot path.
+  ``deque.append``; the wire feed (the flat core reading v2 records,
+  through :meth:`Timeline.ring`) appends ``(seq, kind, rank, wid,
+  formatter, body)`` tuples holding the event's raw record bytes.
+  Payloads are held by reference and only formatted at
+  :meth:`snapshot`/:meth:`lane_events` time, never on the hot path.
 * **Bounded.**  Each lane is a ``deque(maxlen=cap)``; an arbitrarily
   long run costs ``O(ranks * cap)`` memory, nothing more.
 * **A hard off switch.**  ``REPRO_OBS_TIMELINE=off`` (or
@@ -113,9 +116,11 @@ def _fmt(rec, lane: int) -> dict:
     """One ring record -> a stable JSON-able event dict.
 
     Ring records are ``(seq, kind, rank, wid, payload)`` tuples
-    (recorded live), replayed trace-event objects held by reference
-    (see :meth:`Timeline.record_event`), or already-formatted dicts
-    (merged from a worker snapshot).  ``lane`` picks the RMA side a
+    (recorded live), ``(seq, kind, rank, wid, formatter, body)`` wire
+    tuples whose formatter's ``timeline_event(rec, lane)`` decodes the
+    record bytes, replayed trace-event objects held by reference (see
+    :meth:`Timeline.record_event`), or already-formatted dicts (merged
+    from a worker snapshot).  ``lane`` picks the RMA side a
     replayed event shows: the target access on the target rank's lane,
     the origin access elsewhere.  Payloads and accesses duck-type
     :class:`~repro.intervals.MemoryAccess`.
@@ -123,6 +128,8 @@ def _fmt(rec, lane: int) -> dict:
     if isinstance(rec, dict):
         return rec
     if isinstance(rec, tuple):
+        if len(rec) == 6:
+            return rec[4].timeline_event(rec, lane)
         seq, kind, rank, wid, payload = rec
         if payload is None:
             return {"seq": seq, "kind": kind, "rank": rank, "wid": wid}
@@ -295,6 +302,13 @@ class Timeline:
             if ring is None:
                 ring = lanes_map[lane] = deque(maxlen=cap)
             ring.append(event)
+
+    def ring(self, lane: int) -> deque:
+        """The lane's ring, created on first use (bulk feeders append)."""
+        ring = self._lanes.get(lane)
+        if ring is None:
+            ring = self._lanes[lane] = deque(maxlen=self.cap)
+        return ring
 
     # -- reading ------------------------------------------------------------
 

@@ -46,7 +46,6 @@ under injected worker kills and stalls.
 from __future__ import annotations
 
 import json
-import multiprocessing as mp
 import os
 import queue as _queue
 import time
@@ -342,6 +341,23 @@ class _ShardGroup:
         self.events[shard] += len(batch)
         obs.active().counter("pipeline.events.analyzed").add(len(batch))
 
+    def wire_stream(self, reader: TraceReader, start: Optional[dict]):
+        """The reader's wire stream when every shard detector reads it."""
+        if all(hasattr(d, "ingest_wire") for d in self.detectors.values()):
+            return reader.wire_stream(start)
+        return None
+
+    def ingest_wire(self, shard: int, payload, off: int, nevents: int,
+                    wire) -> int:
+        """One chunk's records into one shard: the events routed to it."""
+        tl = obs.active().timeline
+        n = self.detectors[shard].ingest_wire(
+            payload, off, nevents, wire, self.nranks,
+            timeline=tl if tl.enabled else None, lane=shard)
+        self.events[shard] += n
+        obs.active().counter("pipeline.events.analyzed").add(n)
+        return n
+
     def snapshot_state(self) -> dict:
         """Checkpointable state of every shard detector (+ event counts)."""
         return {
@@ -572,6 +588,11 @@ def _worker_file(worker_id, shards, detector, nranks, path, out_q,
     A retry attempt (``attempt > 0``) or an explicit ``ckpt.resume``
     restores the newest valid checkpoint first and replays only the
     events after it, instead of re-running the shard-group from byte 0.
+
+    A strict v2 trace is read as wire records, each owned shard's flat
+    detector taking the chunk with a lane filter; other sources are
+    decoded and routed event by event.  Fault-plan ticks count the
+    events analyzed either way (per chunk on the wire path).
     """
     reg = obs.reset()  # fork copied the parent's registry: start clean
     group = _ShardGroup(shards, detector, nranks)
@@ -599,24 +620,44 @@ def _worker_file(worker_id, shards, detector, nranks, path, out_q,
                 ckpt_info["events_skipped"] = start["events_applied"]
 
     reader = TraceReader(path, strict=strict)
-    chunks_since = 0
-    stop = None
-    cursor = start
-    with reg.span("worker.read"):
-        for events_chunk, cursor in reader.iter_chunks(start=start):
+    wire = group.wire_stream(reader, start)
+
+    def tick(n: int) -> None:
+        nonlocal ticks, last_hb
+        ticks += n
+        if fault_plan is not None:
+            fault_plan.fire(worker_id, attempt, ticks)
+        now = time.monotonic()
+        if now - last_hb >= HEARTBEAT_INTERVAL:
+            out_q.put(("hb", worker_id, attempt, ticks))
+            last_hb = now
+
+    def wire_chunks():
+        # each owned shard reads the chunk's records itself, skipping
+        # the events routed elsewhere by their rank fields
+        for payload, off, count in wire:
+            for shard in shards:
+                with reg.span("worker.analyze"):
+                    n = group.ingest_wire(shard, payload, off, count, wire)
+                tick(n)
+            yield wire.cursor()
+
+    def decoded_chunks():
+        for events_chunk, chunk_cursor in reader.iter_chunks(start=start):
             for event in events_chunk:
                 for shard in shards_of(event, nranks):
                     if shard in own:
                         with reg.span("worker.analyze"):
                             group.dispatch(shard, (event,))
-                        ticks += 1
-                        if fault_plan is not None:
-                            fault_plan.fire(worker_id, attempt, ticks)
-                if not (ticks & 0x3F):  # check the clock every 64 ticks
-                    now = time.monotonic()
-                    if now - last_hb >= HEARTBEAT_INTERVAL:
-                        out_q.put(("hb", worker_id, attempt, ticks))
-                        last_hb = now
+                        tick(1)
+            yield chunk_cursor
+
+    chunks_since = 0
+    stop = None
+    cursor = start
+    with reg.span("worker.read"):
+        for cursor in (wire_chunks() if wire is not None
+                       else decoded_chunks()):
             if ckpt is None:
                 continue
             chunks_since += 1
@@ -705,72 +746,49 @@ def _salvage_info(reader: Optional[TraceReader]) -> Optional[dict]:
     return reader.salvage_report()
 
 
-def _serial(events, nranks, detector_name, reader=None):
-    det = _make_detector(detector_name)
-    reg = obs.active()
-    t0 = time.perf_counter()
-    n = 0
-    tl = reg.timeline
-    # the timeline's lane projection (fed before each dispatch) matches
-    # the sharded pipeline's routing, so lanes stay byte-identical
-    timeline = tl if tl.enabled else None
-    # fused wire path: a strict v2 binary trace feeding a flat-core
-    # detector with no timeline to feed skips event decoding entirely —
-    # the detector ingests raw chunk payloads (byte-identical results;
-    # the interned record stream is the same).  REPRO_WIRE=off forces
-    # the decoded path — a debugging aid, and how A/B measurements
-    # (e.g. the timeline-cost bench) keep both legs on one code path.
-    wire = None
+def _feed_chunks(det, events, reader, nranks, timeline, start):
+    """Feed ``det`` chunk by chunk from ``start``: the one ingest loop.
+
+    Yields ``(events_in_chunk, cursor)`` after each chunk; the cursor is
+    the chunk-boundary resume point checkpoints record.  A strict v2
+    trace feeding a detector with wire ingestion (the flat core) never
+    builds event objects: the detector reads the chunk's records, and
+    the timeline keeps lazily formatted record tuples.  Every other
+    source — v1 JSON, salvage reads, in-memory traces, the baseline
+    detectors — is decoded to trace events first.
+    """
     ingest_wire = getattr(det, "ingest_wire", None)
-    if (timeline is None and reader is not None
-            and ingest_wire is not None
-            and os.environ.get("REPRO_WIRE", "").lower()
-            not in ("off", "0", "false", "no")):
-        wire = reader.wire_stream()
-    with reg.span("worker.analyze"):
-        if wire is not None:
-            for payload, off, nevents in wire:
-                n += ingest_wire(payload, off, nevents, wire, nranks)
-        elif isinstance(events, (list, tuple)):
-            n = dispatch_batch(det, events, nranks, timeline=timeline)
-        else:
-            it = iter(events)
-            while True:
-                chunk = list(islice(it, 4096))
-                if not chunk:
-                    break
-                n += dispatch_batch(det, chunk, nranks, timeline=timeline)
-    det.finalize()
-    wall = time.perf_counter() - t0
-    reg.counter("pipeline.events.read").add(n)
-    reg.counter("pipeline.events.analyzed").add(n)
-    det.publish_obs()
-    stats = det.node_stats()
-    peak = max(stats.max_nodes_per_rank.values(), default=0)
-    shard = ShardStats(
-        shard=-1, events=n, races=len(det.reports), peak_nodes=peak,
-        processed=stats.accesses_processed, reports=list(det.reports),
-    )
-    return PipelineResult(
-        detector=detector_name, nranks=nranks, jobs=1, dispatch="serial",
-        events_total=n, wall_seconds=wall,
-        verdicts=canonical_verdicts(det.reports), shard_stats=[shard],
-        salvage=_salvage_info(reader),
-        forensics=canonical_forensics(det.reports),
-    )
+    wire = (reader.wire_stream(start)
+            if reader is not None and ingest_wire is not None else None)
+    if wire is not None:
+        for payload, off, count in wire:
+            ingest_wire(payload, off, count, wire, nranks, timeline=timeline)
+            yield count, wire.cursor()
+        return
+    if reader is not None:
+        chunks = reader.iter_chunks(start=start)
+    else:
+        chunks = _virtual_chunks(events, start)
+    for chunk, cursor in chunks:
+        # the timeline's lane projection (fed before each dispatch)
+        # matches the sharded pipeline's routing, so lanes stay
+        # byte-identical
+        dispatch_batch(det, chunk, nranks, timeline=timeline)
+        yield len(chunk), cursor
 
 
-def _serial_ckpt(events, nranks, detector_name, reader, plan, path,
-                 follow=False, follow_timeout_s=None):
-    """Serial analysis with checkpoints and resource guards.
+def _serial(events, nranks, detector_name, reader=None, plan=None,
+            path=None, follow=False, follow_timeout_s=None):
+    """Serial analysis in this process, optionally checkpointed.
 
-    The chunk-wise twin of :func:`_serial`: per-event work is identical
-    (same timeline fanout before each dispatch, same counters — added
-    per chunk rather than at the end, so a mid-run checkpoint's registry
-    snapshot already accounts the events it covers).  Hitting the
-    deadline or the memory guard checkpoints, stops, and returns a
-    *partial* result with ``analyzed_fraction``; ``plan.resume`` picks
-    up from the newest valid checkpoint in the directory.
+    With a :class:`~repro.pipeline.checkpoint.CheckpointPlan` the chunk
+    loop checkpoints every ``plan.every`` chunks and checks the resource
+    guards at each boundary: hitting the deadline, the drain event or
+    the memory guard checkpoints, stops, and returns a *partial* result
+    with ``analyzed_fraction``; ``plan.resume`` picks up from the newest
+    valid checkpoint in the directory.  Counters are added per chunk,
+    so a mid-run checkpoint's registry snapshot already accounts the
+    events it covers.
 
     ``follow=True`` tails a still-growing v2 trace: when the file ends
     without a trailer the loop checkpoints, polls with capped backoff
@@ -785,29 +803,32 @@ def _serial_ckpt(events, nranks, detector_name, reader, plan, path,
     det = _make_detector(detector_name)
     reg = obs.active()
     t0 = time.perf_counter()
-    store = CheckpointStore(plan.dir, "serial")
-    shards = list(range(nranks))
-
+    tl = reg.timeline
+    timeline = tl if tl.enabled else None
+    store = None
     start = None
     resumed = []
-    if plan.resume:
-        loaded = store.load_latest(
-            expect={"detector": detector_name, "nranks": nranks})
-        if loaded is not None:
-            header, state = loaded
-            _verify_resume_trace(header["meta"], path)
-            det.restore(state["detector"])
-            _ckpt_restore_registry(reg, state)
-            start = state["cursor"]
-            skipped_chunks = start.get("chunk") or 0
-            if skipped_chunks:
-                reg.counter("incremental.chunks_skipped").add(skipped_chunks)
-            resumed.append({
-                "lane": "serial",
-                "from_seq": header["seq"],
-                "events_skipped": start["events_applied"],
-                "chunks_skipped": skipped_chunks,
-            })
+    if plan is not None:
+        store = CheckpointStore(plan.dir, "serial")
+        if plan.resume:
+            loaded = store.load_latest(
+                expect={"detector": detector_name, "nranks": nranks})
+            if loaded is not None:
+                header, state = loaded
+                _verify_resume_trace(header["meta"], path)
+                det.restore(state["detector"])
+                _ckpt_restore_registry(reg, state)
+                start = state["cursor"]
+                skipped_chunks = start.get("chunk") or 0
+                if skipped_chunks:
+                    reg.counter("incremental.chunks_skipped").add(
+                        skipped_chunks)
+                resumed.append({
+                    "lane": "serial",
+                    "from_seq": header["seq"],
+                    "events_skipped": start["events_applied"],
+                    "chunks_skipped": skipped_chunks,
+                })
 
     if follow and reader is not None:
         reader.tail = True
@@ -819,13 +840,13 @@ def _serial_ckpt(events, nranks, detector_name, reader, plan, path,
     written = 0
     c_read = reg.counter("pipeline.events.read")
     c_analyzed = reg.counter("pipeline.events.analyzed")
-    tl = reg.timeline
 
     def _write(cur):
         nonlocal written, chunks_since
         store.write(
-            _ckpt_meta(detector_name, nranks, path, shards, cur),
-            _ckpt_state({"detector": det.snapshot()}, cur, cur["events_applied"]))
+            _ckpt_meta(detector_name, nranks, path, range(nranks), cur),
+            _ckpt_state({"detector": det.snapshot()}, cur,
+                        cur["events_applied"]))
         written += 1
         chunks_since = 0
 
@@ -849,24 +870,17 @@ def _serial_ckpt(events, nranks, detector_name, reader, plan, path,
     last_progress = time.time()
     with reg.span("worker.analyze"):
         while True:
-            if reader is not None:
-                chunks = reader.iter_chunks(start=cursor)
-            else:
-                chunks = _virtual_chunks(events, cursor)
             progressed = False
             try:
-                for chunk, cursor in chunks:
-                    # same lane projection the sharded pipeline routes
-                    # by (fed before each dispatch), so serial and
-                    # sharded lanes are byte-identical
-                    dispatch_batch(
-                        det, chunk, nranks,
-                        timeline=tl if tl.enabled else None)
-                    n = cursor["events_applied"]
-                    c_read.add(len(chunk))
-                    c_analyzed.add(len(chunk))
-                    chunks_since += 1
+                for count, cursor in _feed_chunks(det, events, reader,
+                                                  nranks, timeline, cursor):
+                    n += count
+                    c_read.add(count)
+                    c_analyzed.add(count)
                     progressed = True
+                    if plan is None:
+                        continue
+                    chunks_since += 1
                     wrote = False
                     if plan.every and chunks_since >= plan.every:
                         _write(cursor)
@@ -877,6 +891,8 @@ def _serial_ckpt(events, nranks, detector_name, reader, plan, path,
                             _write(cursor)
                         break
             except TraceChainMismatch as exc:
+                if plan is None:
+                    raise
                 # the prefix our detector state was built from has been
                 # rewritten underneath the follow — checkpointed state
                 # is untrustworthy, abort loudly
@@ -923,42 +939,45 @@ def _serial_ckpt(events, nranks, detector_name, reader, plan, path,
     det.publish_obs()
     stats = det.node_stats()
     peak = max(stats.max_nodes_per_rank.values(), default=0)
-    shard = ShardStats(
-        shard=-1, events=n, races=len(det.reports), peak_nodes=peak,
-        processed=stats.accesses_processed, reports=list(det.reports),
+    result = PipelineResult(
+        detector=detector_name, nranks=nranks, jobs=1, dispatch="serial",
+        events_total=n, wall_seconds=wall,
+        verdicts=canonical_verdicts(det.reports),
+        shard_stats=[ShardStats(
+            shard=-1, events=n, races=len(det.reports), peak_nodes=peak,
+            processed=stats.accesses_processed, reports=list(det.reports),
+        )],
+        salvage=_salvage_info(reader),
+        forensics=canonical_forensics(det.reports),
     )
+    if plan is None:
+        return result
     if reader is not None:
         total = reader.total_events()
     else:
         total = len(events) if hasattr(events, "__len__") else None
     if stop is not None and total is not None and n >= total:
         stop = None  # the guard fired on the last chunk: nothing is missing
-    partial = stop is not None
-    if partial:
-        fraction = (n / total) if total else None
-    else:
-        fraction = 1.0
-    return PipelineResult(
-        detector=detector_name, nranks=nranks, jobs=1, dispatch="serial",
-        events_total=n, wall_seconds=wall,
-        verdicts=canonical_verdicts(det.reports), shard_stats=[shard],
-        salvage=_salvage_info(reader),
-        forensics=canonical_forensics(det.reports),
-        partial=partial,
-        analyzed_fraction=fraction,
-        checkpoint={
-            "dir": plan.dir,
-            "every": plan.every,
-            "written": written,
-            "resumed": resumed,
-            "quarantined": list(store.quarantined),
-            "recycles": 0,
-            "stopped": stop,
-        },
-    )
+    result.partial = stop is not None
+    result.analyzed_fraction = (
+        ((n / total) if total else None) if result.partial else 1.0)
+    result.checkpoint = {
+        "dir": plan.dir,
+        "every": plan.every,
+        "written": written,
+        "resumed": resumed,
+        "quarantined": list(store.quarantined),
+        "recycles": 0,
+        "stopped": stop,
+    }
+    return result
 
 
 def _mp_context():
+    # imported here: serial analysis (every CLI and serve default) never
+    # starts a process, and multiprocessing is a noticeable import
+    import multiprocessing as mp
+
     try:
         return mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -1136,11 +1155,8 @@ def _analyze_impl(
             raise ValueError("follow requires a strict reader")
     jobs = max(1, min(jobs, nranks))
     if jobs == 1:
-        if plan is not None:
-            return _serial_ckpt(events, nranks, detector, reader, plan, path,
-                                follow=follow,
-                                follow_timeout_s=follow_timeout_s)
-        return _serial(events, nranks, detector, reader=reader)
+        return _serial(events, nranks, detector, reader, plan, path,
+                       follow=follow, follow_timeout_s=follow_timeout_s)
     if plan is not None and dispatch != "file":
         raise ValueError(
             "checkpointing with jobs>1 requires dispatch='file' — queue "
@@ -1185,9 +1201,15 @@ def _analyze_impl(
                           (path, out_q, 0, fault_plan, not salvage, plan), w)
                 for w in range(jobs)
             }
-            # count events once in the parent for the throughput metric
+            # count events once in the parent for the throughput metric;
+            # v2 frame headers carry the counts, so the parent does not
+            # decode the trace while the workers read it
             with reg.span("pipeline.read"):
-                events_total = sum(1 for _ in events)
+                wire = reader.wire_stream()
+                if wire is not None:
+                    events_total = sum(n for _, _, n in wire)
+                else:
+                    events_total = sum(1 for _ in events)
             reg.counter("pipeline.events.read").add(events_total)
             with reg.span("pipeline.collect"):
                 outcome = collect_results(out_q, procs, worker_shards,

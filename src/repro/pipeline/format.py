@@ -127,6 +127,14 @@ _SYNC_KINDS = list(SyncKind)
 _REGION_KINDS = list(RegionKind)
 
 
+def _enum_tables() -> dict:
+    return {
+        "access": [t.name for t in _ACCESS_TYPES],
+        "sync": [k.value for k in _SYNC_KINDS],
+        "region": [k.value for k in _REGION_KINDS],
+    }
+
+
 # -- writing -----------------------------------------------------------------
 
 
@@ -206,11 +214,7 @@ class BinaryTraceWriter:
             "format": FORMAT_V2,
             "nranks": nranks,
             "chunk_crc32": True,
-            "enums": {
-                "access": [t.name for t in _ACCESS_TYPES],
-                "sync": [k.value for k in _SYNC_KINDS],
-                "region": [k.value for k in _REGION_KINDS],
-            },
+            "enums": _enum_tables(),
         }
         if chain:
             head["chunk_chain"] = CHAIN_ALGO
@@ -245,96 +249,39 @@ class BinaryTraceWriter:
         prefix cursor instead of re-analyzing from chunk zero.
         """
         path = Path(path)
-        with path.open("rb") as fh:
-            magic = fh.read(len(MAGIC_V2))
-            if magic != MAGIC_V2:
-                raise TraceFormatError(
-                    "open_append needs a repro-trace-v2 file", path=path)
-            hlen_raw = fh.read(_U32.size)
-            if len(hlen_raw) < _U32.size:
-                raise TraceFormatError("truncated v2 header length",
-                                       path=path)
-            (hlen,) = _U32.unpack(hlen_raw)
-            header_bytes = fh.read(hlen)
-            if len(header_bytes) < hlen:
-                raise TraceFormatError("truncated v2 header", path=path)
-            try:
-                header = json.loads(header_bytes)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"corrupt v2 header: {exc}",
-                                       path=path) from exc
-            if header.get("format") != FORMAT_V2:
-                raise TraceFormatError("not a repro-trace-v2 file", path=path)
-            want_enums = {
-                "access": [t.name for t in _ACCESS_TYPES],
-                "sync": [k.value for k in _SYNC_KINDS],
-                "region": [k.value for k in _REGION_KINDS],
-            }
-            if header.get("enums") != want_enums:
-                raise TraceFormatError(
-                    "cannot append: trace was written with different enum "
-                    "tables", path=path)
-            has_crc = bool(header.get("chunk_crc32"))
-            has_chain = bool(header.get("chunk_chain"))
-            if has_chain and not has_crc:
-                raise TraceFormatError(
-                    "malformed header: chunk_chain without chunk_crc32",
-                    path=path)
-            chain = _chain_seed(hlen_raw, header_bytes) if has_chain else None
-            frame = struct.Struct("<III") if has_crc else struct.Struct("<II")
-            extra = _CHAIN_BYTES if has_chain else 0
-            strings = _StringTable()
-            total = 0
-            chunks = 0
-            first_chunk_events: Optional[int] = None
-            good_end = fh.tell()
-            while True:
-                tag = fh.read(4)
-                if tag == b"CHNK":
-                    raw = fh.read(frame.size + extra)
-                    if len(raw) < frame.size + extra:
-                        break  # torn tail of an interrupted append
-                    if has_crc:
-                        nbytes, nevents, crc = frame.unpack_from(raw, 0)
-                    else:
-                        (nbytes, nevents), crc = frame.unpack_from(raw, 0), \
-                            None
-                    stored = raw[frame.size:frame.size + extra]
-                    payload = fh.read(nbytes)
-                    if len(payload) < nbytes:
-                        break  # torn tail
-                    if crc is not None and zlib.crc32(payload) != crc:
-                        raise TraceFormatError(
-                            f"chunk {chunks + 1}: checksum mismatch — "
-                            f"cannot append to a corrupt trace", path=path)
-                    if chain is not None:
-                        chain = _chain_next(chain, payload)
-                        if stored != chain:
-                            raise TraceChainMismatch(
-                                f"chunk {chunks + 1}: stored chain mismatch "
-                                f"— cannot append to a rewritten trace",
-                                path=path, chunk=chunks + 1)
-                    # replay the incremental string table so new chunks
-                    # intern against the same ids the file already uses
-                    (nstrings,) = _U32.unpack_from(payload, 0)
-                    off = _U32.size
-                    for _ in range(nstrings):
-                        (slen,) = _U32.unpack_from(payload, off)
-                        off += _U32.size
-                        strings.intern(payload[off:off + slen].decode("utf-8"))
-                        off += slen
-                    strings.take_pending()  # already on disk, not pending
-                    chunks += 1
-                    total += nevents
-                    if first_chunk_events is None:
-                        first_chunk_events = nevents
-                    good_end = fh.tell()
-                elif tag in (b"TEND", b""):
-                    break  # finalized (drop trailer) or clean live tail
-                else:
-                    raise TraceFormatError(
-                        f"bad chunk tag {tag!r} after chunk {chunks} — "
-                        f"cannot append to a corrupt trace", path=path)
+        reader = TraceReader(path)
+        if reader.format != FORMAT_V2:
+            raise TraceFormatError(
+                "open_append needs a repro-trace-v2 file", path=path)
+        header = reader._header
+        if header.get("enums") != _enum_tables():
+            raise TraceFormatError(
+                "cannot append: trace was written with different enum "
+                "tables", path=path)
+        has_chain = header["chunk_chain_stored"]
+        if has_chain and not header["chunk_crc"]:
+            raise TraceFormatError(
+                "malformed header: chunk_chain without chunk_crc32",
+                path=path)
+        # the strict frame walk verifies checksums and stored chain
+        # digests and replays the incremental string table; tail mode
+        # ends it cleanly at the last complete chunk (a torn tail or the
+        # trailer is cut off below)
+        reader.tail = True
+        stream = reader.wire_stream()
+        first_chunk_events: Optional[int] = None
+        chunks = 0
+        for _payload, _off, nevents in stream:
+            chunks += 1
+            if first_chunk_events is None:
+                first_chunk_events = nevents
+        strings = _StringTable()
+        for text in stream.strings:
+            strings.intern(text)
+        strings.take_pending()  # already on disk, not pending
+        total = stream.events
+        chain = stream.chain if has_chain else None
+        good_end = stream.pos
         per_chunk = events_per_chunk or first_chunk_events or 2048
         self = cls.__new__(cls)
         self.path = path
@@ -545,47 +492,6 @@ def make_trace_writer(
 # -- reading -----------------------------------------------------------------
 
 
-class _Cursor:
-    """Bounds-checked little helper over one chunk's payload."""
-
-    __slots__ = ("view", "pos", "path", "chunk")
-
-    def __init__(self, payload: bytes, path: Path, chunk: int) -> None:
-        self.view = payload
-        self.pos = 0
-        self.path = path
-        self.chunk = chunk
-
-    def take(self, fmt: struct.Struct):
-        try:
-            values = fmt.unpack_from(self.view, self.pos)
-        except struct.error as exc:
-            raise TraceFormatError(
-                f"chunk {self.chunk} ends mid-record ({exc})", path=self.path
-            ) from exc
-        self.pos += fmt.size
-        return values
-
-    def take_byte(self) -> int:
-        if self.pos >= len(self.view):
-            raise TraceFormatError(
-                f"chunk {self.chunk} ends mid-record", path=self.path
-            )
-        b = self.view[self.pos]
-        self.pos += 1
-        return b
-
-    def take_bytes(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.view):
-            raise TraceFormatError(
-                f"chunk {self.chunk} ends mid-string", path=self.path
-            )
-        raw = self.view[self.pos:end]
-        self.pos = end
-        return raw
-
-
 class TraceReader:
     """Streaming reader for both trace formats, auto-detected.
 
@@ -692,6 +598,7 @@ class TraceReader:
         # file — only the *stored* per-frame digests need the flag
         header["chunk_chain_stored"] = bool(header.get("chunk_chain"))
         header["chain_seed"] = _chain_seed(raw, blob)
+        header["data_start"] = len(MAGIC_V2) + _U32.size + length
         return header
 
     def _read_v1_header(self, fh, head: bytes) -> dict:
@@ -714,26 +621,26 @@ class TraceReader:
     # -- iteration -----------------------------------------------------------
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        self.quarantined_chunks = []
-        self.events_lost = 0
-        self.truncated = False
-        self.complete = False
-        self.tail_pending = False
+        self._begin(None)
         if self.format == FORMAT_V2:
             return self._iter_v2()
         return self._iter_v1()
 
-    def wire_stream(self) -> Optional["WireStream"]:
-        """Raw-chunk access for the flat core's fused decode, if eligible.
+    def wire_stream(self, start: Optional[dict] = None
+                    ) -> Optional["WireStream"]:
+        """Raw chunk records for the flat core's fused decode, if eligible.
 
-        Only strict v2 binary readers qualify: the wire path does no
-        salvage bookkeeping (any damage raises), and v1 JSON traces
-        have no binary chunks to hand over.  Returns ``None`` when the
-        caller should fall back to decoded-event iteration.
+        Only strict v2 binary readers qualify: the wire path feeds a
+        detector record by record, so it has no chunk to quarantine
+        after the fact (any damage raises), and v1 JSON traces have no
+        binary records to hand over.  Returns ``None`` when the caller
+        should fall back to decoded-event iteration.  ``start`` resumes
+        from an :meth:`iter_chunks` cursor.
         """
         if not self.strict or self.format != FORMAT_V2:
             return None
-        return WireStream(self)
+        self._begin(start)
+        return WireStream(self, start)
 
     def salvage_report(self) -> dict:
         """What the last (salvage-mode) iteration had to skip.
@@ -771,6 +678,13 @@ class TraceReader:
         append-only extension of it (checkpoint metadata pins
         identity either way).
         """
+        self._begin(start)
+        if self.format == FORMAT_V2:
+            return self._chunks_v2(start)
+        return self._chunks_v1(start)
+
+    def _begin(self, start: Optional[dict]) -> None:
+        """Reset per-pass state, or adopt a resume cursor's."""
         self.complete = False
         self.tail_pending = False
         if start is not None:
@@ -788,9 +702,6 @@ class TraceReader:
             self.quarantined_chunks = []
             self.events_lost = 0
             self.truncated = False
-        if self.format == FORMAT_V2:
-            return self._chunks_v2(start)
-        return self._chunks_v1(start)
 
     def _salvage_state(self, claimed_lost: int) -> dict:
         return {
@@ -920,373 +831,377 @@ class TraceReader:
 
     def _chunks_v2(self, start: Optional[dict]
                    ) -> Iterator[Tuple[List[TraceEvent], dict]]:
-        header = self._header
-        access_table: List[AccessType] = header["access_table"]
-        sync_table: List[SyncKind] = header["sync_table"]
-        region_table: List[RegionKind] = header["region_table"]
-        frame = struct.Struct("<III") if header["chunk_crc"] \
-            else struct.Struct("<II")
-        chain_extra = _CHAIN_BYTES if header["chunk_chain_stored"] else 0
-        if start is not None:
-            strings = list(start["strings"])
-            total = start["events_applied"]
-            claimed_lost = self.events_lost
-            start_chain = start.get("chain")
-            chain: Optional[bytes] = (
-                bytes.fromhex(start_chain) if start_chain else None)
-        else:
-            strings = []
-            total = 0
-            claimed_lost = 0
-            chain = header["chain_seed"]
-        with self.path.open("rb") as fh:
-            if start is not None:
-                fh.seek(start["pos"])
-                chunk_no = start["chunk"]
-            else:
-                fh.seek(len(MAGIC_V2))
-                (hlen,) = _U32.unpack(fh.read(_U32.size))
-                fh.seek(hlen, 1)
-                chunk_no = 0
-            while True:
-                tag_pos = fh.tell()
-                tag = fh.read(4)
-                if tag == b"CHNK":
-                    chunk_no += 1
-                    raw = fh.read(frame.size + chain_extra)
-                    if len(raw) < frame.size + chain_extra:
-                        if self.tail:
-                            self.tail_pending = True
-                            return
-                        self._bad(f"truncated chunk {chunk_no} frame")
-                        self.quarantined_chunks.append(chunk_no)
-                        self.truncated = True
-                        break
-                    if header["chunk_crc"]:
-                        nbytes, nevents, crc = frame.unpack_from(raw, 0)
-                    else:
-                        (nbytes, nevents), crc = frame.unpack_from(raw, 0), \
-                            None
-                    stored_chain = raw[frame.size:] if chain_extra else None
-                    if not self.strict and nbytes > (1 << 30):
-                        # a frame this large is corruption, not data
-                        self.quarantined_chunks.append(chunk_no)
-                        chain = None
-                        if not self._resync(fh, tag_pos + 1):
-                            self.truncated = True
-                            break
-                        continue
-                    payload = fh.read(nbytes)
-                    if len(payload) < nbytes:
-                        if self.tail:
-                            self.tail_pending = True
-                            return
-                        self._bad(
-                            f"truncated chunk {chunk_no}: expected {nbytes} "
-                            f"bytes, got {len(payload)}"
-                        )
-                        self.quarantined_chunks.append(chunk_no)
-                        claimed_lost += nevents
-                        self.truncated = True
-                        break
-                    if crc is not None and zlib.crc32(payload) != crc:
-                        self._bad(
-                            f"chunk {chunk_no}: checksum mismatch "
-                            f"(payload corrupt)"
-                        )
-                        self.quarantined_chunks.append(chunk_no)
-                        claimed_lost += nevents
-                        chain = None
-                        continue
-                    if chain is not None:
-                        chain = _chain_next(chain, payload)
-                        if stored_chain is not None and stored_chain != chain:
-                            if self.strict:
-                                raise TraceChainMismatch(
-                                    f"chunk {chunk_no}: chain mismatch "
-                                    f"(trace prefix was rewritten)",
-                                    path=self.path, chunk=chunk_no)
-                            self.quarantined_chunks.append(chunk_no)
-                            claimed_lost += nevents
-                            chain = None
-                            continue
-                    try:
-                        events = self._decode_chunk(
-                            payload, nevents, chunk_no, strings,
-                            access_table, sync_table, region_table,
-                        )
-                    except TraceFormatError:
-                        if self.strict:
-                            raise
-                        self.quarantined_chunks.append(chunk_no)
-                        claimed_lost += nevents
-                        continue
-                    total += nevents
-                    yield events, {
-                        "kind": "v2",
-                        "chunk": chunk_no,
-                        "pos": fh.tell(),
-                        "strings": list(strings),
-                        "events_applied": total,
-                        "chain": chain.hex() if chain is not None else None,
-                        "salvage": self._salvage_state(claimed_lost),
-                    }
-                elif tag == b"TEND":
-                    raw = fh.read(_U64.size)
-                    if len(raw) < _U64.size:
-                        if self.tail:
-                            self.tail_pending = True
-                            return
-                        self._bad("truncated trailer")
-                        self.truncated = True
-                        break
-                    (expected,) = _U64.unpack(raw)
-                    if expected != total:
-                        self._bad(
-                            f"event count mismatch: trailer says {expected}, "
-                            f"file holds {total}"
-                        )
-                        # the trailer is the authoritative loss count
-                        self.events_lost = max(0, expected - total)
-                    if fh.read(1):
-                        self._bad("junk after trailer")
-                    self.complete = True
-                    return
-                elif tag == b"":
-                    if self.tail:
-                        self.tail_pending = True
-                        return
-                    self._bad(
-                        f"truncated file: no trailer after chunk {chunk_no}"
-                    )
-                    self.truncated = True
-                    break
-                else:
-                    if self.tail and len(tag) < 4:
-                        # a partial tag at EOF is a write in flight
-                        self.tail_pending = True
-                        return
-                    self._bad(f"bad chunk tag {tag!r} after chunk {chunk_no}")
-                    chunk_no += 1
-                    self.quarantined_chunks.append(chunk_no)
-                    chain = None
-                    if not self._resync(fh, tag_pos + 1):
-                        self.truncated = True
-                        break
-                    continue
-            # salvage-only exit: the file ended without a (sound) trailer,
-            # so the per-frame claims are the best available loss count
-            self.events_lost = claimed_lost
-
-    def _decode_chunk(
-        self, payload, nevents, chunk_no, strings,
-        access_table, sync_table, region_table,
-    ) -> List[TraceEvent]:
-        cur = _Cursor(payload, self.path, chunk_no)
-        (nstrings,) = cur.take(_U32)
-        fresh: List[str] = []
-        for _ in range(nstrings):
-            (slen,) = cur.take(_U32)
+        stream = WireStream(self, start)
+        for payload, off, nevents in stream:
             try:
-                fresh.append(cur.take_bytes(slen).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise TraceFormatError(
-                    f"chunk {chunk_no}: corrupt string table: {exc}",
-                    path=self.path,
-                ) from exc
-        # commit all-or-nothing so a quarantined chunk cannot leave the
-        # shared table half-grown (later chunks decode against it)
-        strings.extend(fresh)
-
-        def lookup(table, idx, what):
-            try:
-                return table[idx]
-            except IndexError:
-                raise TraceFormatError(
-                    f"chunk {chunk_no}: {what} id {idx} out of range",
-                    path=self.path,
-                ) from None
-
-        def take_access() -> MemoryAccess:
-            flags = cur.take_byte()
-            lo, hi, tid, fid, line, origin, flush_gen = cur.take(_ACCESS)
-            accum = None
-            excl = None
-            if flags & _FLAG_ACCUM:
-                (aid,) = cur.take(_U32)
-                accum = lookup(strings, aid, "string")
-            if flags & _FLAG_EXCL:
-                (excl,) = cur.take(_I64)
-            return MemoryAccess(
-                Interval(lo, hi),
-                lookup(access_table, tid, "access type"),
-                DebugInfo(lookup(strings, fid, "string"), line),
-                origin, 0, flush_gen, accum, excl,
-            )
-
-        def take_region() -> RegionInfo:
-            kid = cur.take_byte()
-            rma = cur.take_byte()
-            return RegionInfo(lookup(region_table, kid, "region kind"),
-                              bool(rma))
-
-        out: List[TraceEvent] = []
-        for _ in range(nevents):
-            tag = cur.take_byte()
-            if tag == _TAG_LOCAL:
-                seq, rank = cur.take(_LOCAL)
-                out.append(LocalEvent(seq, rank, take_access(), take_region()))
-            elif tag == _TAG_RMA:
-                seq, rank, target, wid = cur.take(_RMA)
-                (oid,) = cur.take(_U32)
-                (nbytes,) = cur.take(_I64)
-                origin_access = take_access()
-                target_access = take_access()
-                origin_region = take_region()
-                target_region = take_region()
-                out.append(RmaEvent(
-                    seq, rank, lookup(strings, oid, "string"), target, wid,
-                    origin_access, target_access,
-                    origin_region, target_region, nbytes,
-                ))
-            elif tag == _TAG_SYNC:
-                seq, rank, kid, wid = cur.take(_SYNC)
-                out.append(SyncEvent(
-                    seq, rank, lookup(sync_table, kid, "sync kind"), wid
-                ))
-            else:
-                raise TraceFormatError(
-                    f"chunk {chunk_no}: unknown event tag {tag}",
-                    path=self.path,
-                )
-        if cur.pos != len(cur.view):
-            raise TraceFormatError(
-                f"chunk {chunk_no}: {len(cur.view) - cur.pos} trailing bytes",
-                path=self.path,
-            )
-        return out
+                events = stream.decode(payload, off, nevents)
+            except TraceFormatError:
+                if self.strict:
+                    raise
+                stream.quarantine(nevents)
+                continue
+            yield events, stream.cursor()
 
 
 class WireStream:
-    """Raw v2 chunk payloads plus the decode context the flat core needs.
+    """One pass over a v2 trace's chunk frames — the only framing walker.
 
     Iterating yields ``(payload, offset, nevents)`` triples: ``payload``
-    is a checksum-verified chunk body, ``offset`` points just past the
-    chunk's string-table prefix (already folded into :attr:`strings`),
-    and ``nevents`` is the frame's event count.  Framing, checksums and
-    the trailer are verified exactly as strict decoded iteration does,
-    but no event objects are constructed — that is the consumer's job
-    (the flat core's ``ingest_wire``).
+    is a checksum- and chain-verified chunk body, ``offset`` points just
+    past the chunk's string-table prefix (already folded into
+    :attr:`strings`), and ``nevents`` is the frame's event count.  The
+    owning :class:`TraceReader`'s mode applies: strict readers raise on
+    any damage, salvage readers quarantine and account it, tail-mode
+    readers stop cleanly at an unfinished append.  After each chunk
+    :meth:`cursor` is the crash-consistent resume point
+    (:meth:`TraceReader.iter_chunks` cursors, same shape).
 
-    The stream also carries the enum tables from the header and two
-    decode caches (wire site/accum ids → detector interned ids).  The
-    caches are sound per stream because the wire string table is
-    append-only: a given ``(file id, line)`` or accum-op id means the
-    same string for the life of the stream.
+    Consumers turn records into what they need: the flat core ingests
+    them as interned tuples (``FlatDetector.ingest_wire``, no event
+    objects), everything else asks :meth:`decode` for
+    :class:`~repro.mpi.trace.TraceEvent` lists.  A timeline fed from
+    records holds record-byte tuples, formatted by
+    :meth:`timeline_event` only when a snapshot or forensics view needs
+    them.
+
+    The stream also carries the header enum tables and two decode caches
+    (wire site/accum ids → detector interned ids).  The caches are sound
+    per stream because the wire string table is append-only: a given
+    ``(file id, line)`` or accum-op id means the same string for the
+    life of the stream.
     """
 
-    def __init__(self, reader: TraceReader) -> None:
+    def __init__(self, reader: TraceReader,
+                 start: Optional[dict] = None) -> None:
         header = reader._header
+        self.reader = reader
         self.path = reader.path
         self.nranks: int = header["nranks"]
         self.access_table: List[AccessType] = header["access_table"]
         self.sync_table: List[SyncKind] = header["sync_table"]
         self.region_table: List[RegionKind] = header["region_table"]
-        self.chunk_crc: bool = header["chunk_crc"]
-        self.chunk_chain_stored: bool = header["chunk_chain_stored"]
-        self._chain_seed: bytes = header["chain_seed"]
-        #: shared wire string table, grown chunk by chunk (append-only)
-        self.strings: List[str] = []
+        self._crc: bool = header["chunk_crc"]
+        self._frame = (struct.Struct("<III") if self._crc
+                       else struct.Struct("<II"))
+        self._chain_extra = (_CHAIN_BYTES if header["chunk_chain_stored"]
+                             else 0)
+        if start is not None:
+            #: shared wire string table, grown chunk by chunk (append-only)
+            self.strings: List[str] = list(start["strings"])
+            #: events in the chunks passed so far (the cursor count)
+            self.events: int = start["events_applied"]
+            #: number of the last chunk frame read (quarantined included)
+            self.chunk: int = start["chunk"]
+            #: file offset just past the last chunk read
+            self.pos: int = start["pos"]
+            chain = start.get("chain")
+            self.chain: Optional[bytes] = (bytes.fromhex(chain) if chain
+                                           else None)
+            self._claimed_lost = reader.events_lost
+        else:
+            self.strings = []
+            self.events = 0
+            self.chunk = 0
+            self.pos = header["data_start"]
+            self.chain = header["chain_seed"]
+            self._claimed_lost = 0
         #: (wire file id << 32 | line) -> interned SITES id
         self.site_ids: Dict[int, int] = {}
         #: wire accum-op string id -> interned ACCUMS id
         self.accum_ids: Dict[int, int] = {}
+        #: (wire file id << 32 | line) -> shared DebugInfo (decode)
+        self._debug: Dict[int, DebugInfo] = {}
 
-    def _bad(self, message: str) -> None:
-        raise TraceFormatError(message, path=self.path)
+    # -- framing -------------------------------------------------------------
 
     def __iter__(self) -> Iterator[Tuple[bytes, int, int]]:
-        frame = struct.Struct("<III") if self.chunk_crc \
-            else struct.Struct("<II")
-        chain_extra = _CHAIN_BYTES if self.chunk_chain_stored else 0
-        chain = self._chain_seed
-        u32 = _U32
-        strings = self.strings
-        total = 0
-        chunk_no = 0
+        reader = self.reader
+        frame = self._frame
+        fsize = frame.size + self._chain_extra
         with self.path.open("rb") as fh:
-            fh.seek(len(MAGIC_V2))
-            (hlen,) = u32.unpack(fh.read(u32.size))
-            fh.seek(hlen, 1)
+            fh.seek(self.pos)
             while True:
+                tag_pos = fh.tell()
                 tag = fh.read(4)
                 if tag == b"CHNK":
-                    chunk_no += 1
-                    raw = fh.read(frame.size + chain_extra)
-                    if len(raw) < frame.size + chain_extra:
-                        self._bad(f"truncated chunk {chunk_no} frame")
-                    if self.chunk_crc:
+                    self.chunk += 1
+                    chunk_no = self.chunk
+                    raw = fh.read(fsize)
+                    if len(raw) < fsize:
+                        if reader.tail:
+                            reader.tail_pending = True
+                            return
+                        reader._bad(f"truncated chunk {chunk_no} frame")
+                        reader.quarantined_chunks.append(chunk_no)
+                        reader.truncated = True
+                        break
+                    if self._crc:
                         nbytes, nevents, crc = frame.unpack_from(raw, 0)
                     else:
                         (nbytes, nevents), crc = frame.unpack_from(raw, 0), \
                             None
+                    if not reader.strict and nbytes > (1 << 30):
+                        # a frame this large is corruption, not data
+                        reader.quarantined_chunks.append(chunk_no)
+                        self.chain = None
+                        if not reader._resync(fh, tag_pos + 1):
+                            reader.truncated = True
+                            break
+                        continue
                     payload = fh.read(nbytes)
                     if len(payload) < nbytes:
-                        self._bad(
+                        if reader.tail:
+                            reader.tail_pending = True
+                            return
+                        reader._bad(
                             f"truncated chunk {chunk_no}: expected {nbytes} "
                             f"bytes, got {len(payload)}"
                         )
+                        reader.quarantined_chunks.append(chunk_no)
+                        self._claimed_lost += nevents
+                        reader.truncated = True
+                        break
                     if crc is not None and zlib.crc32(payload) != crc:
-                        self._bad(
+                        reader._bad(
                             f"chunk {chunk_no}: checksum mismatch "
                             f"(payload corrupt)"
                         )
-                    chain = _chain_next(chain, payload)
-                    if chain_extra and raw[frame.size:] != chain:
-                        raise TraceChainMismatch(
-                            f"chunk {chunk_no}: chain mismatch (trace "
-                            f"prefix was rewritten)",
-                            path=self.path, chunk=chunk_no)
-                    try:
-                        (nstrings,) = u32.unpack_from(payload, 0)
-                        off = u32.size
-                        for _ in range(nstrings):
-                            (slen,) = u32.unpack_from(payload, off)
-                            off += u32.size
-                            if off + slen > len(payload):
-                                self._bad(
-                                    f"chunk {chunk_no}: truncated string "
-                                    f"table"
-                                )
-                            strings.append(
-                                payload[off:off + slen].decode("utf-8"))
-                            off += slen
-                    except (struct.error, UnicodeDecodeError) as exc:
-                        raise TraceFormatError(
-                            f"chunk {chunk_no}: corrupt string table: {exc}",
-                            path=self.path,
-                        ) from exc
-                    total += nevents
+                        self._lose(nevents)
+                        self.chain = None
+                        continue
+                    if self.chain is not None:
+                        self.chain = _chain_next(self.chain, payload)
+                        if (self._chain_extra
+                                and raw[frame.size:] != self.chain):
+                            if reader.strict:
+                                raise TraceChainMismatch(
+                                    f"chunk {chunk_no}: chain mismatch "
+                                    f"(trace prefix was rewritten)",
+                                    path=self.path, chunk=chunk_no)
+                            self._lose(nevents)
+                            self.chain = None
+                            continue
+                    off = self._take_strings(payload, chunk_no)
+                    if off is None:
+                        self._lose(nevents)
+                        continue
+                    self.events += nevents
+                    self.pos = fh.tell()
                     yield payload, off, nevents
                 elif tag == b"TEND":
                     raw = fh.read(_U64.size)
                     if len(raw) < _U64.size:
-                        self._bad("truncated trailer")
+                        if reader.tail:
+                            reader.tail_pending = True
+                            return
+                        reader._bad("truncated trailer")
+                        reader.truncated = True
+                        break
                     (expected,) = _U64.unpack(raw)
-                    if expected != total:
-                        self._bad(
+                    if expected != self.events:
+                        reader._bad(
                             f"event count mismatch: trailer says {expected}, "
-                            f"file holds {total}"
+                            f"file holds {self.events}"
                         )
+                        # the trailer is the authoritative loss count
+                        reader.events_lost = max(0, expected - self.events)
                     if fh.read(1):
-                        self._bad("junk after trailer")
+                        reader._bad("junk after trailer")
+                    reader.complete = True
                     return
                 elif tag == b"":
-                    self._bad(
-                        f"truncated file: no trailer after chunk {chunk_no}"
+                    if reader.tail:
+                        reader.tail_pending = True
+                        return
+                    reader._bad(
+                        f"truncated file: no trailer after chunk {self.chunk}"
                     )
+                    reader.truncated = True
+                    break
                 else:
-                    self._bad(f"bad chunk tag {tag!r} after chunk {chunk_no}")
+                    if reader.tail and len(tag) < 4:
+                        # a partial tag at EOF is a write in flight
+                        reader.tail_pending = True
+                        return
+                    reader._bad(
+                        f"bad chunk tag {tag!r} after chunk {self.chunk}")
+                    self.chunk += 1
+                    reader.quarantined_chunks.append(self.chunk)
+                    self.chain = None
+                    if not reader._resync(fh, tag_pos + 1):
+                        reader.truncated = True
+                        break
+                    continue
+        # salvage-only exit: the file ended without a (sound) trailer,
+        # so the per-frame claims are the best available loss count
+        reader.events_lost = self._claimed_lost
+
+    def _take_strings(self, payload: bytes, chunk_no: int) -> Optional[int]:
+        """Fold the chunk's new strings into the table; offset past them.
+
+        The table grows all-or-nothing, so a quarantined chunk cannot
+        leave it half-grown (later chunks decode against it).  Returns
+        None when a salvage reader must quarantine the chunk.
+        """
+        fresh: List[str] = []
+        try:
+            (nstrings,) = _U32.unpack_from(payload, 0)
+            off = _U32.size
+            for _ in range(nstrings):
+                (slen,) = _U32.unpack_from(payload, off)
+                off += _U32.size
+                if off + slen > len(payload):
+                    raise ValueError("string runs past the chunk")
+                fresh.append(payload[off:off + slen].decode("utf-8"))
+                off += slen
+        except (struct.error, ValueError) as exc:
+            self.reader._bad(f"chunk {chunk_no}: corrupt string table: {exc}")
+            return None
+        self.strings.extend(fresh)
+        return off
+
+    def _lose(self, nevents: int) -> None:
+        self.reader.quarantined_chunks.append(self.chunk)
+        self._claimed_lost += nevents
+
+    def quarantine(self, nevents: int) -> None:
+        """A salvage consumer rejected the chunk just yielded."""
+        self.events -= nevents
+        self._lose(nevents)
+
+    def cursor(self) -> dict:
+        """Resume point after the last chunk yielded (a plain dict)."""
+        return {
+            "kind": "v2",
+            "chunk": self.chunk,
+            "pos": self.pos,
+            "strings": list(self.strings),
+            "events_applied": self.events,
+            "chain": self.chain.hex() if self.chain is not None else None,
+            "salvage": self.reader._salvage_state(self._claimed_lost),
+        }
+
+    # -- records -> objects ---------------------------------------------------
+
+    def _access(self, payload, pos: int) -> Tuple[MemoryAccess, int]:
+        flags = payload[pos]
+        lo, hi, tid, fid, line, origin, flush_gen = \
+            _ACCESS.unpack_from(payload, pos + 1)
+        pos += 1 + _ACCESS.size
+        accum = None
+        excl = None
+        if flags & _FLAG_ACCUM:
+            accum = self.strings[_U32.unpack_from(payload, pos)[0]]
+            pos += _U32.size
+        if flags & _FLAG_EXCL:
+            excl = _I64.unpack_from(payload, pos)[0]
+            pos += _I64.size
+        key = fid << 32 | line
+        debug = self._debug.get(key)
+        if debug is None:
+            debug = self._debug[key] = DebugInfo(self.strings[fid], line)
+        return MemoryAccess(Interval(lo, hi), self.access_table[tid], debug,
+                            origin, 0, flush_gen, accum, excl), pos
+
+    def _region(self, payload, pos: int) -> RegionInfo:
+        return RegionInfo(self.region_table[payload[pos]],
+                          bool(payload[pos + 1]))
+
+    def decode(self, payload: bytes, off: int,
+               nevents: int) -> List[TraceEvent]:
+        """Materialize one chunk's records as trace-event objects."""
+        strings = self.strings
+        access = self._access
+        region = self._region
+        out: List[TraceEvent] = []
+        try:
+            for _ in range(nevents):
+                tag = payload[off]
+                off += 1
+                if tag == _TAG_LOCAL:
+                    seq, rank = _LOCAL.unpack_from(payload, off)
+                    acc, off = access(payload, off + _LOCAL.size)
+                    out.append(LocalEvent(seq, rank, acc,
+                                          region(payload, off)))
+                    off += 2
+                elif tag == _TAG_RMA:
+                    seq, rank, target, wid = _RMA.unpack_from(payload, off)
+                    off += _RMA.size
+                    op = strings[_U32.unpack_from(payload, off)[0]]
+                    nbytes = _I64.unpack_from(payload, off + _U32.size)[0]
+                    oacc, off = access(payload, off + _U32.size + _I64.size)
+                    tacc, off = access(payload, off)
+                    out.append(RmaEvent(
+                        seq, rank, op, target, wid, oacc, tacc,
+                        region(payload, off), region(payload, off + 2),
+                        nbytes))
+                    off += 4
+                elif tag == _TAG_SYNC:
+                    seq, rank, kid, wid = _SYNC.unpack_from(payload, off)
+                    off += _SYNC.size
+                    out.append(SyncEvent(seq, rank, self.sync_table[kid],
+                                         wid))
+                else:
+                    raise TraceFormatError(
+                        f"chunk {self.chunk}: unknown event tag {tag}",
+                        path=self.path)
+        except (struct.error, IndexError) as exc:
+            raise TraceFormatError(
+                f"chunk {self.chunk}: malformed event record ({exc})",
+                path=self.path) from None
+        if off != len(payload):
+            raise TraceFormatError(
+                f"chunk {self.chunk}: {len(payload) - off} trailing bytes",
+                path=self.path)
+        return out
+
+    # -- timeline records -----------------------------------------------------
+
+    def timeline_event(self, rec: tuple, lane: int) -> dict:
+        """Format a wire timeline record exactly as its decoded event.
+
+        ``rec`` is ``(seq, kind, rank, wid, self, body)`` with ``body``
+        the event's record bytes after the tag — what the flat core's
+        wire ingestion appends to timeline rings (see
+        :mod:`repro.obs.timeline`).  The result is the same dict, key
+        order included, that the timeline builds from the decoded
+        :class:`~repro.mpi.trace.TraceEvent`, so lanes, forensics views
+        and Chrome traces cannot tell which path fed them.
+        """
+        seq, kind, rank, wid, _, body = rec
+        strings = self.strings
+        try:
+            if kind == "local":
+                event = {"seq": seq, "kind": "local", "rank": rank,
+                         "wid": -1}
+                pos = _LOCAL.size
+            else:
+                target = _RMA.unpack_from(body, 0)[2]
+                event = {"seq": seq, "kind": "rma", "rank": rank,
+                         "wid": wid,
+                         "op": strings[_U32.unpack_from(body, _RMA.size)[0]],
+                         "target": target}
+                pos = _RMA.size + _U32.size + _I64.size
+                if lane == target:  # the lane's side: the window access
+                    pos += 1 + _ACCESS.size + _ACCESS_EXTRA[body[pos] & 3]
+            lo, hi, tid, fid, line, origin, _fg = \
+                _ACCESS.unpack_from(body, pos + 1)
+            event["lo"] = lo
+            event["hi"] = hi
+            event["type"] = self.access_table[tid].name
+            event["file"] = strings[fid]
+        except (struct.error, IndexError) as exc:
+            raise TraceFormatError(
+                f"malformed event record (seq {seq}): {exc}",
+                path=self.path) from None
+        event["line"] = line
+        event["origin"] = origin
+        return event
+
+
+#: bytes of an access record's optional fields, by its two flag bits:
+#: a u32 accum-op string id (flag 1) and an i64 exclusive epoch (flag 2)
+_ACCESS_EXTRA = (0, _U32.size, _I64.size, _U32.size + _I64.size)
 
 
 # -- chain helpers (incremental analysis) ------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from ..mpi import World
 from ..mpi.trace import StreamingTraceLog
 from .format import make_trace_writer
 
@@ -113,6 +112,9 @@ def record_app(
     nranks = nranks or spec.default_ranks
     size = size or spec.default_size
     program, args = spec.builder(nranks, size, inject_race)
+    # the simulator is imported per recording, not with the pipeline
+    # package: trace analysis never runs it
+    from ..mpi.simulator import World
 
     if out is None:
         world = World(nranks, [], trace=True)

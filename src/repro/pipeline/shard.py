@@ -34,10 +34,12 @@ the pipeline workers.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from ..mpi.interposition import DetectorProtocol
 from ..mpi.trace import LocalEvent, RmaEvent, SyncEvent, SyncKind, TraceEvent
+
+if TYPE_CHECKING:
+    from ..mpi.interposition import DetectorProtocol
 
 __all__ = [
     "ReplayWindow",

@@ -472,12 +472,15 @@ class Scheduler:
                 self._count("serve.jobs.failed", reason=str(stopped))
             return
         self.cache.put(job.trace_sha, job.detector, result.to_dict())
+        # index the trace as a prefix-resume ancestor *before* the job
+        # is observably done: a client that resubmits a grown copy the
+        # moment it sees "done" must find the chain sidecar in place
+        self._retain_incremental_state(job, ckpt_dir)
         resumed = (result.checkpoint or {}).get("resumed") or []
         self._transition(job, "done", races=result.races,
                          events=result.events_total, wall_seconds=wall,
                          resumed=list(resumed))
         self._count("serve.jobs.completed")
-        self._retain_incremental_state(job, ckpt_dir)
 
     def _seed_ckpt_dir(self, job: Job, ckpt_dir: Path) -> bool:
         """Copy the prefix ancestor's final checkpoint into this job's dir.
@@ -521,11 +524,11 @@ class Scheduler:
         except (TraceFormatError, OSError):
             chain = None
         if chain and chain.get("chunks") and chain.get("complete"):
-            self.cache.put_chain(job.trace_sha, job.detector, chain)
             try:
+                self.cache.put_chain(job.trace_sha, job.detector, chain)
                 _ckpt.CheckpointStore(ckpt_dir, "serial").prune(keep=1)
             except OSError:
-                pass
+                pass  # indexing is an optimization; the job is done
         else:
             shutil.rmtree(ckpt_dir, ignore_errors=True)
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import __version__
-from repro.cli import _DETECTORS, _RECORD_APPS, main
+from repro.cli import _DETECTORS, _EXPERIMENT_IDS, _RECORD_APPS, main
 from repro.pipeline import DETECTOR_SPECS, RECORDABLE_APPS
 
 
@@ -35,6 +35,11 @@ class TestRegistryConsistency:
 
     def test_cli_detector_choices_match_pipeline(self):
         assert _DETECTORS == tuple(sorted(DETECTOR_SPECS))
+
+    def test_cli_experiment_ids_match_registry(self):
+        from repro.experiments import EXPERIMENTS
+
+        assert _EXPERIMENT_IDS == tuple(EXPERIMENTS)
 
 
 class TestRecordAnalyzeEndToEnd:

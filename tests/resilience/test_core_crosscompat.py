@@ -1,7 +1,7 @@
 """Checkpoint cross-compatibility between the two detector cores.
 
 ``repro-ckpt-v1`` detector snapshots carry the writing class: the flat
-core serializes stores in the ``repro-flat-bst-v1`` column layout, the
+core serializes stores in the ``repro-flat-bst-v2`` column layout, the
 legacy object core pickles ``IntervalBST`` state.  A snapshot must only
 ever resume on the core that wrote it — restoring across cores raises a
 :class:`~repro.pipeline.CheckpointError` that *names both core kinds*

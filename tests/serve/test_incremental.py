@@ -76,6 +76,36 @@ def test_grown_trace_resumes_from_prefix(make_scheduler, chaos_trace,
     assert result["events_total"] == oracle["events_total"]
 
 
+def test_done_job_is_already_a_prefix_ancestor(make_scheduler, chaos_trace,
+                                              tmp_path, monkeypatch):
+    """A job is indexed as an ancestor before it is observably done.
+
+    A slow chain index used to open a window where a client saw
+    ``done``, resubmitted the grown trace, and got a from-scratch
+    analysis because the chain sidecar was not written yet.
+    """
+    import repro.serve.scheduler as scheduler
+
+    real_chain = scheduler.trace_chain
+
+    def slow_chain(*args, **kwargs):
+        time.sleep(0.3)
+        return real_chain(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "trace_chain", slow_chain)
+    work = tmp_path / "grow.trace"
+    shutil.copyfile(chaos_trace, work)
+    sched = make_scheduler(tmp_path / "state", workers=1)
+    sched.start()
+    first = _wait(sched, sched.submit_bytes(work.read_bytes()).id)
+    assert first["state"] == "done"
+    assert sched.cache.get_chain(first["trace_sha"], "our") is not None
+    extend_trace(work, fraction=0.10)
+    job = sched.submit_bytes(work.read_bytes())
+    assert job.resumed_from == first["trace_sha"]
+    assert _wait(sched, job.id)["state"] == "done"
+
+
 def test_prefix_plan_is_journaled_for_recovery(make_scheduler, chaos_trace,
                                               tmp_path):
     """Lineage survives a scheduler restart: recovery re-reads the plan."""
