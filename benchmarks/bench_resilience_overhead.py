@@ -1,6 +1,6 @@
 """Bench: what resilience costs — supervision, recovery, salvage reads.
 
-Four measurements on one recorded miniVite trace, written to
+Four measurements on recorded miniVite traces, written to
 ``BENCH_resilience.json``:
 
 * ``supervised`` — a clean ``--jobs 2`` file-dispatch run under the full
@@ -11,10 +11,14 @@ Four measurements on one recorded miniVite trace, written to
   clean run is asserted unconditionally.
 * salvage vs strict read throughput on the intact trace — checksummed
   best-effort reading must be nearly free when nothing is damaged.
-* ``checkpoint`` — paired serial runs with checkpointing off vs on
-  (``--ckpt-every`` at the default cadence), interleaved A/B/A/B so
-  machine drift hits both sides equally; the median of the per-pair
-  on/off wall-time ratios is the checkpoint overhead (target ≤ 5%).
+* ``checkpoint`` — paired serial runs with checkpointing off vs on at
+  one checkpoint per chunk (``--ckpt-every 1``, the ``repro serve``
+  default) on the 36,895-event miniVite trace the serve benchmark
+  uses, interleaved A/B/A/B so machine drift hits both sides equally;
+  the median of the per-pair on/off wall-time ratios is the checkpoint
+  overhead, reported with the checkpoints each run wrote and their
+  bytes.  The DESIGN.md §11 target is ≤ 5%; this cadence does not meet
+  it (the measured ratio is recorded next to the target there).
 
 Also runnable directly::
 
@@ -32,8 +36,18 @@ from pathlib import Path
 
 from repro.faultinject import FaultPlan, KillWorker
 from repro.pipeline import TraceReader, analyze_trace, record_app
+from repro.pipeline.checkpoint import add_write_hook, remove_write_hook
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
+
+#: miniVite vertices of the checkpoint leg's trace: 36,895 events in 19
+#: chunks, the trace ``bench_serve.py`` submits (``INCR_SIZE``)
+CKPT_SIZE = 4096
+
+#: the checkpoint leg's bound: median on/off ratio at one checkpoint per
+#: chunk, measured 1.5-1.8x on the 2-core reference container (see
+#: DESIGN.md §11), with room for shared-runner timer noise
+CKPT_MAX_RATIO = 2.5
 
 
 def _read_throughput(trace: Path, *, strict: bool) -> float:
@@ -44,23 +58,40 @@ def _read_throughput(trace: Path, *, strict: bool) -> float:
 
 
 def _ckpt_overhead(trace: Path, tmp: Path, *, pairs: int = 5) -> dict:
-    """Median on/off wall-time ratio over interleaved paired runs."""
+    """Median on/off wall-time ratio over interleaved paired runs, at
+    one checkpoint per chunk; every "on" run must write checkpoints."""
     ratios = []
     off_walls, on_walls = [], []
-    for i in range(pairs):
-        off = analyze_trace(trace, detector="our", jobs=1)
-        ck = tmp / f"ck{i}"
-        on = analyze_trace(trace, detector="our", jobs=1,
-                           ckpt_dir=ck, ckpt_every=4)
-        assert on.verdicts == off.verdicts, \
-            "checkpointing changed the verdict set"
-        assert on.checkpoint["written"] >= 0
-        off_walls.append(off.wall_seconds)
-        on_walls.append(on.wall_seconds)
-        if off.wall_seconds > 0:
-            ratios.append(on.wall_seconds / off.wall_seconds)
+    sizes: list = []
+
+    def note_size(_lane, _seq, path):
+        sizes.append(path.stat().st_size)
+
+    add_write_hook(note_size)
+    try:
+        for i in range(pairs):
+            off = analyze_trace(trace, detector="our", jobs=1)
+            ck = tmp / f"ck{i}"
+            del sizes[:]
+            on = analyze_trace(trace, detector="our", jobs=1,
+                               ckpt_dir=ck, ckpt_every=1)
+            assert on.verdicts == off.verdicts, \
+                "checkpointing changed the verdict set"
+            written = on.checkpoint["written"]
+            assert written > 0 and written == len(sizes), on.checkpoint
+            off_walls.append(off.wall_seconds)
+            on_walls.append(on.wall_seconds)
+            if off.wall_seconds > 0:
+                ratios.append(on.wall_seconds / off.wall_seconds)
+    finally:
+        remove_write_hook(note_size)
     return {
+        "ckpt_every": 1,
+        "events": on.events_total,
         "pairs": pairs,
+        "checkpoints_per_run": written,
+        "checkpoint_bytes_per_run": sum(sizes),
+        "checkpoint_bytes_max": max(sizes),
         "wall_seconds_off_median": round(statistics.median(off_walls), 4),
         "wall_seconds_on_median": round(statistics.median(on_walls), 4),
         "overhead_ratio_median": round(statistics.median(ratios), 3),
@@ -83,7 +114,10 @@ def run_overhead(out: Path = OUT, *, size: int = 512) -> dict:
                                   fault_plan=plan, backoff_base=0.05)
         strict_eps = _read_throughput(trace, strict=True)
         salvage_eps = _read_throughput(trace, strict=False)
-        checkpoint = _ckpt_overhead(trace, Path(tmp))
+        ckpt_trace = Path(tmp) / "ckpt.trace"
+        record_app("minivite", nranks=4, size=CKPT_SIZE, inject_race=True,
+                   out=ckpt_trace, format="binary")
+        checkpoint = _ckpt_overhead(ckpt_trace, Path(tmp))
 
     assert recovered.verdicts == clean.verdicts, \
         "recovery changed the verdict set"
@@ -130,9 +164,11 @@ def test_resilience_overhead(once):
     # salvage-mode reading of an intact trace stays in the same ballpark
     # as strict reading (generous bound: timer noise on tiny traces)
     assert report["read_events_per_sec"]["salvage_vs_strict"] > 0.3, report
-    # checkpoint cadence targets <= 5% median overhead; the CI bound is
-    # generous because the traces here are seconds-long, not hours-long
-    assert report["checkpoint"]["overhead_ratio_median"] < 1.30, report
+    # one checkpoint per chunk misses the <= 5% target (DESIGN.md §11);
+    # the bound catches a regression past the restated measurement
+    assert report["checkpoint"]["checkpoints_per_run"] > 0, report
+    assert report["checkpoint"]["overhead_ratio_median"] < CKPT_MAX_RATIO, \
+        report
 
 
 if __name__ == "__main__":

@@ -14,9 +14,20 @@ _left    left child index (-1 = none)
 _right   right child index (-1 = none)
 _height  AVL height (leaves are 1)
 _aug     max interval upper bound in the subtree
-_rec     the interned access record tuple (see
-         :mod:`repro.intervals.intern`), ``None`` on free slots
+_tid     the row's tail id in ``_tails`` (-1 on free slots)
 ======== =====================================================
+
+A record's *tail* is everything but its bounds, ``rec[2:]`` = (type,
+site, origin, seq, flush_gen, accum, excl_epoch) — see
+:mod:`repro.intervals.intern`.  A store holds few distinct tails (a
+handful of sites times the epoch state), so each is kept once in the
+tail table ``_tails`` (id → tail, with ``_tail_ids`` the reverse map)
+and a row stores only its id: bounds plus one small int instead of a
+9-tuple per node.  Records ``(lo, hi) + tail`` are built only for query
+hits and iteration.  Tails whose rows are gone are dropped when the
+table would outgrow twice the live rows (:meth:`_add_tail`), so
+changing ``flush_gen`` / ``excl_epoch`` values cannot grow it without
+bound.
 
 Freed slots go on a free list and are reused LIFO, so a store's column
 length tracks its high-water node count, not its insert count.
@@ -38,7 +49,7 @@ identical even on (impossible-by-invariant) duplicate keys.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..intervals.access import DebugInfo
 from ..intervals.intern import ACCUMS, SITES, Rec
@@ -47,10 +58,32 @@ from .avl import FANOUT_NBUCKETS, TreeStats
 __all__ = ["FLAT_LAYOUT", "FlatIntervalStore"]
 
 #: checkpoint layout tag of one serialized store (inside ``repro-ckpt-v1``)
-FLAT_LAYOUT = "repro-flat-bst-v2"
+FLAT_LAYOUT = "repro-flat-bst-v3"
 
-#: the previous layout (records with resolved strings), still loaded
+#: earlier layouts, still loaded: v2 copied one record per row, v1
+#: also resolved every record's site and accum op to strings
+_FLAT_LAYOUT_V2 = "repro-flat-bst-v2"
 _FLAT_LAYOUT_V1 = "repro-flat-bst-v1"
+
+#: a record without its bounds: (type, site, origin, seq, flush_gen,
+#: accum, excl_epoch) — ``rec[2:]``
+Tail = Tuple[int, int, int, int, int, int, Optional[int]]
+
+
+def _packed(col: List[int], code: str):
+    """An int column as a typed array: bounds as int64 (``"q"``), row
+    indices, heights and tail ids as int32 (``"i"``).
+
+    No v2 trace can carry a bound outside int64, but a v1 JSON trace
+    can; such a column stays a list.  (``array`` is imported here, on
+    the first checkpoint: a plain analysis never loads it.)
+    """
+    from array import array
+
+    try:
+        return array(code, col)
+    except OverflowError:
+        return list(col)
 
 
 class FlatIntervalStore:
@@ -60,7 +93,8 @@ class FlatIntervalStore:
     but trafficking in interned record tuples, not ``MemoryAccess``."""
 
     __slots__ = ("_key", "_hi", "_left", "_right", "_height", "_aug",
-                 "_rec", "_free", "root", "_size", "_balanced", "stats")
+                 "_tid", "_tails", "_tail_ids", "_free", "root", "_size",
+                 "_balanced", "stats", "_last", "_last_rec")
 
     def __init__(self, *, balanced: bool = True) -> None:
         self._key: List[int] = []
@@ -69,12 +103,15 @@ class FlatIntervalStore:
         self._right: List[int] = []
         self._height: List[int] = []
         self._aug: List[int] = []
-        self._rec: List[Optional[Rec]] = []
+        self._tid: List[int] = []
+        self._tails: List[Tail] = []
+        self._tail_ids: Dict[Tail, int] = {}
         self._free: List[int] = []
         self.root = -1
         self._size = 0
         self._balanced = balanced
         self.stats = TreeStats()
+        self._forget_last()
 
     # -- size / iteration ------------------------------------------------------
 
@@ -84,11 +121,10 @@ class FlatIntervalStore:
     def __bool__(self) -> bool:
         return self._size > 0
 
-    def __iter__(self) -> Iterator[Rec]:
-        """In-order traversal of records (ascending key)."""
+    def _rows(self) -> Iterator[int]:
+        """Live rows in key order (in-order traversal)."""
         left = self._left
         right = self._right
-        recs = self._rec
         stack: List[int] = []
         i = self.root
         while stack or i >= 0:
@@ -96,8 +132,17 @@ class FlatIntervalStore:
                 stack.append(i)
                 i = left[i]
             i = stack.pop()
-            yield recs[i]  # type: ignore[misc]
+            yield i
             i = right[i]
+
+    def __iter__(self) -> Iterator[Rec]:
+        """In-order traversal of records (ascending key)."""
+        karr = self._key
+        hiarr = self._hi
+        tid = self._tid
+        tails = self._tails
+        for i in self._rows():
+            yield (karr[i], hiarr[i]) + tails[tid[i]]
 
     def height(self) -> int:
         return self._height[self.root] if self.root >= 0 else 0
@@ -110,14 +155,81 @@ class FlatIntervalStore:
         self._right.clear()
         self._height.clear()
         self._aug.clear()
-        self._rec.clear()
+        self._tid.clear()
+        self._tails.clear()
+        self._tail_ids.clear()
         self._free.clear()
         self.root = -1
         self._size = 0
+        self._forget_last()
 
     def snapshot(self) -> List[Rec]:
         """In-order copy of the stored records (tests, reports)."""
         return list(self)
+
+    def select(self, keep: Callable[[Tail], bool]) -> List[Rec]:
+        """In-order records whose tail passes ``keep``.
+
+        ``keep`` runs once per tail in the table, not once per row, and
+        only the kept rows are built into records — a barrier that
+        completes every stored access walks no rows at all.
+        """
+        tails = self._tails
+        kept = [keep(t) for t in tails]
+        if not any(kept):
+            return []
+        karr = self._key
+        hiarr = self._hi
+        tid = self._tid
+        return [(karr[i], hiarr[i]) + tails[tid[i]]
+                for i in self._rows() if kept[tid[i]]]
+
+    # -- tail table ------------------------------------------------------------
+
+    def _add_tail(self, tail: Tail) -> int:
+        """Give a tail not in the table an id.
+
+        A table that already holds ``2 * live rows + 8`` tails first
+        drops the tails no live row uses (:meth:`_compact_tails`): the
+        table never outgrows the live rows by more than that, and a
+        compaction's O(rows) walk is paid for by the ``live rows + 8``
+        new tails it takes to trigger the next one.
+        """
+        tails = self._tails
+        if len(tails) >= 2 * self._size + 8:
+            self._compact_tails()
+        t = len(tails)
+        tails.append(tail)
+        self._tail_ids[tail] = t
+        return t
+
+    def _compact_tails(self) -> None:
+        """Drop unused tails; live ones keep their relative id order."""
+        tid = self._tid
+        tails = self._tails
+        live = sorted(set(tid) - {-1})
+        remap = {old: new for new, old in enumerate(live)}
+        remap[-1] = -1
+        tid[:] = [remap[t] for t in tid]
+        tails[:] = [tails[t] for t in live]
+        self._tail_ids = {tail: t for t, tail in enumerate(tails)}
+
+    def _row_is(self, i: int, rec: Rec) -> bool:
+        """Row ``i`` stores exactly ``rec`` (its key already matched)."""
+        return (i == self._last and rec is self._last_rec) or (
+            self._hi[i] == rec[1] and self._tails[self._tid[i]] == rec[2:])
+
+    def _forget_last(self) -> None:
+        """Drop the memo of the last insert (its row was freed).
+
+        ``_last_rec`` is the record the last :meth:`insert` stored, in
+        row ``_last``.  A query hitting that row returns that tuple
+        instead of building one, and removing that very tuple needs no
+        tail compare: the common step of extending the record just
+        stored (query, remove, re-insert) builds no record at all.
+        """
+        self._last = -1
+        self._last_rec = None
 
     # -- maintenance -----------------------------------------------------------
 
@@ -207,6 +319,10 @@ class FlatIntervalStore:
         """
         key = rec[0]
         hi = rec[1]
+        tail = rec[2:]
+        tix = self._tail_ids.get(tail)
+        if tix is None:
+            tix = self._add_tail(tail)
         karr = self._key
         hiarr = self._hi
         left = self._left
@@ -222,7 +338,7 @@ class FlatIntervalStore:
             right[idx] = -1
             height[idx] = 1
             aug[idx] = hi
-            self._rec[idx] = rec
+            self._tid[idx] = tix
         else:
             idx = len(karr)
             karr.append(key)
@@ -231,19 +347,26 @@ class FlatIntervalStore:
             right.append(-1)
             height.append(1)
             aug.append(hi)
-            self._rec.append(rec)
+            self._tid.append(tix)
+        self._last = idx
+        self._last_rec = rec
         stats = self.stats
         i = self.root
         if i < 0:
             self.root = idx
         else:
             path: List[int] = []
-            append = path.append
             # descent and attach fused: the final comparison's direction
             # is remembered, not recomputed (counts are len(path) either
-            # way — one comparison per visited node)
+            # way — one comparison per visited node).  Every node on the
+            # path gains exactly the new record, so its max-hi becomes
+            # max(old, hi) here, whatever the rebalance below does: a
+            # rotation rebuilds the rotated nodes' max-hi from their
+            # children, and keeps their subtree's record set.
             while True:
-                append(i)
+                path.append(i)
+                if hi > aug[i]:
+                    aug[i] = hi
                 if key < karr[i]:
                     j = left[i]
                     if j < 0:
@@ -256,20 +379,16 @@ class FlatIntervalStore:
                         break
                 i = j
             stats.comparisons += len(path)
-            # Bottom-up refresh + rebalance of the descent path,
+            # Bottom-up height refresh + rebalance of the descent path,
             # re-attaching any rotated subtree root to its parent (what
             # the recursive object implementation does via returns).
-            # Once a node's height AND max-hi come out unchanged,
-            # nothing above it can change either — one insert needs at
-            # most one (single or double) rotation, and past it every
-            # ancestor refresh is a no-op — so the walk stops early.
-            # Comparison/rotation *counts* are untouched by the early
-            # exit: the object core's extra _rebalance calls up the
-            # path never count anything.
-            #
-            # A non-rotated ancestor's subtree keeps its old record set
-            # plus exactly the new record, so its refreshed max-hi is
-            # max(old aug, hi) — no child reads needed on that branch.
+            # Max-hi is already final (above), so once a node's height
+            # comes out unchanged nothing above it can change either —
+            # one insert needs at most one (single or double) rotation,
+            # and past it every ancestor refresh is a no-op — so the
+            # walk stops early.  Comparison/rotation *counts* are
+            # untouched by the early exit: the object core's extra
+            # _rebalance calls up the path never count anything.
             balanced = self._balanced
             for j in range(len(path) - 1, -1, -1):
                 node = path[j]
@@ -280,7 +399,6 @@ class FlatIntervalStore:
                 bal = lh - rh if balanced else 0
                 if bal > 1:
                     oh = height[node]
-                    oa = aug[node]
                     ll = left[l]
                     lr = right[l]
                     if (height[ll] if ll >= 0 else 0) < (
@@ -339,7 +457,6 @@ class FlatIntervalStore:
                     sub = l
                 elif bal < -1:
                     oh = height[node]
-                    oa = aug[node]
                     rr = right[r]
                     rl = left[r]
                     if (height[rr] if rr >= 0 else 0) < (
@@ -397,17 +514,11 @@ class FlatIntervalStore:
                     stats.rotations += 1
                     sub = r
                 else:
-                    # no rotation: refreshed aug is max(old aug, hi)
                     nh = (lh if lh > rh else rh) + 1
-                    if nh != height[node]:
-                        height[node] = nh
-                        if hi > aug[node]:
-                            aug[node] = hi
-                        continue
-                    if hi > aug[node]:
-                        aug[node] = hi
-                        continue
-                    break
+                    if nh == height[node]:
+                        break
+                    height[node] = nh
+                    continue
                 if j:
                     p = path[j - 1]
                     if left[p] == node:
@@ -416,7 +527,7 @@ class FlatIntervalStore:
                         right[p] = sub
                 else:
                     self.root = sub
-                if height[sub] == oh and aug[sub] == oa:
+                if height[sub] == oh:
                     break
         self._size += 1
         stats.inserts += 1
@@ -444,21 +555,21 @@ class FlatIntervalStore:
         right = self._right
         height = self._height
         aug = self._aug
-        recs = self._rec
+        tid = self._tid
         stats = self.stats
         path: List[int] = []
-        append = path.append
         visited = 0
         while i >= 0:
             visited += 1
             k = karr[i]
             if key < k:
-                append(i)
+                path.append(i)
                 i = left[i]
             elif key > k:
-                append(i)
+                path.append(i)
                 i = right[i]
-            elif recs[i] == rec:
+            elif (i == self._last and rec is self._last_rec) or (
+                    hiarr[i] == rec[1] and self._tails[tid[i]] == rec[2:]):
                 break
             else:
                 # equal keys may sit on either side because of
@@ -472,8 +583,11 @@ class FlatIntervalStore:
         # detach row i (successor splice when it has two children)
         l = left[i]
         r = right[i]
-        recs[i] = None
+        tid[i] = -1
         self._free.append(i)
+        if i == self._last:
+            self._last = -1
+            self._last_rec = None
         if l < 0:
             sub = r
         elif r < 0:
@@ -487,10 +601,9 @@ class FlatIntervalStore:
                 new_r = right[m]
             else:
                 spine = [m]
-                spush = spine.append
                 m = left[m]
                 while left[m] >= 0:
-                    spush(m)
+                    spine.append(m)
                     m = left[m]
                 left[spine[-1]] = right[m]
                 sub2 = self._rebalance(spine[-1])
@@ -584,7 +697,7 @@ class FlatIntervalStore:
         elif key > k:
             removed, sub = self._remove(self._right[i], key, rec)
             self._right[i] = sub
-        elif self._rec[i] == rec:
+        elif self._row_is(i, rec):
             return True, self._pop_node(i)
         else:
             # equal keys may sit on either side because of tie-breaks
@@ -601,8 +714,10 @@ class FlatIntervalStore:
         """Detach row ``i``, returning the subtree index replacing it."""
         l = self._left[i]
         r = self._right[i]
-        self._rec[i] = None
+        self._tid[i] = -1
         self._free.append(i)
+        if i == self._last:
+            self._forget_last()
         if l < 0:
             return r
         if r < 0:
@@ -638,27 +753,29 @@ class FlatIntervalStore:
             aug = self._aug
             left = self._left
             right = self._right
-            recs = self._rec
-            append_out = out.append
+            tid = self._tid
+            tails = self._tails
             # prune at push time: a child with aug <= lo would only be
             # popped and skipped, so never stack it — the visited set
             # (and thus the comparison count) is identical either way
             if aug[i] > lo:
+                # (list methods are called in place: CPython 3.11+
+                # specializes those calls, not calls via bound methods)
                 stack = [i]
-                pop = stack.pop
-                push = stack.append
                 while stack:
-                    i = pop()
+                    i = stack.pop()
                     visited += 1
                     l = left[i]
                     if l >= 0 and aug[l] > lo:
-                        push(l)
+                        stack.append(l)
                     if karr[i] < hi:
                         if lo < hiarr[i]:
-                            append_out(recs[i])  # type: ignore[arg-type]
+                            out.append(
+                                self._last_rec if i == self._last else
+                                (karr[i], hiarr[i]) + tails[tid[i]])
                         r = right[i]
                         if r >= 0 and aug[r] > lo:
-                            push(r)
+                            stack.append(r)
         stats = self.stats
         stats.comparisons += visited
         # note_query, inlined (this is the hottest query in the tool)
@@ -678,25 +795,18 @@ class FlatIntervalStore:
     # -- checkpointing ---------------------------------------------------------
 
     def save_state(self) -> dict:
-        """Portable ``repro-ckpt-v1`` encoding of the columns.
+        """Portable ``repro-ckpt-v1`` encoding (layout ``repro-flat-bst-v3``).
 
-        Interned ids are process-local, so the records travel with the
-        id → value tables of the sites (filename, line) and accum ops
-        they use; a store restored in another process re-interns those
-        values and remaps its records.  The records themselves are
-        copied as they are — a checkpoint per chunk must not rebuild
-        every stored record.  Structure (indices, free list, root)
-        round-trips exactly, so the restored store's future behavior —
-        including slot reuse order and every stats delta — is
-        identical.
+        The int columns travel as typed arrays, the tail table as is.
+        Interned ids are process-local, so the id → value tables of the
+        sites (filename, line) and accum ops go along, collected from
+        the few tails rather than from every row; a store restored in
+        another process re-interns those values and remaps its tails.
+        Structure (indices, free list, root, tail ids) round-trips
+        exactly, so the restored store's future behavior — including
+        slot reuse order and every stats delta — is identical.
         """
-        recs = list(self._rec)
-        sites = set()
-        accums = set()
-        for r in recs:
-            if r is not None:
-                sites.add(r[3])
-                accums.add(r[7])
+        tails = list(self._tails)
         site_val = SITES.value
         accum_val = ACCUMS.value
         return {
@@ -704,24 +814,30 @@ class FlatIntervalStore:
             "balanced": self._balanced,
             "root": self.root,
             "size": self._size,
-            "free": list(self._free),
-            "key": list(self._key),
-            "hi": list(self._hi),
-            "left": list(self._left),
-            "right": list(self._right),
-            "height": list(self._height),
-            "aug": list(self._aug),
-            "recs": recs,
-            "sites": {i: (site_val(i).filename, site_val(i).line)
-                      for i in sites},
-            "accums": {i: accum_val(i) for i in accums},
+            "free": _packed(self._free, "i"),
+            "key": _packed(self._key, "q"),
+            "hi": _packed(self._hi, "q"),
+            "left": _packed(self._left, "i"),
+            "right": _packed(self._right, "i"),
+            "height": _packed(self._height, "i"),
+            "aug": _packed(self._aug, "q"),
+            "tid": _packed(self._tid, "i"),
+            "tails": tails,
+            "sites": {t[1]: (site_val(t[1]).filename, site_val(t[1]).line)
+                      for t in tails},
+            "accums": {t[5]: accum_val(t[5]) for t in tails},
             "stats": self.stats.to_dict(),
         }
 
     def load_state(self, state: dict) -> None:
-        """Rebuild from :meth:`save_state` output (re-interning ids)."""
+        """Rebuild from :meth:`save_state` output (re-interning ids).
+
+        Layouts v2 (one record per row, id tables) and v1 (one record
+        per row, resolved strings) load too; their records are split
+        into tail ids and a tail table here.
+        """
         layout = state.get("layout")
-        if layout not in (FLAT_LAYOUT, _FLAT_LAYOUT_V1):
+        if layout not in (FLAT_LAYOUT, _FLAT_LAYOUT_V2, _FLAT_LAYOUT_V1):
             raise ValueError(
                 f"flat store cannot load layout {layout!r} "
                 f"(expected {FLAT_LAYOUT!r})")
@@ -737,28 +853,56 @@ class FlatIntervalStore:
         self._aug = list(state["aug"])
         site_id = SITES.id_of
         accum_id = ACCUMS.id_of
-        recs: List[Optional[Rec]] = []
         if layout == _FLAT_LAYOUT_V1:
-            for r in state["recs"]:
-                if r is None:
-                    recs.append(None)
-                else:
-                    recs.append((r[0], r[1], r[2],
-                                 site_id(DebugInfo(r[3], r[4])),
-                                 r[5], r[6], r[7], accum_id(r[8]), r[9]))
+            self._split_recs([
+                None if r is None else
+                (r[0], r[1], r[2], site_id(DebugInfo(r[3], r[4])),
+                 r[5], r[6], r[7], accum_id(r[8]), r[9])
+                for r in state["recs"]])
         else:
             sites = {i: site_id(DebugInfo(*v))
                      for i, v in state["sites"].items()}
             accums = {i: accum_id(v) for i, v in state["accums"].items()}
-            recs = list(state["recs"])
-            if any(i != j for i, j in sites.items()) or any(
-                    i != j for i, j in accums.items()):
-                # another process interned in another order: remap
-                recs = [None if r is None else
-                        r[:3] + (sites[r[3]],) + r[4:7]
-                        + (accums[r[7]], r[8]) for r in recs]
-        self._rec = recs
+            moved = any(i != j for i, j in sites.items()) or any(
+                i != j for i, j in accums.items())
+            if layout == _FLAT_LAYOUT_V2:
+                recs = state["recs"]
+                if moved:
+                    recs = [None if r is None else
+                            r[:3] + (sites[r[3]],) + r[4:7]
+                            + (accums[r[7]], r[8]) for r in recs]
+                self._split_recs(recs)
+            else:
+                tails = list(state["tails"])
+                if moved:
+                    # another process interned in another order: remap
+                    # the tails — the rows keep their tail ids
+                    tails = [t[:1] + (sites[t[1]],) + t[2:5]
+                             + (accums[t[5]], t[6]) for t in tails]
+                self._tid = list(state["tid"])
+                self._tails = tails
+                self._tail_ids = {t: i for i, t in enumerate(tails)}
         self.stats = TreeStats.from_dict(state["stats"])
+        self._forget_last()
+
+    def _split_recs(self, recs: List[Optional[Rec]]) -> None:
+        """Tail ids and table from a v1/v2 list of one record per row."""
+        tid: List[int] = []
+        tails: List[Tail] = []
+        ids: Dict[Tail, int] = {}
+        for r in recs:
+            if r is None:
+                tid.append(-1)
+                continue
+            tail = r[2:]
+            t = ids.get(tail)
+            if t is None:
+                t = ids[tail] = len(tails)
+                tails.append(tail)
+            tid.append(t)
+        self._tid = tid
+        self._tails = tails
+        self._tail_ids = ids
 
     @classmethod
     def from_state(cls, state: dict) -> "FlatIntervalStore":
@@ -777,10 +921,8 @@ class FlatIntervalStore:
                 return 0, None, None, 0
             assert i not in seen, f"row {i} reachable twice"
             seen.add(i)
-            rec = self._rec[i]
-            assert rec is not None, f"free row {i} still linked"
-            assert self._key[i] == rec[0] and self._hi[i] == rec[1], (
-                f"row {i} columns disagree with its record")
+            t = self._tid[i]
+            assert 0 <= t < len(self._tails), f"free row {i} still linked"
             lh, lmin, lmax, laug = walk(self._left[i])
             rh, rmin, rmax, raug = walk(self._right[i])
             k = self._key[i]
@@ -804,6 +946,14 @@ class FlatIntervalStore:
         assert not (free & seen), "free row still reachable"
         assert len(seen) + len(free) == len(self._key), (
             "rows neither reachable nor free")
+        assert all(self._tid[i] == -1 for i in free), "free row keeps a tail"
+        tails = self._tails
+        assert self._tail_ids == {t: i for i, t in enumerate(tails)}, (
+            "tail table and its index disagree")
+        last = self._last
+        assert last < 0 or (last in seen and self._last_rec == (
+            self._key[last], self._hi[last]) + tails[self._tid[last]]), (
+            "the last-insert memo disagrees with its row")
         ordered = list(self)
         for a, b in zip(ordered, ordered[1:]):
             assert a[1] <= b[0], f"stored records overlap: {a} vs {b}"

@@ -705,17 +705,12 @@ class FlatDetector(OurDetector):
         for (rank, wid), store in self._stores.items():
             if not store:
                 continue
-            survivors: List[Rec] = []
-            pruned = False
-            for r in store:
-                if r[2] < 2:  # local access: completed at the barrier
-                    pruned = True
-                    continue
-                if r[6] < gens.get((wid, r[4]), 0):
-                    pruned = True
-                    continue
-                survivors.append(r)
-            if pruned:
+            # decided per tail (type, origin, flush_gen): local accesses
+            # complete at the barrier, and so do RMA accesses their
+            # issuer has flushed since
+            survivors = store.select(
+                lambda t: t[0] >= 2 and t[4] >= gens.get((wid, t[2]), 0))
+            if len(survivors) < len(store):
                 self._note_high_water((rank, wid))
                 stats = store.stats
                 w0 = stats.comparisons + stats.rotations

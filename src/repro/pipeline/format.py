@@ -118,7 +118,11 @@ def _chain_seed(hlen_raw: bytes, header_bytes: bytes) -> bytes:
 
 
 def _chain_next(prev: bytes, payload: bytes) -> bytes:
-    return hashlib.sha256(prev + payload).digest()
+    """sha256(prev + payload), without copying the payload into a new
+    ``prev + payload`` object first."""
+    h = hashlib.sha256(prev)
+    h.update(payload)
+    return h.digest()
 
 # enum member order as written into the header; readers map ids through
 # the header tables, not through these lists

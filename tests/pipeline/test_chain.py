@@ -15,6 +15,7 @@ prefix.  These tests pin the properties everything upstream relies on:
 * tail-mode reader classification of in-progress vs complete files.
 """
 
+import hashlib
 import struct
 
 import pytest
@@ -67,6 +68,26 @@ class TestTraceChain:
         assert len(a["chunks"]) == 4  # 35 events / 10 per chunk
         assert a["complete"] and a["stored_mismatch"] is None
         assert a["events"][-1] == 35
+
+    def test_matches_reference_formula(self, tmp_path):
+        """Each value is sha256(previous value + chunk payload), seeded
+        with sha256(magic + u32 header length + header), recomputed here
+        from the file bytes alone."""
+        path = _write(tmp_path / "t.trace", 35)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, len(MAGIC_V2))
+        pos = len(MAGIC_V2) + 4 + hlen
+        prev = hashlib.sha256(raw[:pos]).digest()
+        expect = []
+        while raw[pos:pos + 4] == b"CHNK":
+            (nbytes,) = struct.unpack_from("<I", raw, pos + 4)
+            pos += 4 + 12 + 32  # tag, size/count/crc, stored digest
+            prev = hashlib.sha256(prev + raw[pos:pos + nbytes]).digest()
+            assert raw[pos - 32:pos] == prev  # the stored digest agrees
+            expect.append(prev.hex())
+            pos += nbytes
+        assert raw[pos:pos + 4] == b"TEND" and len(expect) == 4
+        assert trace_chain(path)["chunks"] == expect
 
     def test_computed_without_stored_digests(self, tmp_path):
         plain = _write(tmp_path / "plain.trace", 30, chain=False)

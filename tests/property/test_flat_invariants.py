@@ -156,7 +156,7 @@ def test_flat_matches_object_store(seq):
 def _columns(store: FlatIntervalStore):
     return (store.root, store._size, store._free, store._key, store._hi,
             store._left, store._right, store._height, store._aug,
-            store._rec)
+            store._tid, store._tails, store._tail_ids)
 
 
 @given(access_lists, accesses())
