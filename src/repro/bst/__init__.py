@@ -6,23 +6,28 @@
 * :func:`legacy_find_overlapping` — the original unsound path-limited
   search (paper §4.1) used by the baseline detector,
 * :class:`FlatIntervalStore` — the struct-of-arrays AVL interval store
-  backing the flat detector core (:mod:`repro.core.flatcore`).
+  backing the flat detector core (:mod:`repro.core.flatcore`),
+* :class:`TreeStats` — the operation counters every store keeps.
+
+Exports resolve lazily (:mod:`repro._lazy`): the flat core imports
+only :mod:`repro.bst.flat`, never the node-linked AVL tree.
 """
 
-from .avl import AVLNode, AVLTree, TreeStats
-from .dump import dump_bst, dump_detector_stores
-from .flat import FLAT_LAYOUT, FlatIntervalStore
-from .interval_tree import IntervalBST
-from .legacy_search import legacy_find_overlapping
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AVLNode",
-    "AVLTree",
-    "FLAT_LAYOUT",
-    "FlatIntervalStore",
-    "IntervalBST",
-    "TreeStats",
-    "dump_bst",
-    "dump_detector_stores",
-    "legacy_find_overlapping",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "AVLNode": ".avl",
+    "AVLTree": ".avl",
+    "dump_bst": ".dump",
+    "dump_detector_stores": ".dump",
+    "FLAT_LAYOUT": ".flat",
+    "FlatIntervalStore": ".flat",
+    "IntervalBST": ".interval_tree",
+    "legacy_find_overlapping": ".legacy_search",
+    "TreeStats": ".stats",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

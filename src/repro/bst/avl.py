@@ -19,8 +19,9 @@ log-time claim depends on it (``benchmarks/bench_ablation_balance.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Generic, Iterator, List, Optional, TypeVar
+
+from .stats import FANOUT_NBUCKETS, TreeStats
 
 __all__ = ["AVLNode", "AVLTree", "TreeStats", "FANOUT_NBUCKETS"]
 
@@ -43,81 +44,6 @@ class AVLNode(Generic[T]):
 
     def __repr__(self) -> str:  # debugging aid only
         return f"AVLNode(key={self.key}, tie={self.tie}, value={self.value!r})"
-
-
-#: fan-out buckets match ``repro.obs.registry.BUCKET_BOUNDS`` (powers of
-#: two up to 2**20 plus overflow) so ``publish_obs`` can fold them into
-#: an obs histogram bucket for bucket.  Kept as a literal: this module
-#: stays importable without repro.obs and the obs side asserts equality.
-FANOUT_NBUCKETS = 22
-
-
-@dataclass
-class TreeStats:
-    """Operation counters used by the overhead analyses (Figs 10-12).
-
-    ``comparisons`` counts key comparisons during descents, ``rotations``
-    counts rebalancing rotations, ``max_size`` tracks the high-water node
-    count — the quantity reported in the paper's Table 4.  ``queries`` /
-    ``query_hits`` / ``fanout`` account the stabbing queries and their
-    fan-out k (the O(log n + k) term): plain always-on integers here,
-    surfaced as obs metrics only at publication time, because the query
-    path is too hot for per-call registry traffic.
-    """
-
-    comparisons: int = 0
-    rotations: int = 0
-    inserts: int = 0
-    removals: int = 0
-    max_size: int = 0
-    queries: int = 0
-    query_hits: int = 0
-    max_fanout: int = 0
-    fanout: List[int] = field(
-        default_factory=lambda: [0] * FANOUT_NBUCKETS)
-
-    def note_query(self, k: int) -> None:
-        """Account one overlap query returning ``k`` stored accesses."""
-        self.queries += 1
-        self.query_hits += k
-        if k > self.max_fanout:
-            self.max_fanout = k
-        b = k.bit_length() if k > 0 else 0
-        self.fanout[b if b < FANOUT_NBUCKETS else FANOUT_NBUCKETS - 1] += 1
-
-    def to_dict(self) -> dict:
-        """Checkpointable copy (``repro-ckpt-v1`` detector state)."""
-        return {
-            "comparisons": self.comparisons,
-            "rotations": self.rotations,
-            "inserts": self.inserts,
-            "removals": self.removals,
-            "max_size": self.max_size,
-            "queries": self.queries,
-            "query_hits": self.query_hits,
-            "max_fanout": self.max_fanout,
-            "fanout": list(self.fanout),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeStats":
-        stats = cls(**{k: d[k] for k in (
-            "comparisons", "rotations", "inserts", "removals", "max_size",
-            "queries", "query_hits", "max_fanout")})
-        stats.fanout = list(d["fanout"])
-        return stats
-
-    def merge(self, other: "TreeStats") -> None:
-        self.comparisons += other.comparisons
-        self.rotations += other.rotations
-        self.inserts += other.inserts
-        self.removals += other.removals
-        self.max_size = max(self.max_size, other.max_size)
-        self.queries += other.queries
-        self.query_hits += other.query_hits
-        self.max_fanout = max(self.max_fanout, other.max_fanout)
-        for i, n in enumerate(other.fanout):
-            self.fanout[i] += n
 
 
 def _height(node: Optional[AVLNode[T]]) -> int:

@@ -32,7 +32,7 @@ bound.
 Freed slots go on a free list and are reused LIFO, so a store's column
 length tracks its high-water node count, not its insert count.
 
-Every operation counts into the same :class:`~repro.bst.avl.TreeStats`
+Every operation counts into the same :class:`~repro.bst.stats.TreeStats`
 with the *same accounting* as the object tree — descent comparisons,
 rotations, query ``visited`` counts, fan-out buckets — because those
 counters are published as ``bst.*`` metrics and captured inside race
@@ -53,7 +53,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..intervals.access import DebugInfo
 from ..intervals.intern import ACCUMS, SITES, Rec
-from .avl import FANOUT_NBUCKETS, TreeStats
+from .stats import FANOUT_NBUCKETS, TreeStats
 
 __all__ = ["FLAT_LAYOUT", "FlatIntervalStore"]
 

@@ -571,13 +571,13 @@ def _record(args) -> int:
 
 
 def _analyze(args) -> int:
-    from .mpi.errors import TraceFormatError, WorkerCrashedError
-    from .pipeline import (
+    from .mpi.errors import (
         CheckpointError,
         TraceDivergedError,
-        analyze_trace,
-        detector_display_name,
+        TraceFormatError,
+        WorkerCrashedError,
     )
+    from .pipeline import analyze_trace, detector_display_name
 
     ckpt_dir = args.ckpt_dir
     resume = False

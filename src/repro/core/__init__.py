@@ -3,39 +3,38 @@
 * :func:`fragment_accesses` — §4.1 disjointness by fragmentation,
 * :func:`merge_accesses` — §4.2 node merging,
 * :func:`insert_access` — Algorithm 1 end to end,
-* :class:`OurDetector` — the full on-the-fly detector,
+* :class:`OurDetector` — the full on-the-fly detector on the object
+  core (the live simulator's detector and the differential oracle),
 * :class:`FlatDetector` — the same detector on the flat
-  struct-of-arrays core (the default; ``REPRO_CORE=object`` reverts),
+  struct-of-arrays core, which trace analysis runs
+  (``REPRO_CORE=object`` reverts to the object core),
 * :class:`RaceReport` / :class:`DataRaceError` — Fig. 9b style reports.
+
+Exports resolve lazily (:mod:`repro._lazy`): importing the flat core
+or the reports never loads the object core's insertion, fragmentation
+and merging code or the node-linked AVL tree.
 """
 
-from .report import DataRaceError, RaceReport
-from .fragmentation import fragment_accesses, fragment_pair
-from .merging import merge_accesses
-from .insertion import (
-    InsertOutcome,
-    data_race_detection,
-    finish_insertion,
-    get_intersecting_accesses,
-    insert_access,
-)
-from .detector import OurDetector
-from .flatcore import FlatDetector
-from .strided import StridedChain, StridedDetector
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DataRaceError",
-    "FlatDetector",
-    "InsertOutcome",
-    "OurDetector",
-    "RaceReport",
-    "StridedChain",
-    "StridedDetector",
-    "data_race_detection",
-    "finish_insertion",
-    "fragment_accesses",
-    "fragment_pair",
-    "get_intersecting_accesses",
-    "insert_access",
-    "merge_accesses",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "OurDetector": ".detector",
+    "FlatDetector": ".flatcore",
+    "fragment_accesses": ".fragmentation",
+    "fragment_pair": ".fragmentation",
+    "InsertOutcome": ".insertion",
+    "data_race_detection": ".insertion",
+    "finish_insertion": ".insertion",
+    "get_intersecting_accesses": ".insertion",
+    "insert_access": ".insertion",
+    "merge_accesses": ".merging",
+    "DataRaceError": ".report",
+    "RaceReport": ".report",
+    "StridedChain": ".strided",
+    "StridedDetector": ".strided",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

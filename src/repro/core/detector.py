@@ -19,59 +19,21 @@ This is the paper's §4 detector end to end:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable
 
 from .. import obs
-from ..aliasing import FilterPolicy
-from ..detectors.bst_common import BstDetector
+from ..bst.interval_tree import IntervalBST
 from ..intervals import MemoryAccess, is_race
+from .base import COMPLETED_LOCALLY, OurDetectorBase
 from .insertion import insert_access
-
-#: sentinel flush generation: the access was completed *locally* by an
-#: MPI_Wait on its request (request-based RMA); later accesses of the
-#: same origin are ordered after it, other ranks' accesses are not
-COMPLETED_LOCALLY = -1
 
 __all__ = ["OurDetector"]
 
 
-class OurDetector(BstDetector):
+class OurDetector(OurDetectorBase):
     """RMA-Analyzer + the paper's new insertion algorithm (§4)."""
 
-    name = "Our Contribution"
-
-    _CKPT_SKIP = BstDetector._CKPT_SKIP | {"_c_fragments", "_c_merges"}
-
-    def __init__(self, *, enable_merge: bool = True, **kwargs) -> None:
-        """``enable_merge=False`` gives the fragmentation-only ablation —
-        the node-explosion variant §4.1 warns about."""
-        kwargs.setdefault("filter_policy", FilterPolicy.ALIAS)
-        super().__init__(**kwargs)
-        self.enable_merge = enable_merge
-        # current flush generation per (wid, issuer)
-        self._flush_gens: Dict[Tuple[int, int], int] = {}
-        # fragment/merge outcomes live in the obs registry (the former
-        # hand-rolled integer attributes duplicated what the metrics
-        # layer now collects); the properties below read them back
-        self._k_fragments = obs.metric_key("detector.fragments",
-                                           {"tool": self.name})
-        self._k_merges = obs.metric_key("detector.merges",
-                                        {"tool": self.name})
-
-    def _bind_obs(self, reg) -> None:
-        super()._bind_obs(reg)
-        self._c_fragments = reg.counter(self._k_fragments)
-        self._c_merges = reg.counter(self._k_merges)
-
-    @property
-    def fragments_created(self) -> int:
-        """Fragments stored by this tool (process-registry counter)."""
-        return obs.active().counter(self._k_fragments).value
-
-    @property
-    def merges_performed(self) -> int:
-        """Node merges performed by this tool (process-registry counter)."""
-        return obs.active().counter(self._k_merges).value
+    store_cls = IntervalBST
 
     # -- predicate with the §6 flush exemption -----------------------------------
 
@@ -117,30 +79,7 @@ class OurDetector(BstDetector):
                 self._c_merges.value += removed + 1 - len(outcome.merged)
         self._note_high_water((rank, wid))
 
-    # _check/_insert are folded into _record (Algorithm 1 is one pass)
-    def _check(self, bst, access, rank, wid) -> None:  # pragma: no cover
-        raise AssertionError("OurDetector uses _record directly")
-
-    def _insert(self, bst, access) -> None:  # pragma: no cover
-        raise AssertionError("OurDetector uses _record directly")
-
-    def forensic_sync_state(self, wid: int) -> dict:
-        """Epoch state plus the §6 flush generations of this window."""
-        state = super().forensic_sync_state(wid)
-        gens = {
-            str(issuer): gen
-            for (w, issuer), gen in sorted(self._flush_gens.items())
-            if w == wid
-        }
-        if gens:
-            state["flush_gens"] = gens
-        return state
-
     # -- §6 synchronization handling -----------------------------------------------------
-
-    def on_flush(self, rank: int, wid: int) -> None:
-        key = (wid, rank)
-        self._flush_gens[key] = self._flush_gens.get(key, 0) + 1
 
     def on_request_complete(self, rank: int, wid: int, access) -> None:
         """MPI_Wait on a request: the op's *origin side* is complete.
@@ -189,16 +128,3 @@ class OurDetector(BstDetector):
                     bst.stats.comparisons + bst.stats.rotations - w0
                     + len(survivors)
                 )
-
-    def restore(self, snap: dict) -> None:
-        # guard only the object core itself: FlatDetector subclasses
-        # this and routes its own snapshots through super().restore()
-        if snap.get("class") == "FlatDetector" and type(self) is OurDetector:
-            from ..pipeline.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                "repro-ckpt-v1 detector snapshot was written by the "
-                "flat core (FlatDetector) but this analysis runs the "
-                "object core (OurDetector); unset REPRO_CORE=object to "
-                "resume it, or re-analyze from scratch")
-        super().restore(snap)

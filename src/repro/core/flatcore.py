@@ -23,14 +23,17 @@ The object core stays available behind ``REPRO_CORE=object`` (see
 :data:`repro.pipeline.engine.DETECTOR_SPECS`) as the differential
 oracle; ``tests/pipeline/test_core_parity.py`` asserts byte-identical
 results between the two over the recorded workloads and the scenario
-corpus.
+corpus.  The two cores share :class:`~repro.core.base.OurDetectorBase`
+(window/epoch bookkeeping, §6 flush generations, counters), not each
+other: this module imports neither the node-linked AVL tree nor the
+object core's insertion, fragmentation and merging code.
 
 Checkpoints: a ``repro-ckpt-v1`` detector snapshot carries its core
 kind in the ``class`` field.  Restoring an object-core snapshot on the
 flat core (or vice versa) raises a
-:class:`~repro.pipeline.checkpoint.CheckpointError` naming both kinds —
-the tree encodings differ, and silently adopting the wrong one would
-resume to confidently wrong verdicts.
+:class:`~repro.mpi.errors.CheckpointError` naming both kinds — the tree
+encodings differ, and silently adopting the wrong one would resume to
+confidently wrong verdicts.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from typing import List
 
 from .. import obs
 from ..aliasing import FilterPolicy
-from ..bst.avl import TreeStats
 from ..bst.flat import FlatIntervalStore
 from ..intervals.intern import (
     ACCUMS,
@@ -56,28 +58,20 @@ from ..intervals.access import DebugInfo
 from ..mpi.errors import TraceFormatError
 from ..mpi.memory import RegionKind
 from ..mpi.trace import LocalEvent, RmaEvent, SyncEvent
-from . import insertion as _insertion
-from .detector import COMPLETED_LOCALLY, OurDetector
+from . import base as _base
+from .base import COMPLETED_LOCALLY, OurDetectorBase
 
 __all__ = ["FlatDetector"]
 
 
-def _cross_core_error(snap_core: str, this_core: str, env: str):
-    from ..pipeline.checkpoint import CheckpointError
-
-    return CheckpointError(
-        f"repro-ckpt-v1 detector snapshot was written by the "
-        f"{snap_core} but this analysis runs the {this_core}; "
-        f"rerun with REPRO_CORE={env} to resume it, or re-analyze "
-        f"from scratch")
-
-
-class FlatDetector(OurDetector):
+class FlatDetector(OurDetectorBase):
     """§4 detector on the flat core (see module docstring).
 
     ``name`` is inherited (\"Our Contribution\"): both cores are the
     same tool, so verdicts and per-tool metric keys stay identical.
     """
+
+    store_cls = FlatIntervalStore
 
     #: property-test hook mirroring ``insert_access``'s injectable
     #: predicate: False inserts every access unconditionally (storage
@@ -464,9 +458,9 @@ class FlatDetector(OurDetector):
             if reg is not self._obs_reg:
                 self._bind_obs(reg)
             self._c_events.value += 1
-            hot = _insertion._HOT
+            hot = _base._HOT
             if hot is None or hot.reg is not reg:
-                hot = _insertion._bind_hot(reg)
+                hot = _base._bind_hot(reg)
             hot.accesses.value += 1
             t = reg._tick + 1
             reg._tick = t
@@ -677,16 +671,6 @@ class FlatDetector(OurDetector):
         # (``_note_high_water``) at epoch end, window free, barrier
         # prune, and ``node_stats`` — the recorded peak is identical
 
-    # -- storage ---------------------------------------------------------------
-
-    def _store(self, rank: int, wid: int) -> FlatIntervalStore:
-        key = (rank, wid)
-        store = self._stores.get(key)
-        if store is None:
-            store = FlatIntervalStore(balanced=self._balanced)
-            self._stores[key] = store
-        return store
-
     # -- §6 synchronization handling -------------------------------------------
 
     def on_request_complete(self, rank: int, wid: int, access) -> None:
@@ -720,21 +704,3 @@ class FlatDetector(OurDetector):
                 self.work_units += (
                     stats.comparisons + stats.rotations - w0
                     + len(survivors))
-
-    # -- checkpointing ---------------------------------------------------------
-    # (_encode_state is inherited: it calls each store's save_state(),
-    # which the flat store provides in its own column layout)
-
-    def _decode_state(self, state: dict) -> dict:
-        state["_stores"] = {
-            key: FlatIntervalStore.from_state(s)
-            for key, s in state["_stores"].items()}
-        state["_closed_stats"] = TreeStats.from_dict(state["_closed_stats"])
-        return state
-
-    def restore(self, snap: dict) -> None:
-        if snap.get("class") == "OurDetector":
-            raise _cross_core_error(
-                "object core (OurDetector)", "flat core (FlatDetector)",
-                "object")
-        super().restore(snap)

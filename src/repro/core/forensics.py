@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from ..intervals.access import access_to_dict
 from ..obs.timeline import Timeline, timeline_context
 
 __all__ = [
@@ -74,8 +75,6 @@ def capture_forensics(
     ``forensic_sync_state(wid)`` and ``forensic_tree_state(rank, wid)``
     — which default to empty on the base class.
     """
-    from ..mpi.trace_io import _access_to_dict
-
     ranks = _involved_ranks(rank, stored.origin, new.origin)
     return {
         "schema": FORENSICS_SCHEMA,
@@ -83,8 +82,8 @@ def capture_forensics(
         "phase": phase,
         "rank": rank,
         "window": wid,
-        "stored": _access_to_dict(stored),
-        "new": _access_to_dict(new),
+        "stored": access_to_dict(stored),
+        "new": access_to_dict(new),
         "sync": detector.forensic_sync_state(wid),
         "tree": detector.forensic_tree_state(rank, wid),
         "timeline": timeline_context(timeline, rank, ranks, k=k),

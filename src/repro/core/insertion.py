@@ -36,6 +36,7 @@ from .. import obs
 from ..bst import IntervalBST
 from ..intervals import Interval, MemoryAccess, is_race
 from ..intervals.combine import combined_type
+from . import base as _base
 from .fragmentation import fragment_accesses
 from .merging import merge_accesses
 
@@ -48,38 +49,6 @@ __all__ = [
 ]
 
 RacePredicate = Callable[[MemoryAccess, MemoryAccess], bool]
-
-
-class _HotCounters:
-    """Counter handles of the insertion hot path, bound to one registry.
-
-    ``insert_access`` runs once per recorded access; going through
-    ``Registry.counter`` (key format + dict probe) at that frequency is
-    what the <=5% metrics-on budget cannot afford.  The handles are
-    cached at module level — registries are strictly per-process and
-    single-threaded, and the identity check below rebinds after any
-    ``obs.scope()`` / ``obs.reset()`` swap.
-    """
-
-    __slots__ = ("reg", "accesses", "races", "fastpath", "merges",
-                 "fragments")
-
-    def __init__(self, reg) -> None:
-        self.reg = reg
-        self.accesses = reg.counter("core.insert.accesses")
-        self.races = reg.counter("core.insert.races")
-        self.fastpath = reg.counter("core.insert.fastpath")
-        self.merges = reg.counter("core.insert.merges")
-        self.fragments = reg.counter("core.insert.fragments")
-
-
-_HOT: Optional[_HotCounters] = None
-
-
-def _bind_hot(reg) -> _HotCounters:
-    global _HOT
-    _HOT = _HotCounters(reg)
-    return _HOT
 
 
 class InsertOutcome:
@@ -182,9 +151,9 @@ def insert_access(
     enabled = reg.enabled
     timed = False
     if enabled:
-        hot = _HOT
+        hot = _base._HOT
         if hot is None or hot.reg is not reg:
-            hot = _bind_hot(reg)
+            hot = _base._bind_hot(reg)
         hot.accesses.value += 1
         t = reg._tick + 1
         reg._tick = t

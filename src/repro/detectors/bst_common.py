@@ -3,10 +3,13 @@
 Both the original RMA-Analyzer and the paper's contribution keep one
 interval BST per (rank, window): "When an MPI window is created, each
 MPI process creates a BST.  The BST is then filled with all memory
-locations the owner process or other processes accesses" (§3).  The two
+locations the owner process or other processes accesses" (§3).  The
 tools differ in *how* they search and insert — exactly the knobs the
 subclasses override:
 
+* ``store_cls``             — the store type: the node-linked
+  :class:`~repro.bst.interval_tree.IntervalBST` or the flat
+  :class:`~repro.bst.flat.FlatIntervalStore`,
 * ``_check(bst, access)``   — race search strategy,
 * ``_insert(bst, access)``  — storage strategy (append vs Algorithm 1),
 * flush/barrier handling    — §6 semantics.
@@ -15,6 +18,10 @@ Local accesses of a rank are routed to its BST of every window with an
 open epoch (accesses outside any epoch cannot race with one-sided
 traffic and are dropped, matching the tool's "collects all memory
 accesses that are contained within each epoch").
+
+This module is the window/epoch bookkeeping only: it imports no store,
+so the flat core loads neither the node-linked AVL tree nor the object
+core's insertion code.
 """
 
 from __future__ import annotations
@@ -23,12 +30,13 @@ import copy
 from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from ..aliasing import AliasFilter, FilterPolicy
-from ..bst import IntervalBST, TreeStats
+from ..bst.stats import TreeStats
 from ..intervals import MemoryAccess
 from ..mpi.memory import RegionInfo
 from .base import Detector, NodeStats
 
 if TYPE_CHECKING:
+    from ..bst.interval_tree import IntervalBST
     from ..mpi.window import Window
 
 __all__ = ["BstDetector"]
@@ -43,6 +51,11 @@ class BstDetector(Detector):
     #: descriptor: interval, type, debug info — a small fixed message)
     rma_notify_bytes: int = 48
 
+    #: the per-(rank, window) store type (subclasses set it): built as
+    #: ``store_cls(balanced=...)``, checkpointed through its
+    #: ``save_state()`` / ``from_state()``
+    store_cls: type
+
     def __init__(
         self,
         *,
@@ -51,7 +64,7 @@ class BstDetector(Detector):
         balanced: bool = True,
     ) -> None:
         super().__init__(abort_on_race=abort_on_race)
-        self._stores: Dict[Key, IntervalBST] = {}
+        self._stores: Dict[Key, object] = {}
         self._open_epochs: Set[Key] = set()
         self._windows: Dict[int, Window] = {}
         self._balanced = balanced
@@ -66,11 +79,11 @@ class BstDetector(Detector):
 
     # -- storage plumbing ---------------------------------------------------------
 
-    def _store(self, rank: int, wid: int) -> IntervalBST:
+    def _store(self, rank: int, wid: int):
         key = (rank, wid)
         bst = self._stores.get(key)
         if bst is None:
-            bst = IntervalBST(balanced=self._balanced)
+            bst = self.store_cls(balanced=self._balanced)
             self._stores[key] = bst
         return bst
 
@@ -161,13 +174,14 @@ class BstDetector(Detector):
     # -- checkpointing ---------------------------------------------------------
 
     def _encode_state(self, state: dict) -> dict:
-        """Replace the interval BSTs with structure-preserving states.
+        """Replace the stores with structure-preserving states.
 
         Node-linked trees pickle recursively (an unbalanced ablation
-        tree is O(n) deep), so each store goes through
-        :meth:`IntervalBST.save_state` — an iterative preorder encoding
-        that also carries the tie counter and TreeStats, keeping the
-        restored detector's future behavior (and published metrics)
+        tree is O(n) deep), so each store goes through its own
+        ``save_state()`` — for :class:`IntervalBST` an iterative
+        preorder encoding, for the flat store its columns — that also
+        carries the tie counter and TreeStats, keeping the restored
+        detector's future behavior (and published metrics)
         byte-identical.
         """
         state["_stores"] = {
@@ -178,7 +192,7 @@ class BstDetector(Detector):
 
     def _decode_state(self, state: dict) -> dict:
         state["_stores"] = {
-            key: IntervalBST.from_state(s)
+            key: self.store_cls.from_state(s)
             for key, s in state["_stores"].items()}
         state["_closed_stats"] = TreeStats.from_dict(state["_closed_stats"])
         return state

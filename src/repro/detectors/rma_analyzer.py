@@ -35,6 +35,7 @@ class RmaAnalyzerLegacy(BstDetector):
     """The unimproved tool: append-only multiset + path-limited search."""
 
     name = "RMA-Analyzer"
+    store_cls = IntervalBST
 
     def __init__(self, **kwargs) -> None:
         kwargs.setdefault("filter_policy", FilterPolicy.ALIAS)

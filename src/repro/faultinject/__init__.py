@@ -21,58 +21,38 @@ Quickstart::
 
     flip_bytes("mv.trace", chunk=3, seed=7)
     result = analyze_trace("mv.trace", salvage=True)  # chunk 3 quarantined
+
+Exports resolve lazily (:mod:`repro._lazy`): a daemon armed through
+``REPRO_SERVE_FAULT`` loads only :mod:`~repro.faultinject.daemon`.
 """
 
-from .corrupt import (
-    ChunkInfo,
-    chunk_index,
-    corrupt_checkpoint,
-    corrupt_chunk_tag,
-    corrupt_journal_record,
-    flip_bytes,
-    truncate_mid_chunk,
-)
-from .incremental import (
-    append_mid_analysis,
-    extend_trace,
-    rewrite_prefix,
-    truncate_tail_mid_append,
-)
-from .daemon import (
-    KillAfterCheckpoints,
-    StallAfterCheckpoints,
-    install_serve_faults_from_env,
-    kill_daemon,
-    sever_mid_upload,
-)
-from .plan import (
-    FaultPlan,
-    KillWorker,
-    SimulatedWriterCrash,
-    StallWorker,
-    WriterCrash,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChunkInfo",
-    "FaultPlan",
-    "KillAfterCheckpoints",
-    "KillWorker",
-    "SimulatedWriterCrash",
-    "StallAfterCheckpoints",
-    "StallWorker",
-    "WriterCrash",
-    "append_mid_analysis",
-    "chunk_index",
-    "corrupt_checkpoint",
-    "corrupt_chunk_tag",
-    "corrupt_journal_record",
-    "extend_trace",
-    "flip_bytes",
-    "install_serve_faults_from_env",
-    "kill_daemon",
-    "rewrite_prefix",
-    "sever_mid_upload",
-    "truncate_mid_chunk",
-    "truncate_tail_mid_append",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "ChunkInfo": ".corrupt",
+    "chunk_index": ".corrupt",
+    "corrupt_checkpoint": ".corrupt",
+    "corrupt_chunk_tag": ".corrupt",
+    "corrupt_journal_record": ".corrupt",
+    "flip_bytes": ".corrupt",
+    "truncate_mid_chunk": ".corrupt",
+    "KillAfterCheckpoints": ".daemon",
+    "StallAfterCheckpoints": ".daemon",
+    "install_serve_faults_from_env": ".daemon",
+    "kill_daemon": ".daemon",
+    "sever_mid_upload": ".daemon",
+    "append_mid_analysis": ".incremental",
+    "extend_trace": ".incremental",
+    "rewrite_prefix": ".incremental",
+    "truncate_tail_mid_append": ".incremental",
+    "FaultPlan": ".plan",
+    "KillWorker": ".plan",
+    "SimulatedWriterCrash": ".plan",
+    "StallWorker": ".plan",
+    "WriterCrash": ".plan",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,7 +5,7 @@ prefix-resume, and each gets a deterministic injector:
 
 * **Legitimate growth** — :func:`extend_trace` appends more chunks to a
   finished trace through the real append path
-  (:meth:`~repro.pipeline.format.BinaryTraceWriter.open_append`), so
+  (:meth:`~repro.pipeline.writer.BinaryTraceWriter.open_append`), so
   the extension is byte-for-byte what a longer recording would have
   produced; :func:`append_mid_analysis` does the same from a background
   thread while an analysis is reading the file, which is the follow
@@ -37,13 +37,8 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from ..mpi.errors import TraceFormatError
-from ..pipeline.format import (
-    MAGIC_V2,
-    BinaryTraceWriter,
-    TraceReader,
-    _chain_next,
-    _chain_seed,
-)
+from ..pipeline.format import MAGIC_V2, TraceReader, _chain_next, _chain_seed
+from ..pipeline.writer import BinaryTraceWriter
 from .corrupt import _U32, chunk_index
 
 __all__ = [

@@ -28,7 +28,16 @@ from typing import Optional
 
 from .interval import Interval
 
-__all__ = ["AccessType", "DebugInfo", "MemoryAccess"]
+__all__ = ["AccessType", "DebugInfo", "MemoryAccess", "MIXED_ACCUM_OP",
+           "access_to_dict"]
+
+#: accumulate marker of a fragment built from accesses that were not
+#: same-op atomics.  It keeps ``is_atomic`` true — the same-*origin*
+#: accumulate-ordering exemption must survive combination — but can
+#: never equal a real reduction op, so the same-*op* exemption cannot
+#: fire against it: the fragment stands for several accesses of which
+#: at least one would conflict with any later cross-origin accumulate.
+MIXED_ACCUM_OP = "<mixed>"
 
 
 class AccessType(enum.IntEnum):
@@ -189,3 +198,18 @@ def make_access(
 ) -> MemoryAccess:
     """Terse constructor used heavily by tests."""
     return MemoryAccess(Interval(lo, hi), type, DebugInfo(filename, line), origin, seq)
+
+
+def access_to_dict(acc: MemoryAccess) -> dict:
+    """The JSON form of an access (v1 trace records, verdicts, forensics)."""
+    return {
+        "lo": acc.interval.lo,
+        "hi": acc.interval.hi,
+        "type": acc.type.name,
+        "file": acc.debug.filename,
+        "line": acc.debug.line,
+        "origin": acc.origin,
+        "flush_gen": acc.flush_gen,
+        "accum_op": acc.accum_op,
+        "excl_epoch": acc.excl_epoch,
+    }

@@ -21,18 +21,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Tuple
 
-from .access import AccessType, MemoryAccess
+from .access import MIXED_ACCUM_OP, AccessType, MemoryAccess
 
 __all__ = ["combined_type", "combine_accesses", "table1_rows",
            "MIXED_ACCUM_OP"]
-
-#: accumulate marker of a fragment built from accesses that were not
-#: same-op atomics.  It keeps ``is_atomic`` true — the same-*origin*
-#: accumulate-ordering exemption must survive combination — but can
-#: never equal a real reduction op, so the same-*op* exemption cannot
-#: fire against it: the fragment stands for several accesses of which
-#: at least one would conflict with any later cross-origin accumulate.
-MIXED_ACCUM_OP = "<mixed>"
 
 
 def _rank(t: AccessType) -> Tuple[int, int]:

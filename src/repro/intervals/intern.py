@@ -34,8 +34,7 @@ from __future__ import annotations
 import threading
 from typing import Hashable, List, Optional, Tuple
 
-from .access import AccessType, DebugInfo, MemoryAccess
-from .combine import MIXED_ACCUM_OP
+from .access import MIXED_ACCUM_OP, AccessType, DebugInfo, MemoryAccess
 from .interval import Interval
 
 __all__ = [
@@ -93,7 +92,7 @@ SITES = InternTable()
 ACCUMS = InternTable(seed=(None,))
 
 #: interned id of the §4.1 mixed-accumulate sentinel (see
-#: :data:`repro.intervals.combine.MIXED_ACCUM_OP`)
+#: :data:`repro.intervals.access.MIXED_ACCUM_OP`)
 MIXED_ID = ACCUMS.id_of(MIXED_ACCUM_OP)
 
 

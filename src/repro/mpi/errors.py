@@ -1,12 +1,17 @@
-"""Exceptions raised by the simulated MPI-RMA runtime.
+"""Exceptions raised by the simulated MPI-RMA runtime and trace analysis.
 
 These mirror the failure modes a real MPI library (or a debug build of
 one) would report: usage errors are programming bugs in the *simulated
 application*, not in the simulator itself, and carry enough context to
-point at the offending rank and call.
+point at the offending rank and call.  The trace-analysis errors the
+CLI and the daemon catch live here too, so catching them never imports
+the code that raises them (the checkpoint module, the multi-process
+engine).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 __all__ = [
     "MpiSimError",
@@ -18,6 +23,8 @@ __all__ = [
     "TraceFormatError",
     "TraceChainMismatch",
     "WorkerCrashedError",
+    "CheckpointError",
+    "TraceDivergedError",
 ]
 
 
@@ -70,10 +77,9 @@ class TraceChainMismatch(TraceFormatError):
     passes): the chunk's *content* is internally consistent but it is
     not the content the preceding chunks commit to — the prefix was
     rewritten underneath an append, or chunks were spliced from another
-    trace.  Follow/resume converts this into
-    :class:`~repro.pipeline.checkpoint.TraceDivergedError` so callers
-    can branch on "re-record, don't retry".  Carries the 1-based
-    ``chunk`` where the chain first broke.
+    trace.  Follow/resume converts this into :class:`TraceDivergedError`
+    so callers can branch on "re-record, don't retry".  Carries the
+    1-based ``chunk`` where the chain first broke.
     """
 
     def __init__(self, message: str, *, path=None, chunk=None) -> None:
@@ -110,3 +116,27 @@ class WorkerCrashedError(MpiSimError):
         self.shards = shard_list
         self.reason = reason
         self.exitcode = exitcode
+
+
+class CheckpointError(Exception):
+    """A checkpoint file is unusable, or resume preconditions fail."""
+
+
+class TraceDivergedError(CheckpointError):
+    """The trace is not an append-only extension of the analyzed prefix.
+
+    Raised when a resume (or ``--follow`` re-poll) finds the rolling
+    hash chain recorded in the checkpoint cursor disagrees with the
+    bytes now on disk: something rewrote or replaced the prefix the
+    detector state was built from, so continuing would emit confidently
+    wrong verdicts.  Subclasses :class:`CheckpointError` so existing
+    no-retry handling applies, but carries its own identity (and a
+    dedicated CLI exit code) because the remedy differs — re-analyze
+    from scratch, don't retry the resume.
+    """
+
+    def __init__(self, message: str, *, path: Optional[str] = None,
+                 chunk: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.path = path
+        self.chunk = chunk

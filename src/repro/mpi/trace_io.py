@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
 from ..intervals import AccessType, DebugInfo, Interval, MemoryAccess
+from ..intervals.access import access_to_dict
 from .memory import RegionInfo, RegionKind
 from .trace import LocalEvent, RmaEvent, SyncEvent, SyncKind, TraceEvent, TraceLog
 
@@ -45,20 +46,6 @@ _FORMAT = "repro-trace-v1"
 
 
 # -- serialization -----------------------------------------------------------
-
-
-def _access_to_dict(acc: MemoryAccess) -> dict:
-    return {
-        "lo": acc.interval.lo,
-        "hi": acc.interval.hi,
-        "type": acc.type.name,
-        "file": acc.debug.filename,
-        "line": acc.debug.line,
-        "origin": acc.origin,
-        "flush_gen": acc.flush_gen,
-        "accum_op": acc.accum_op,
-        "excl_epoch": acc.excl_epoch,
-    }
 
 
 def _access_from_dict(d: dict) -> MemoryAccess:
@@ -88,7 +75,7 @@ def _event_to_dict(event: TraceEvent) -> dict:
             "ev": "local",
             "seq": event.seq,
             "rank": event.rank,
-            "access": _access_to_dict(event.access),
+            "access": access_to_dict(event.access),
             "region": _region_to_dict(event.region),
         }
     if isinstance(event, RmaEvent):
@@ -99,8 +86,8 @@ def _event_to_dict(event: TraceEvent) -> dict:
             "op": event.op,
             "target": event.target,
             "wid": event.wid,
-            "origin_access": _access_to_dict(event.origin_access),
-            "target_access": _access_to_dict(event.target_access),
+            "origin_access": access_to_dict(event.origin_access),
+            "target_access": access_to_dict(event.target_access),
             "origin_region": _region_to_dict(event.origin_region),
             "target_region": _region_to_dict(event.target_region),
             "nbytes": event.nbytes,
@@ -142,7 +129,7 @@ def save_trace(
     """Write a trace — v1 JSON lines or the v2 chunked binary format."""
     path = Path(path)
     if format in ("binary", "repro-trace-v2"):
-        from ..pipeline.format import BinaryTraceWriter
+        from ..pipeline.writer import BinaryTraceWriter
 
         with BinaryTraceWriter(path, nranks=nranks) as writer:
             for event in log.events:

@@ -37,7 +37,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from .export import render_metrics, snapshot_to_json
+from .._lazy import lazy_exports
 from .registry import (
     BUCKET_BOUNDS,
     Counter,
@@ -86,6 +86,13 @@ __all__ = [
     "timeline",
     "timeline_context",
 ]
+
+#: the text/JSON exporters load on first use: an analysis without
+#: ``--metrics`` never formats a snapshot
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "render_metrics": ".export",
+    "snapshot_to_json": ".export",
+})
 
 #: the process-wide default registry — what every thread sees unless it
 #: scoped its own (below)

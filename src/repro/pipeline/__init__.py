@@ -6,12 +6,15 @@ therefore embarrassingly parallel across per-rank shards, which this
 subsystem exploits end to end:
 
 * :mod:`repro.pipeline.format` — the ``repro-trace-v2`` chunked binary
-  format with streaming writer/reader (auto-detects and still reads the
-  v1 JSON-lines format),
+  format's streaming reader (auto-detects and still reads the v1
+  JSON-lines format); :mod:`repro.pipeline.writer` holds the writers,
 * :mod:`repro.pipeline.shard` — event routing by memory rank, with sync
   events replicated so every shard sees the full ordering skeleton,
-* :mod:`repro.pipeline.engine` — the multiprocessing worker pool
-  (batched dispatch, bounded queues) and the deterministic aggregator,
+* :mod:`repro.pipeline.engine` — ``analyze_trace``: the serial chunk
+  loop every default analysis runs, and the deterministic aggregator,
+* :mod:`repro.pipeline.multiproc` — the multi-process engine behind
+  ``jobs>1`` (batched queue or file dispatch, bounded queues, worker
+  recycling), loaded only when asked for,
 * :mod:`repro.pipeline.resilience` — worker supervision: heartbeats,
   stall timeouts, crash detection, and the retry/degrade machinery
   that keeps a crashed or wedged worker from sinking the analysis,
@@ -32,80 +35,54 @@ Quickstart::
 Any existing :class:`~repro.mpi.interposition.DetectorProtocol` detector
 runs unchanged — the pipeline instantiates one per shard and merges
 verdicts afterwards.
+
+Exports resolve lazily (:mod:`repro._lazy`): a serial analysis loads
+the engine, the reader and the flat core, never the multi-process
+engine, the supervision layer, the checkpoint module (unless asked
+to checkpoint), the writers or the recorder.
 """
 
-from .checkpoint import (
-    CKPT_MAGIC,
-    CKPT_SCHEMA,
-    CheckpointError,
-    CheckpointPlan,
-    CheckpointStore,
-    TraceDivergedError,
-)
-from .engine import (
-    DETECTOR_SPECS,
-    PipelineResult,
-    ShardStats,
-    analyze_trace,
-    canonical_verdicts,
-    detector_display_name,
-)
-from .format import (
-    CHAIN_ALGO,
-    FORMAT_V1,
-    FORMAT_V2,
-    MAGIC_V2,
-    BinaryTraceWriter,
-    JsonTraceWriter,
-    TraceReader,
-    compare_chain,
-    make_trace_writer,
-    trace_chain,
-)
-from .record import RECORDABLE_APPS, AppSpec, RecordResult, record_app
-from .resilience import (
-    HEARTBEAT_INTERVAL,
-    CollectOutcome,
-    WorkerFailure,
-    backoff_delay,
-    collect_results,
-)
-from .shard import ReplayWindow, dispatch_event, own_reports, shards_of
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AppSpec",
-    "BinaryTraceWriter",
-    "CHAIN_ALGO",
-    "CKPT_MAGIC",
-    "CKPT_SCHEMA",
-    "CheckpointError",
-    "CheckpointPlan",
-    "CheckpointStore",
-    "CollectOutcome",
-    "DETECTOR_SPECS",
-    "FORMAT_V1",
-    "FORMAT_V2",
-    "HEARTBEAT_INTERVAL",
-    "JsonTraceWriter",
-    "MAGIC_V2",
-    "PipelineResult",
-    "RECORDABLE_APPS",
-    "RecordResult",
-    "ReplayWindow",
-    "ShardStats",
-    "TraceDivergedError",
-    "TraceReader",
-    "WorkerFailure",
-    "analyze_trace",
-    "backoff_delay",
-    "canonical_verdicts",
-    "collect_results",
-    "compare_chain",
-    "detector_display_name",
-    "dispatch_event",
-    "make_trace_writer",
-    "own_reports",
-    "record_app",
-    "shards_of",
-    "trace_chain",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "CKPT_MAGIC": ".checkpoint",
+    "CKPT_SCHEMA": ".checkpoint",
+    "CheckpointError": "..mpi.errors",
+    "CheckpointPlan": ".checkpoint",
+    "CheckpointStore": ".checkpoint",
+    "TraceDivergedError": "..mpi.errors",
+    "DETECTOR_SPECS": ".engine",
+    "PipelineResult": ".engine",
+    "ShardStats": ".engine",
+    "analyze_trace": ".engine",
+    "canonical_verdicts": ".engine",
+    "detector_display_name": ".engine",
+    "CHAIN_ALGO": ".format",
+    "FORMAT_V1": ".format",
+    "FORMAT_V2": ".format",
+    "MAGIC_V2": ".format",
+    "TraceReader": ".format",
+    "compare_chain": ".format",
+    "trace_chain": ".format",
+    "AppSpec": ".record",
+    "RECORDABLE_APPS": ".record",
+    "RecordResult": ".record",
+    "record_app": ".record",
+    "HEARTBEAT_INTERVAL": ".resilience",
+    "CollectOutcome": ".resilience",
+    "WorkerFailure": ".resilience",
+    "backoff_delay": ".resilience",
+    "collect_results": ".resilience",
+    "ReplayWindow": ".shard",
+    "dispatch_event": ".shard",
+    "own_reports": ".shard",
+    "shards_of": ".shard",
+    "BinaryTraceWriter": ".writer",
+    "JsonTraceWriter": ".writer",
+    "make_trace_writer": ".writer",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -45,6 +45,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
+from .. import obs
+from ..mpi.errors import (CheckpointError, TraceChainMismatch,
+                          TraceDivergedError)
+from .format import trace_chain
+
 __all__ = [
     "CKPT_MAGIC",
     "CKPT_SCHEMA",
@@ -57,6 +62,11 @@ __all__ = [
     "drain_requested",
     "install_drain_event",
     "remove_write_hook",
+    "restore_registry",
+    "resume_expect",
+    "run_meta",
+    "run_state",
+    "verify_resume_trace",
 ]
 
 CKPT_MAGIC = b"REPROCK1"
@@ -66,30 +76,6 @@ _U32 = struct.Struct("<I")
 
 #: pickle protocol 4 reads back on every supported interpreter
 _PICKLE_PROTO = 4
-
-
-class CheckpointError(Exception):
-    """A checkpoint file is unusable, or resume preconditions fail."""
-
-
-class TraceDivergedError(CheckpointError):
-    """The trace is not an append-only extension of the analyzed prefix.
-
-    Raised when a resume (or ``--follow`` re-poll) finds the rolling
-    hash chain recorded in the checkpoint cursor disagrees with the
-    bytes now on disk: something rewrote or replaced the prefix the
-    detector state was built from, so continuing would emit confidently
-    wrong verdicts.  Subclasses :class:`CheckpointError` so existing
-    no-retry handling applies, but carries its own identity (and a
-    dedicated CLI exit code) because the remedy differs — re-analyze
-    from scratch, don't retry the resume.
-    """
-
-    def __init__(self, message: str, *, path: Optional[str] = None,
-                 chunk: Optional[int] = None) -> None:
-        super().__init__(message)
-        self.path = path
-        self.chunk = chunk
 
 
 @dataclass(frozen=True)
@@ -347,3 +333,114 @@ class CheckpointStore:
         if not isinstance(header, dict):
             raise CheckpointError(f"{path.name}: header is not an object")
         return header
+
+
+# -- engine plumbing ----------------------------------------------------------
+#
+# What the serial chunk loop and the file-dispatch workers write into,
+# and check against, a checkpoint of an analysis run.
+
+
+def run_meta(detector: str, nranks: int, path, shards, cursor: dict) -> dict:
+    """JSON header metadata pinning what this checkpoint belongs to."""
+    trace_bytes = None
+    if path is not None:
+        try:
+            trace_bytes = os.path.getsize(path)
+        except OSError:
+            pass
+    return {
+        "detector": detector,
+        "nranks": nranks,
+        "trace": str(path) if path is not None else None,
+        "trace_bytes": trace_bytes,
+        "shards": list(shards),
+        "events_applied": cursor["events_applied"],
+        "chunk": cursor.get("chunk"),
+        "chain": cursor.get("chain"),
+    }
+
+
+def resume_expect(detector: str, nranks: int, path) -> dict:
+    """Header fields a checkpoint must match to be resumed here.
+
+    Trace identity is pinned by size, not path, so a trace copied or
+    moved next to its checkpoint directory still resumes.
+    """
+    expect = {"detector": detector, "nranks": nranks}
+    if path is not None:
+        try:
+            expect["trace_bytes"] = os.path.getsize(path)
+        except OSError:
+            pass
+    return expect
+
+
+def verify_resume_trace(meta: dict, path) -> None:
+    """Check the trace on disk still begins with the checkpointed prefix.
+
+    Chain-carrying checkpoints (v2 traces) verify by *content*: the
+    rolling chain recomputed over the first ``meta["chunk"]`` chunks
+    must equal the cursor's chain value, which proves byte-identity of
+    the analyzed prefix — and therefore admits append-only extensions,
+    the whole point of incremental re-analysis.  A shorter or differing
+    file raises :class:`TraceDivergedError`.  Checkpoints without a
+    chain (v1 traces, in-memory sources, pre-chain files) fall back to
+    the legacy exact-size pin.
+    """
+    if path is None:
+        return
+    chain = meta.get("chain")
+    chunk = meta.get("chunk")
+    if chain and chunk:
+        reg = obs.active()
+        try:
+            got = trace_chain(path, upto=chunk)
+        except TraceChainMismatch as exc:
+            reg.counter("incremental.divergences").add(1)
+            raise TraceDivergedError(
+                f"{path}: trace does not match the checkpointed prefix "
+                f"({exc})", path=str(path), chunk=exc.chunk) from exc
+        if len(got["chunks"]) < chunk:
+            reg.counter("incremental.divergences").add(1)
+            raise TraceDivergedError(
+                f"{path}: trace does not match the checkpointed prefix "
+                f"(only {len(got['chunks'])} complete chunk(s) on disk, "
+                f"checkpoint covers {chunk})", path=str(path))
+        if got["chunks"][chunk - 1] != chain:
+            reg.counter("incremental.divergences").add(1)
+            raise TraceDivergedError(
+                f"{path}: trace does not match the checkpointed prefix "
+                f"(chain diverged at or before chunk {chunk})",
+                path=str(path), chunk=chunk)
+        return
+    want = meta.get("trace_bytes")
+    if want is not None:
+        try:
+            got_bytes = os.path.getsize(path)
+        except OSError:
+            return
+        if got_bytes != want:
+            raise CheckpointError(
+                f"checkpoint trace_bytes={want!r} does not match this "
+                f"analysis ({got_bytes!r})")
+
+
+def run_state(body: dict, cursor: dict, ticks: int) -> dict:
+    """Payload for one checkpoint: analysis state + registry deltas."""
+    reg = obs.active()
+    state = dict(body)
+    state["cursor"] = cursor
+    state["ticks"] = ticks
+    state["obs"] = reg.snapshot() if reg.enabled else None
+    state["timeline"] = (reg.timeline.snapshot()
+                         if reg.timeline.enabled else None)
+    return state
+
+
+def restore_registry(reg, state: dict) -> None:
+    """Fold a checkpoint's obs/timeline deltas back into a registry."""
+    if state.get("obs") and reg.enabled:
+        reg.merge(state["obs"])
+    if state.get("timeline") and reg.timeline.enabled:
+        reg.timeline.merge(state["timeline"])

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..mpi.trace import StreamingTraceLog
-from .format import make_trace_writer
+from .writer import make_trace_writer
 
 __all__ = ["RECORDABLE_APPS", "AppSpec", "RecordResult", "record_app"]
 

@@ -21,40 +21,38 @@ Quickstart::
     repro serve --state /tmp/svc --port 8787 &
     repro submit mv.trace --server http://127.0.0.1:8787 --wait
     repro jobs --server http://127.0.0.1:8787
+
+Exports resolve lazily (:mod:`repro._lazy`): the daemon never imports
+the HTTP client (:mod:`~repro.serve.client`, ``urllib.request``), which
+only ``repro submit`` / ``repro jobs`` use.
 """
 
-from .cache import VerdictCache, trace_sha256
-from .client import (
-    ServerUnavailable,
-    poll_job,
-    request,
-    resolve_server,
-    submit_trace,
-    submit_with_retry,
-)
-from .journal import JOURNAL_MAGIC, JOURNAL_SCHEMA, JobJournal, JournalError
-from .scheduler import AdmissionError, Job, Scheduler, job_ckpt_dir
-from .server import ReproServer, ServeConfig, serve_forever, write_endpoint
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionError",
-    "JOURNAL_MAGIC",
-    "JOURNAL_SCHEMA",
-    "Job",
-    "JobJournal",
-    "JournalError",
-    "ReproServer",
-    "Scheduler",
-    "ServeConfig",
-    "ServerUnavailable",
-    "VerdictCache",
-    "job_ckpt_dir",
-    "poll_job",
-    "request",
-    "resolve_server",
-    "serve_forever",
-    "submit_trace",
-    "submit_with_retry",
-    "trace_sha256",
-    "write_endpoint",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "VerdictCache": ".cache",
+    "trace_sha256": ".cache",
+    "ServerUnavailable": ".client",
+    "poll_job": ".client",
+    "request": ".client",
+    "resolve_server": ".client",
+    "submit_trace": ".client",
+    "submit_with_retry": ".client",
+    "JOURNAL_MAGIC": ".journal",
+    "JOURNAL_SCHEMA": ".journal",
+    "JobJournal": ".journal",
+    "JournalError": ".journal",
+    "AdmissionError": ".scheduler",
+    "Job": ".scheduler",
+    "Scheduler": ".scheduler",
+    "job_ckpt_dir": ".scheduler",
+    "ReproServer": ".server",
+    "ServeConfig": ".server",
+    "serve_forever": ".server",
+    "write_endpoint": ".server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -40,9 +40,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .. import obs
-from ..mpi.errors import TraceFormatError
-from ..pipeline import CheckpointError, analyze_trace, backoff_delay
+from ..mpi.errors import CheckpointError, TraceFormatError
 from ..pipeline import checkpoint as _ckpt
+from ..pipeline.engine import analyze_trace
 from ..pipeline.format import compare_chain, trace_chain
 from .cache import VerdictCache, trace_sha256
 from .journal import JobJournal
@@ -538,6 +538,10 @@ class Scheduler:
             self._count("serve.jobs.quarantined")
             return
         self._count("serve.jobs.retried")
+        # a failing job is the cold path: the supervision module loads
+        # on the first retry, not with every daemon
+        from ..pipeline.resilience import backoff_delay
+
         delay = backoff_delay(job.attempts, base=self.backoff_base,
                               cap=self.backoff_max)
         self._transition(job, "queued", reason=f"retry: {why}")

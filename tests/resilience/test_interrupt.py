@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.pipeline.engine as engine
+import repro.pipeline.multiproc as multiproc
 from repro.pipeline import analyze_trace
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -41,7 +41,7 @@ def _interrupt_producer(monkeypatch, exc_type, after=500):
     queue dispatch the workers never call it, so the patched copy only
     fires in the parent.
     """
-    real = engine.shards_of
+    real = multiproc.shards_of
     seen = {"n": 0}
 
     def exploding(event, nranks):
@@ -50,7 +50,7 @@ def _interrupt_producer(monkeypatch, exc_type, after=500):
             raise exc_type()
         return real(event, nranks)
 
-    monkeypatch.setattr(engine, "shards_of", exploding)
+    monkeypatch.setattr(multiproc, "shards_of", exploding)
 
 
 @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
