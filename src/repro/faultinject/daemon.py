@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..pipeline import checkpoint as _ckpt
+from ..serve.server import FAULT_ENV
 
 __all__ = [
     "KillAfterCheckpoints",
@@ -41,8 +42,6 @@ __all__ = [
     "kill_daemon",
     "sever_mid_upload",
 ]
-
-FAULT_ENV = "REPRO_SERVE_FAULT"
 
 
 @dataclass
