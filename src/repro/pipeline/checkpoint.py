@@ -24,7 +24,10 @@ untrusted blob; the payload crc turns a torn write into a detected —
 quarantined — checkpoint rather than silent state corruption.  Files are
 written with the same atomic pattern as trace finalize (``<name>.tmp`` +
 ``os.replace``), so a crash mid-write never shadows the previous good
-checkpoint.
+checkpoint.  The payload is pickled straight into the file, its length
+and crc32 counted on the way and patched in before the fsync, so a
+write never holds the whole payload in memory; the bytes are those of
+``pickle.dumps(state, 4)``.
 
 A :class:`CheckpointStore` manages one *lane* (``serial``, or ``w3`` for
 worker 3) inside the checkpoint directory: monotonically numbered files,
@@ -35,7 +38,6 @@ pruning of superseded generations.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import pickle
@@ -175,6 +177,22 @@ def remove_write_hook(hook) -> None:
         pass
 
 
+class _CrcSink:
+    """Pickle target that writes through to a file, counting length + crc32."""
+
+    __slots__ = ("_write", "nbytes", "crc")
+
+    def __init__(self, fh) -> None:
+        self._write = fh.write
+        self.nbytes = 0
+        self.crc = 0
+
+    def write(self, data) -> int:
+        self.nbytes += len(data)
+        self.crc = zlib.crc32(data, self.crc)
+        return self._write(data)
+
+
 class CheckpointStore:
     """One lane's numbered checkpoint files in a shared directory."""
 
@@ -217,18 +235,24 @@ class CheckpointStore:
         header = {"schema": CKPT_SCHEMA, "lane": self.lane, "seq": seq,
                   "meta": meta}
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        payload = pickle.dumps(state, protocol=_PICKLE_PROTO)
         path = self._path(seq)
         tmp = path.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(_U32.pack(len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(_U32.pack(len(payload)))
-            fh.write(_U32.pack(zlib.crc32(payload)))
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(CKPT_MAGIC)
+                fh.write(_U32.pack(len(header_bytes)))
+                fh.write(header_bytes)
+                frame_at = fh.tell()
+                fh.write(bytes(_U32.size * 2))  # payload len | crc32, below
+                sink = _CrcSink(fh)
+                pickle.dump(state, sink, protocol=_PICKLE_PROTO)
+                fh.seek(frame_at)
+                fh.write(_U32.pack(sink.nbytes) + _U32.pack(sink.crc))
+                fh.flush()
+                os.fsync(fh.fileno())
+        except BaseException:
+            tmp.unlink(missing_ok=True)  # e.g. an unpicklable state
+            raise
         os.replace(tmp, path)
         self.prune()
         for hook in list(_write_hooks):
@@ -292,21 +316,20 @@ class CheckpointStore:
             blob = path.read_bytes()
         except OSError as exc:
             raise CheckpointError(f"{path.name}: unreadable: {exc}")
-        fh = io.BytesIO(blob)
-        if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
+        if blob[:len(CKPT_MAGIC)] != CKPT_MAGIC:
             raise CheckpointError(f"{path.name}: bad magic")
-        header = self._read_header(path, fh)
+        header, at = self._read_header(path, blob, len(CKPT_MAGIC))
         if header.get("schema") != CKPT_SCHEMA:
             raise CheckpointError(
                 f"{path.name}: unknown schema {header.get('schema')!r}")
-        raw = fh.read(_U32.size * 2)
-        if len(raw) != _U32.size * 2:
+        if len(blob) < at + _U32.size * 2:
             raise CheckpointError(f"{path.name}: truncated payload frame")
-        nbytes = _U32.unpack_from(raw, 0)[0]
-        crc = _U32.unpack_from(raw, _U32.size)[0]
-        payload = fh.read(nbytes)
-        if len(payload) != nbytes:
+        nbytes = _U32.unpack_from(blob, at)[0]
+        crc = _U32.unpack_from(blob, at + _U32.size)[0]
+        at += _U32.size * 2
+        if len(blob) - at < nbytes:
             raise CheckpointError(f"{path.name}: truncated payload")
+        payload = memoryview(blob)[at:at + nbytes]  # in place, no copy
         if zlib.crc32(payload) != crc:
             raise CheckpointError(f"{path.name}: payload crc mismatch")
         try:
@@ -316,23 +339,23 @@ class CheckpointStore:
         return header, state
 
     @staticmethod
-    def _read_header(path: Path, fh: io.BytesIO) -> dict:
-        raw = fh.read(_U32.size)
-        if len(raw) != _U32.size:
+    def _read_header(path: Path, blob: bytes, at: int) -> Tuple[dict, int]:
+        """The JSON header at offset ``at``, and the offset just past it."""
+        if len(blob) < at + _U32.size:
             raise CheckpointError(f"{path.name}: truncated header frame")
-        hlen = _U32.unpack(raw)[0]
+        hlen = _U32.unpack_from(blob, at)[0]
+        at += _U32.size
         if hlen > 1 << 20:
             raise CheckpointError(f"{path.name}: implausible header size")
-        hbytes = fh.read(hlen)
-        if len(hbytes) != hlen:
+        if len(blob) - at < hlen:
             raise CheckpointError(f"{path.name}: truncated header")
         try:
-            header = json.loads(hbytes.decode("utf-8"))
+            header = json.loads(blob[at:at + hlen].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path.name}: bad header json: {exc}")
         if not isinstance(header, dict):
             raise CheckpointError(f"{path.name}: header is not an object")
-        return header
+        return header, at + hlen
 
 
 # -- engine plumbing ----------------------------------------------------------

@@ -300,9 +300,10 @@ class Scheduler:
 
         ``spooled`` must live on the same filesystem as the scheduler's
         spool directory (the HTTP layer writes uploads there); it is
-        renamed into content-addressed storage.  Raises
-        :class:`AdmissionError` on backpressure — *after* which the
-        spooled file is still the caller's to clean up.
+        renamed into content-addressed storage.  ``sha`` is its sha256
+        when the caller hashed it while spooling; otherwise the file is
+        hashed here.  Raises :class:`AdmissionError` on backpressure —
+        *after* which the spooled file is still the caller's to clean up.
         """
         spooled = Path(spooled)
         if sha is None:
@@ -586,8 +587,15 @@ class Scheduler:
             return job.to_dict() if job is not None else None
 
     def get_result(self, jid: str) -> Optional[dict]:
+        return self._done_entry(jid, self.cache.get)
+
+    def get_result_bytes(self, jid: str) -> Optional[bytes]:
+        """A done job's cache entry as stored (compact, key-sorted JSON)."""
+        return self._done_entry(jid, self.cache.get_bytes)
+
+    def _done_entry(self, jid: str, read):
         with self._lock:
             job = self.jobs.get(jid)
             if job is None or job.state != "done":
                 return None
-            return self.cache.get(job.trace_sha, job.detector)
+            return read(job.trace_sha, job.detector)

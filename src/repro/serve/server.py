@@ -11,11 +11,17 @@ Endpoints::
     GET  /readyz                       readiness (503 once draining)
     GET  /metrics                      obs registry (text; ?format=json)
 
+An upload of any size streams through one reused 64 KiB buffer and is
+hashed as it is spooled; a result is sent as its cache entry's stored
+bytes, never re-encoded.
+
 Failure posture:
 
 * An upload that stops short of its ``Content-Length`` (client severed
-  mid-upload) is rejected with 400 and its spool file removed — a
-  half-received trace never becomes a job.
+  mid-upload, or gone quiet for :attr:`_Handler.timeout` seconds) is
+  rejected with 400 and its spool file removed — a half-received trace
+  never becomes a job, and a stalled client never pins a handler
+  thread.  The same timeout closes idle keep-alive connections.
 * Admission rejections are 429 with ``Retry-After`` (see
   :class:`~repro.serve.scheduler.Scheduler`).
 * SIGTERM triggers a graceful drain: readiness flips to 503, the
@@ -26,6 +32,7 @@ Failure posture:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -47,6 +54,9 @@ from .scheduler import AdmissionError, Scheduler
 FAULT_ENV = "REPRO_SERVE_FAULT"
 
 __all__ = ["ServeConfig", "ReproServer", "serve_forever", "write_endpoint"]
+
+#: upload spool block: the one buffer an upload is read into
+_SPOOL_BLOCK = 64 << 10
 
 #: characters allowed in a tenant name (it lands in metric labels)
 _TENANT_OK = set("abcdefghijklmnopqrstuvwxyz"
@@ -93,6 +103,9 @@ def write_endpoint(state_dir: Union[str, Path], host: str, port: int) -> Path:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: socket timeout (s): a client silent this long mid-request or
+    #: between keep-alive requests loses its connection
+    timeout = 30.0
 
     # -- plumbing -------------------------------------------------------------
 
@@ -181,23 +194,29 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(409, {"error": f"job {jid} is {job['state']!r}, "
                                            "not done", "job": job})
             return
-        result = self.scheduler.get_result(jid)
-        if result is None:
-            self._send_json(404, {"error": f"result for {jid} is missing"})
-            return
         if what == "result":
             self._count("result", "GET")
-            self._send_json(200, result)
+            # the cache entry's stored bytes, never re-encoded per fetch
+            body = self.scheduler.get_result_bytes(jid)
+            ctype = "application/json"
         elif what == "report.html":
             self._count("report", "GET")
-            from ..obs.htmlreport import render_html_report
+            result = self.scheduler.get_result(jid)
+            body = None
+            if result is not None:
+                from ..obs.htmlreport import render_html_report
 
-            html = render_html_report(
-                result, title=f"repro race report — job {jid}")
-            self._send_bytes(200, html.encode("utf-8"),
-                             "text/html; charset=utf-8")
+                body = render_html_report(
+                    result, title=f"repro race report — job {jid}"
+                ).encode("utf-8")
+            ctype = "text/html; charset=utf-8"
         else:
             self._send_json(404, {"error": f"no artifact {what!r}"})
+            return
+        if body is None:
+            self._send_json(404, {"error": f"result for {jid} is missing"})
+        else:
+            self._send_bytes(200, body, ctype)
 
     # -- POST -----------------------------------------------------------------
 
@@ -223,9 +242,10 @@ class _Handler(BaseHTTPRequestHandler):
         if not tenant or len(tenant) > 64 or set(tenant) - _TENANT_OK:
             self._send_json(400, {"error": "invalid tenant name"})
             return
-        spooled = self._spool_body()
-        if spooled is None:
+        upload = self._spool_body()
+        if upload is None:
             return  # error already sent
+        spooled, sha = upload
         try:
             # a cheap structural check before admission: an upload that
             # is not a trace at all never becomes a job
@@ -237,7 +257,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             job = self.scheduler.submit_file(spooled, tenant=tenant,
-                                             detector=detector)
+                                             detector=detector, sha=sha)
         except AdmissionError as exc:
             spooled.unlink(missing_ok=True)
             self._send_json(
@@ -248,8 +268,15 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send_json(202, job.to_dict())
 
-    def _spool_body(self) -> Optional[Path]:
-        """Stream the upload to a spool file; None (+response) on failure."""
+    def _spool_body(self) -> Optional[Tuple[Path, str]]:
+        """Stream the upload to a spool file, hashing it on the way.
+
+        Returns ``(spool path, hex sha256)``, or None once an error
+        response is sent.  The body is read into one reused
+        :data:`_SPOOL_BLOCK` buffer, so an upload of any size costs the
+        handler thread 64 KiB, and admission never re-reads the file to
+        hash it.
+        """
         length = self.headers.get("Content-Length")
         if length is None:
             self._send_json(411, {"error": "Content-Length required"})
@@ -270,25 +297,39 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         spool = (self.scheduler.traces_dir
                  / f".upload-{threading.get_ident()}-{time.monotonic_ns()}.tmp")
+        t0 = time.perf_counter()
+        sha = hashlib.sha256()
+        buf = memoryview(bytearray(_SPOOL_BLOCK))
         got = 0
         try:
             with open(spool, "wb") as fh:
                 while got < length:
-                    block = self.rfile.read(min(1 << 20, length - got))
-                    if not block:
+                    n = self.rfile.readinto(buf[:min(_SPOOL_BLOCK,
+                                                     length - got)])
+                    if not n:
                         break  # client severed the connection mid-upload
-                    fh.write(block)
-                    got += len(block)
-        except (OSError, ConnectionError):
+                    sha.update(buf[:n])
+                    fh.write(buf[:n])
+                    got += n
+        except OSError:  # reset, or silent past the socket timeout
             got = -1
         if got != length:
             spool.unlink(missing_ok=True)
             self.scheduler._count("serve.uploads.rejected",
                                   reason="truncated")
+            # the rest of the body may still arrive: the stream is out
+            # of step, so this connection carries no further request
+            self.close_connection = True
             self._send_json(400, {"error": f"truncated upload: got "
                                            f"{max(got, 0)} of {length} bytes"})
             return None
-        return spool
+        sched = self.scheduler
+        if sched.registry.enabled:
+            with sched._lock:
+                sched.registry.counter("serve.upload.bytes").add(length)
+                sched.registry.histogram("serve.upload.wall_ms").observe(
+                    int((time.perf_counter() - t0) * 1000))
+        return spool, sha.hexdigest()
 
 
 class ReproServer(ThreadingHTTPServer):

@@ -18,8 +18,11 @@ everything else must not.
 
 import json
 import os
+import pickle
+import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -38,6 +41,7 @@ from repro.pipeline import (
     TraceReader,
     analyze_trace,
 )
+from repro.pipeline.checkpoint import CKPT_MAGIC, CKPT_SCHEMA
 from repro.pipeline.engine import DETECTOR_SPECS
 from repro.pipeline.shard import dispatch_event
 
@@ -200,6 +204,47 @@ def test_store_expect_mismatch_is_hard_error(tmp_path):
     store.write({"detector": "our", "nranks": 4}, {"s": 1})
     with pytest.raises(CheckpointError, match="does not match"):
         store.load_latest(expect={"detector": "mc", "nranks": 4})
+
+
+def _one_shot_ckpt(lane, seq, meta, state):
+    """A ``repro-ckpt-v1`` file as one ``pickle.dumps`` payload writes it."""
+    header = json.dumps({"schema": CKPT_SCHEMA, "lane": lane, "seq": seq,
+                         "meta": meta}, sort_keys=True).encode("utf-8")
+    payload = pickle.dumps(state, protocol=4)
+    u32 = struct.Struct("<I").pack
+    return (CKPT_MAGIC + u32(len(header)) + header + u32(len(payload))
+            + u32(zlib.crc32(payload)) + payload)
+
+
+def test_store_streams_the_one_shot_layout(chunked_trace, tmp_path):
+    analyze_trace(chunked_trace, detector="our", jobs=1,
+                  ckpt_dir=tmp_path / "run", ckpt_every=1)
+    header, real = CheckpointStore(tmp_path / "run", "serial").load_latest()
+    # a real analysis state, many pickle frames, and one object large
+    # enough that pickle streams it outside any frame
+    state = {"run": real, "rows": list(range(100_000)),
+             "blob": bytes(range(256)) * 1024}
+    want = _one_shot_ckpt("serial", 1, header["meta"], state)
+    path = CheckpointStore(tmp_path / "streamed", "serial").write(
+        header["meta"], state)
+    assert path.read_bytes() == want
+    assert not list((tmp_path / "streamed").glob("*.tmp"))
+
+    # a file written the one-shot way still loads
+    (tmp_path / "one-shot").mkdir()
+    (tmp_path / "one-shot" / "serial-00000001.ckpt").write_bytes(want)
+    got_header, got = CheckpointStore(tmp_path / "one-shot",
+                                      "serial").load_latest()
+    assert got_header["meta"] == header["meta"]
+    assert got["rows"] == state["rows"] and got["blob"] == state["blob"]
+    assert got["run"]["cursor"] == real["cursor"]
+
+
+def test_store_write_failure_leaves_no_tmp(tmp_path):
+    store = CheckpointStore(tmp_path, "serial")
+    with pytest.raises(TypeError):
+        store.write({}, {"unpicklable": (i for i in ())})
+    assert not list(tmp_path.iterdir())
 
 
 # -- chaos matrix: jobs=4 -----------------------------------------------------

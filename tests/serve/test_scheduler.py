@@ -1,10 +1,14 @@
 """Scheduler policy: admission, retry/quarantine, cache, recovery."""
 
+import io
+import json
 import time
+import tracemalloc
 
 import pytest
 
 import repro.serve.scheduler as scheduler_mod
+from repro.pipeline import trace_chain
 from repro.serve import AdmissionError, VerdictCache
 
 
@@ -211,3 +215,33 @@ def test_cache_entry_without_verdicts_is_quarantined(tmp_path):
     cache.put("b" * 64, "our", {"wrong": "shape"})
     assert cache.get("b" * 64, "our") is None
     assert cache._path("b" * 64, "our").with_suffix(".json.bad").exists()
+
+
+def test_cache_entry_bytes_match_json_dump(tmp_path, chaos_oracle,
+                                           chaos_trace):
+    """The piecewise C-encoder writer emits ``json.dump``'s exact bytes."""
+    cache = VerdictCache(tmp_path)
+    chain = trace_chain(chaos_trace)
+    edges = {"verdicts": [], "empty": [{}, [], ()], "ints": {2: "b", 1: "a"},
+             "deep": [[[["d", {"z": 1, "y": [2.5, float("nan"), None]}]]]],
+             "text": ["\u00e9\n\"q\"", {"\u00fc": True}], "tuple": (1, (2,))}
+    tracemalloc.start()
+    try:
+        entry = cache.put("c" * 64, "our", chaos_oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one inner value encoded at a time, never the whole entry at once
+    # (a one-call json.dumps peaks at ~10x the entry size)
+    assert peak < 4 * entry.stat().st_size
+    for path, payload in (
+            (entry, chaos_oracle),
+            (cache.put_chain("c" * 64, "our", chain), chain),
+            (cache.put("e" * 64, "our", edges), edges)):
+        want = io.StringIO()
+        json.dump(payload, want, sort_keys=True)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+    assert chaos_oracle["forensics"] and chaos_oracle["timeline"]
+    assert cache.get_bytes("c" * 64, "our") == \
+        cache._path("c" * 64, "our").read_bytes()
+    assert cache.get("c" * 64, "our") == chaos_oracle
