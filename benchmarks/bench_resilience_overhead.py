@@ -1,6 +1,6 @@
 """Bench: what resilience costs — supervision, recovery, salvage reads.
 
-Four measurements on recorded miniVite traces, written to
+Five measurements on recorded miniVite traces, written to
 ``BENCH_resilience.json``:
 
 * ``supervised`` — a clean ``--jobs 2`` file-dispatch run under the full
@@ -12,13 +12,18 @@ Four measurements on recorded miniVite traces, written to
 * salvage vs strict read throughput on the intact trace — checksummed
   best-effort reading must be nearly free when nothing is damaged.
 * ``checkpoint`` — paired serial runs with checkpointing off vs on at
-  one checkpoint per chunk (``--ckpt-every 1``, the ``repro serve``
-  default) on the 36,895-event miniVite trace the serve benchmark
-  uses, interleaved A/B/A/B so machine drift hits both sides equally;
-  the median of the per-pair on/off wall-time ratios is the checkpoint
-  overhead, reported with the checkpoints each run wrote and their
-  bytes.  The DESIGN.md §11 target is ≤ 5%; this cadence does not meet
-  it (the measured ratio is recorded next to the target there).
+  one checkpoint per chunk (``--ckpt-every 1``, the pinned cadence
+  the chaos tests use) on the 36,895-event miniVite trace the serve
+  benchmark uses, interleaved A/B/A/B so machine drift hits both sides
+  equally; the median of the per-pair on/off wall-time ratios is the
+  checkpoint overhead, reported with the checkpoints each run wrote
+  and their bytes.  The DESIGN.md §11 target is ≤ 5%; this cadence
+  does not meet it (the measured ratio is recorded next to it there).
+* ``checkpoint_default`` — the same measurement (same trace, five
+  interleaved pairs) at the default amortized placement, which writes
+  the final checkpoint only on this trace.  The ≤ 5% target is met on
+  this leg: 1.02-1.04x median over three runs on the 2-core reference
+  container (DESIGN.md §11).
 
 Also runnable directly::
 
@@ -49,6 +54,12 @@ CKPT_SIZE = 4096
 #: DESIGN.md §11), with room for shared-runner timer noise
 CKPT_MAX_RATIO = 2.5
 
+#: the default-cadence leg's bound: the target is 1.05x and it measures
+#: 1.02-1.04x; single ratios on a shared 2-core VM spread by +-30%, so
+#: the bound leaves room for a noisy median and still catches a
+#: placement rule that checkpoints every few chunks again (~1.5x)
+CKPT_DEFAULT_MAX_RATIO = 1.25
+
 
 def _read_throughput(trace: Path, *, strict: bool) -> float:
     reader = TraceReader(trace, strict=strict)
@@ -57,9 +68,11 @@ def _read_throughput(trace: Path, *, strict: bool) -> float:
     return n / (time.perf_counter() - t0)
 
 
-def _ckpt_overhead(trace: Path, tmp: Path, *, pairs: int = 5) -> dict:
-    """Median on/off wall-time ratio over interleaved paired runs, at
-    one checkpoint per chunk; every "on" run must write checkpoints."""
+def _ckpt_overhead(trace: Path, tmp: Path, *, every, pairs: int = 5
+                   ) -> dict:
+    """Median on/off wall-time ratio over interleaved paired runs, at a
+    cadence of ``every`` chunks (``None``: the amortized default);
+    every "on" run must write checkpoints."""
     ratios = []
     off_walls, on_walls = [], []
     sizes: list = []
@@ -71,12 +84,13 @@ def _ckpt_overhead(trace: Path, tmp: Path, *, pairs: int = 5) -> dict:
     try:
         for i in range(pairs):
             off = analyze_trace(trace, detector="our", jobs=1)
-            ck = tmp / f"ck{i}"
+            ck = tmp / f"ck{every}-{i}"
             del sizes[:]
             on = analyze_trace(trace, detector="our", jobs=1,
-                               ckpt_dir=ck, ckpt_every=1)
+                               ckpt_dir=ck, ckpt_every=every)
             assert on.verdicts == off.verdicts, \
                 "checkpointing changed the verdict set"
+            assert on.forensics == off.forensics
             written = on.checkpoint["written"]
             assert written > 0 and written == len(sizes), on.checkpoint
             off_walls.append(off.wall_seconds)
@@ -86,7 +100,7 @@ def _ckpt_overhead(trace: Path, tmp: Path, *, pairs: int = 5) -> dict:
     finally:
         remove_write_hook(note_size)
     return {
-        "ckpt_every": 1,
+        "ckpt_every": every,
         "events": on.events_total,
         "pairs": pairs,
         "checkpoints_per_run": written,
@@ -117,7 +131,9 @@ def run_overhead(out: Path = OUT, *, size: int = 512) -> dict:
         ckpt_trace = Path(tmp) / "ckpt.trace"
         record_app("minivite", nranks=4, size=CKPT_SIZE, inject_race=True,
                    out=ckpt_trace, format="binary")
-        checkpoint = _ckpt_overhead(ckpt_trace, Path(tmp))
+        checkpoint = _ckpt_overhead(ckpt_trace, Path(tmp), every=1)
+        checkpoint_default = _ckpt_overhead(ckpt_trace, Path(tmp),
+                                            every=None)
 
     assert recovered.verdicts == clean.verdicts, \
         "recovery changed the verdict set"
@@ -148,6 +164,7 @@ def run_overhead(out: Path = OUT, *, size: int = 512) -> dict:
             "salvage_vs_strict": round(salvage_eps / strict_eps, 3),
         },
         "checkpoint": checkpoint,
+        "checkpoint_default": checkpoint_default,
     }
     out.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -159,7 +176,9 @@ def test_resilience_overhead(once):
           f"salvage read: "
           f"{report['read_events_per_sec']['salvage_vs_strict']}x strict, "
           f"ckpt overhead: "
-          f"{report['checkpoint']['overhead_ratio_median']}x")
+          f"{report['checkpoint']['overhead_ratio_median']}x per chunk, "
+          f"{report['checkpoint_default']['overhead_ratio_median']}x "
+          f"default")
     assert OUT.exists()
     # salvage-mode reading of an intact trace stays in the same ballpark
     # as strict reading (generous bound: timer noise on tiny traces)
@@ -169,6 +188,10 @@ def test_resilience_overhead(once):
     assert report["checkpoint"]["checkpoints_per_run"] > 0, report
     assert report["checkpoint"]["overhead_ratio_median"] < CKPT_MAX_RATIO, \
         report
+    # the default placement meets the target; its bound absorbs noise
+    default = report["checkpoint_default"]
+    assert default["checkpoints_per_run"] > 0, report
+    assert default["overhead_ratio_median"] < CKPT_DEFAULT_MAX_RATIO, report
 
 
 if __name__ == "__main__":

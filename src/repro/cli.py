@@ -155,17 +155,20 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write repro-ckpt-v1 checkpoints of in-flight "
                          "analysis state to DIR; worker retries resume "
                          "mid-trace instead of replaying from byte 0")
-    an.add_argument("--ckpt-every", type=int, default=4, metavar="N",
-                    help="checkpoint cadence in trace chunks (default 4)")
+    an.add_argument("--ckpt-every", type=int, default=None, metavar="N",
+                    help="pin the checkpoint cadence to every N trace "
+                         "chunks (default: amortized — placed so "
+                         "checkpoint work stays within 5%% of analysis)")
     an.add_argument("--deadline-s", type=float, default=None, metavar="SEC",
                     help="wall-clock budget: past it the analysis "
                          "checkpoints, stops, and reports a partial "
                          "verdict (exit code 4, resumable with --resume; "
                          "needs --ckpt-dir)")
     an.add_argument("--max-rss-mb", type=int, default=None, metavar="MB",
-                    help="per-worker memory high-watermark: past it a "
-                         "worker checkpoints and is recycled (serial: "
-                         "stops like --deadline-s; needs --ckpt-dir)")
+                    help="per-worker memory budget: a worker whose "
+                         "current RSS exceeds it checkpoints and is "
+                         "recycled (serial: stops like --deadline-s; "
+                         "needs --ckpt-dir)")
     an.add_argument("--follow", action="store_true",
                     help="tail a live-growing trace: at end-of-file wait "
                          "for more chunks instead of finishing; requires "
@@ -286,10 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-job wall-clock budget (checkpoint + fail "
                           "past it; default: none)")
     srv.add_argument("--max-rss-mb", type=int, default=None, metavar="MB",
-                     help="per-job memory high-watermark (default: none)")
-    srv.add_argument("--ckpt-every", type=int, default=1, metavar="N",
-                     help="per-job checkpoint cadence in trace chunks "
-                          "(default 1 — the daemon favors resumability)")
+                     help="memory budget: a job stops (failed, "
+                          "guard:memory) when the daemon's current RSS "
+                          "exceeds it at a chunk boundary (default: none)")
+    srv.add_argument("--ckpt-every", type=int, default=None, metavar="N",
+                     help="pin each job's checkpoint cadence to every N "
+                          "trace chunks (default: amortized; a finished "
+                          "job always keeps its final checkpoint)")
     srv.add_argument("--drain-s", type=float, default=10.0, metavar="SEC",
                      help="graceful-drain budget on SIGTERM (default 10)")
     srv.add_argument("--cache-max", type=int, default=256, metavar="N",
@@ -637,7 +643,10 @@ def _analyze(args) -> int:
     if args.json:
         import json
 
-        print(json.dumps(result.to_dict(), indent=2))
+        # streamed: the encoder writes as it goes instead of joining
+        # the whole indented body in memory first
+        json.dump(result.to_dict(), sys.stdout, indent=2)
+        sys.stdout.write("\n")
         return EX_PARTIAL if result.partial else EX_OK
 
     name = detector_display_name(args.detector)
@@ -672,8 +681,10 @@ def _analyze(args) -> int:
               + (", file truncated" if s["truncated"] else ""))
     ck = result.checkpoint
     if ck:
+        cadence = ("amortized" if ck["every"] is None
+                   else f"every {ck['every']} chunk(s)")
         line = (f"  checkpoints: {ck['written']} written -> {ck['dir']} "
-                f"(every {ck['every']} chunk(s))")
+                f"({cadence})")
         if ck["recycles"]:
             line += f", {ck['recycles']} memory-guard recycle(s)"
         print(line)

@@ -117,6 +117,10 @@ class Detector:
         """Cumulative work units; see :attr:`work_units`."""
         return self.work_units
 
+    def state_rows(self) -> int:
+        """Rows of analysis state a checkpoint would carry (its size)."""
+        return 0
+
     # -- verdict plumbing ------------------------------------------------------
 
     #: timeline events shown per rank in a forensics bundle

@@ -197,6 +197,9 @@ class BstDetector(Detector):
         state["_closed_stats"] = TreeStats.from_dict(state["_closed_stats"])
         return state
 
+    def state_rows(self) -> int:
+        return sum(len(bst) for bst in self._stores.values())
+
     # -- statistics -------------------------------------------------------------------------
 
     def node_stats(self) -> NodeStats:

@@ -65,6 +65,9 @@ class McCChecker(Detector):
         self.work_units += 1 + len(clock)  # record + clock snapshot
         self._records.append(_Rec(memory_rank, access, stamp, clock, self._order))
 
+    def state_rows(self) -> int:
+        return len(self._records)
+
     def on_win_create(self, window: Window) -> None:
         for r in range(len(window.regions)):
             self._hb.app_clock(r)

@@ -60,6 +60,7 @@ __all__ = [
     "CheckpointStore",
     "TraceDivergedError",
     "add_write_hook",
+    "checkpoint_due",
     "current_rss_mb",
     "drain_requested",
     "install_drain_event",
@@ -68,6 +69,7 @@ __all__ = [
     "resume_expect",
     "run_meta",
     "run_state",
+    "snapshot_cost",
     "verify_resume_trace",
 ]
 
@@ -80,42 +82,98 @@ _U32 = struct.Struct("<I")
 _PICKLE_PROTO = 4
 
 
+# -- placement ----------------------------------------------------------------
+#
+# Where a lane checkpoints is decided by one amortized rule, in units of
+# analysis work: at a chunk boundary, checkpoint once the events applied
+# since the last checkpoint reach CKPT_AMORTIZE times the modelled cost
+# of the next snapshot.  Each placed snapshot is then paid for by at
+# least CKPT_AMORTIZE times its own cost in analysis, so placed
+# snapshots take at most 1/CKPT_AMORTIZE (4%) of analysis work however
+# the state grows.  The final checkpoint of a finished run comes on
+# top; the total stays within 5% once the run's analysis is 100 times
+# the final snapshot's cost.  The inputs are event counts and state
+# size, never time, so a seeded fault plan stops at the same checkpoint
+# on every run.  The costs were measured on the 36,895-event miniVite
+# trace on a 2-core container (DESIGN.md section 11): analysis ~5.5 us
+# an event; one checkpoint ~3.3 ms fixed (timeline snapshot, pickle,
+# write, fsync) plus ~0.4 us per live store row (column packing).
+
+#: fixed cost of one checkpoint, in events of analysis
+CKPT_FIXED_EVENTS = 600
+#: cost of one live store row in a checkpoint, in events of analysis
+CKPT_ROW_EVENTS = 0.075
+#: analysis work between checkpoints, in multiples of a snapshot's cost
+CKPT_AMORTIZE = 25
+
+
+def snapshot_cost(rows: int) -> float:
+    """Modelled cost of one checkpoint of ``rows`` live rows, in events."""
+    return CKPT_FIXED_EVENTS + CKPT_ROW_EVENTS * rows
+
+
+def checkpoint_due(events_since: int, rows: int) -> bool:
+    """The amortized rule: is a checkpoint due at this chunk boundary?"""
+    return events_since >= CKPT_AMORTIZE * snapshot_cost(rows)
+
+
 @dataclass(frozen=True)
 class CheckpointPlan:
     """Everything a worker needs to checkpoint and guard itself.
 
     Crosses the fork into worker processes, so it stays a frozen bag of
-    primitives.  ``deadline_at`` is an *absolute* ``time.time()`` value
-    computed once by the parent — forked workers share the clock, so
-    every lane observes the same deadline regardless of spawn jitter.
+    primitives.  ``every`` pins a fixed cadence of that many chunks;
+    ``None`` places checkpoints by :func:`checkpoint_due`.
+    ``deadline_at`` is an *absolute* ``time.time()`` value computed
+    once by the parent — forked workers share the clock, so every lane
+    observes the same deadline regardless of spawn jitter.
     """
 
     dir: str
-    every: int = 4
+    every: Optional[int] = None
     deadline_at: Optional[float] = None
     max_rss_mb: Optional[int] = None
     resume: bool = False
     keep: int = 2
 
+    def due(self, chunks_since: int, events_since: int, rows: int) -> bool:
+        """Checkpoint at this chunk boundary?"""
+        if self.every is not None:
+            return chunks_since >= self.every
+        return checkpoint_due(events_since, rows)
+
 
 _rss_unavailable_warned = False
 
 
+#: current resident set of this process (Linux); tests point it elsewhere
+_STATM = "/proc/self/statm"
+
+
 def current_rss_mb() -> Optional[float]:
-    """Resident-set high-water mark of this process, in MiB.
+    """Resident set size of this process right now, in MiB.
 
-    ``ru_maxrss`` is kibibytes on Linux and bytes on macOS.  Module-level
-    indirection on purpose: tests monkeypatch this to drive the memory
-    guard deterministically.
+    Read from ``/proc/self/statm`` (resident pages).  Where that file
+    is unreadable, fall back to ``ru_maxrss``, the lifetime peak
+    (kibibytes on Linux, bytes on macOS) — a long-lived daemon that
+    was once over budget then reads as over budget for good, which is
+    why the current value comes first.  Module-level indirection on
+    purpose: tests monkeypatch this to drive the memory guard
+    deterministically.
 
-    On platforms without a working :mod:`resource` probe this returns
-    ``None`` — callers treat that as "guard unavailable" and keep
-    analyzing (with a one-line warning, once per process) rather than
-    dying on a telemetry read.
+    With neither probe working this returns ``None`` — callers treat
+    that as "guard unavailable" and keep analyzing (with a one-line
+    warning, once per process) rather than dying on a telemetry read.
     """
     global _rss_unavailable_warned
     import sys
 
+    try:
+        with open(_STATM, "rb") as fh:
+            pages = int(fh.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / (1024.0 * 1024.0)
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         import resource
 

@@ -369,13 +369,17 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
     """Serial analysis in this process, optionally checkpointed.
 
     With a :class:`~repro.pipeline.checkpoint.CheckpointPlan` the chunk
-    loop checkpoints every ``plan.every`` chunks and checks the resource
-    guards at each boundary: hitting the deadline, the drain event or
-    the memory guard checkpoints, stops, and returns a *partial* result
+    loop checkpoints where :meth:`~repro.pipeline.checkpoint.
+    CheckpointPlan.due` says (the amortized rule, or every
+    ``plan.every`` chunks when pinned) and checks the resource guards
+    at each boundary: hitting the deadline, the drain event or the
+    memory guard checkpoints, stops, and returns a *partial* result
     with ``analyzed_fraction``; ``plan.resume`` picks up from the newest
-    valid checkpoint in the directory.  Counters are added per chunk,
-    so a mid-run checkpoint's registry snapshot already accounts the
-    events it covers.
+    valid checkpoint in the directory.  A run that ends normally writes
+    a final checkpoint at its last cursor (unless the newest one is
+    already there), which is what a serve job keeps for prefix-resume.
+    Counters are added per chunk, so a mid-run checkpoint's registry
+    snapshot already accounts the events it covers.
 
     ``follow=True`` tails a still-growing v2 trace: when the file ends
     without a trailer the loop checkpoints, polls with capped backoff
@@ -425,20 +429,20 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
 
     n = start["events_applied"] if start is not None else 0
     cursor = start
-    chunks_since = 0
+    chunks_since = events_since = 0
     stop = None
     written = 0
     c_read = reg.counter("pipeline.events.read")
     c_analyzed = reg.counter("pipeline.events.analyzed")
 
     def _write(cur):
-        nonlocal written, chunks_since
+        nonlocal written, chunks_since, events_since
         store.write(
             _ckpt.run_meta(detector_name, nranks, path, range(nranks), cur),
             _ckpt.run_state({"detector": det.snapshot()}, cur,
                             cur["events_applied"]))
         written += 1
-        chunks_since = 0
+        chunks_since = events_since = 0
 
     def _guard_stop():
         if plan.deadline_at is not None and time.time() >= plan.deadline_at:
@@ -471,14 +475,12 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
                     if plan is None:
                         continue
                     chunks_since += 1
-                    wrote = False
-                    if plan.every and chunks_since >= plan.every:
+                    events_since += count
+                    if plan.due(chunks_since, events_since,
+                                det.state_rows()):
                         _write(cursor)
-                        wrote = True
                     stop = _guard_stop()
                     if stop is not None:
-                        if not wrote:
-                            _write(cursor)
                         break
             except TraceChainMismatch as exc:
                 if plan is None:
@@ -506,8 +508,6 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
                     and time.time() - last_progress >= follow_timeout_s:
                 stop = "follow-timeout"
             if stop is not None:
-                if chunks_since and cursor is not None:
-                    _write(cursor)
                 break
             if cursor is not None and path is not None:
                 try:
@@ -523,6 +523,10 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
             reg.counter("incremental.tail_retries").add(1)
             time.sleep(poll_s)
             poll_s = min(poll_s * 2, 1.0)
+        if chunks_since:
+            # the final checkpoint: a guard stop resumes from it, and a
+            # finished run keeps it as its prefix-resume point
+            _write(cursor)
 
     det.finalize()
     wall = time.perf_counter() - t0
@@ -579,7 +583,7 @@ def analyze_trace(
     recover: bool = True,
     fault_plan=None,
     ckpt_dir: Optional[Union[str, Path]] = None,
-    ckpt_every: int = 4,
+    ckpt_every: Optional[int] = None,
     deadline_s: Optional[float] = None,
     max_rss_mb: Optional[int] = None,
     resume: bool = False,
@@ -633,7 +637,7 @@ def _analyze_impl(
     recover: bool = True,
     fault_plan=None,
     ckpt_dir: Optional[Union[str, Path]] = None,
-    ckpt_every: int = 4,
+    ckpt_every: Optional[int] = None,
     deadline_s: Optional[float] = None,
     max_rss_mb: Optional[int] = None,
     resume: bool = False,
@@ -666,11 +670,14 @@ def _analyze_impl(
 
     * ``ckpt_dir`` — directory for ``repro-ckpt-v1`` files; enables
       checkpointing, retry-resume, and the resource guards;
-    * ``ckpt_every`` — cadence in trace chunks between checkpoints;
+    * ``ckpt_every`` — pin a cadence of that many trace chunks between
+      checkpoints; ``None`` (default) places them by the amortized rule
+      (:func:`~repro.pipeline.checkpoint.checkpoint_due`);
     * ``deadline_s`` — wall-clock budget: past it the analysis
       checkpoints and returns a *partial*, resumable result;
-    * ``max_rss_mb`` — per-worker memory high-watermark: past it a
-      worker checkpoints and is recycled (serial: stops like deadline);
+    * ``max_rss_mb`` — per-worker memory budget: a worker whose
+      current RSS exceeds it at a chunk boundary checkpoints and is
+      recycled (serial: stops like deadline);
     * ``resume`` — start from the newest valid checkpoint in
       ``ckpt_dir`` instead of from byte 0.
 
@@ -696,7 +703,7 @@ def _analyze_impl(
                              or resume):
         raise ValueError(
             "deadline_s/max_rss_mb/resume need a checkpoint directory")
-    if ckpt_every < 1:
+    if ckpt_every is not None and ckpt_every < 1:
         raise ValueError("ckpt_every must be >= 1")
     if deadline_s is not None and deadline_s <= 0:
         raise ValueError("deadline_s must be positive")

@@ -129,6 +129,9 @@ class _ShardGroup:
             "events": dict(self.events),
         }
 
+    def state_rows(self) -> int:
+        return sum(d.state_rows() for d in self.detectors.values())
+
     def restore_state(self, state: dict) -> None:
         for shard, det in self.detectors.items():
             det.restore(state["detectors"][shard])
@@ -215,7 +218,8 @@ def _worker_file(worker_id, shards, detector, nranks, path, out_q,
     worker iterates the trace *chunk-wise* and at chunk boundaries (the
     only points where the reader cursor is crash-consistent):
 
-    * every ``ckpt.every`` chunks it writes its lane's checkpoint;
+    * where ``ckpt.due`` says (the amortized rule, or every
+      ``ckpt.every`` chunks when pinned) it writes its lane's checkpoint;
     * past ``ckpt.deadline_at`` it checkpoints, reports a ``partial``
       payload and stops cleanly (resumable);
     * past ``ckpt.max_rss_mb`` it checkpoints and asks the engine to
@@ -292,23 +296,28 @@ def _worker_file(worker_id, shards, detector, nranks, path, out_q,
             yield chunk_cursor
 
     chunks_since = 0
+    last_at = start["events_applied"] if start is not None else 0
     stop = None
     cursor = start
+
+    def write(cur):
+        nonlocal chunks_since, last_at
+        store.write(
+            _ckpt.run_meta(detector, nranks, path, shards, cur),
+            _ckpt.run_state({"group": group.snapshot_state()}, cur, ticks))
+        ckpt_info["written"] += 1
+        chunks_since = 0
+        last_at = cur["events_applied"]
+
     with reg.span("worker.read"):
         for cursor in (wire_chunks() if wire is not None
                        else decoded_chunks()):
             if ckpt is None:
                 continue
             chunks_since += 1
-            wrote = False
-            if ckpt.every and chunks_since >= ckpt.every:
-                store.write(
-                    _ckpt.run_meta(detector, nranks, path, shards, cursor),
-                    _ckpt.run_state({"group": group.snapshot_state()},
-                                    cursor, ticks))
-                ckpt_info["written"] += 1
-                chunks_since = 0
-                wrote = True
+            if ckpt.due(chunks_since, cursor["events_applied"] - last_at,
+                        group.state_rows()):
+                write(cursor)
             if ckpt.deadline_at is not None and time.time() >= ckpt.deadline_at:
                 stop = "deadline"
             elif ckpt.max_rss_mb is not None:
@@ -320,13 +329,8 @@ def _worker_file(worker_id, shards, detector, nranks, path, out_q,
                 if rss is not None and rss > ckpt.max_rss_mb:
                     stop = "recycle"
             if stop is not None:
-                if not wrote:
-                    store.write(
-                        _ckpt.run_meta(detector, nranks, path, shards,
-                                       cursor),
-                        _ckpt.run_state({"group": group.snapshot_state()},
-                                        cursor, ticks))
-                    ckpt_info["written"] += 1
+                if chunks_since:
+                    write(cursor)
                 break
 
     if stop == "recycle":

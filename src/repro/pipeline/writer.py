@@ -133,23 +133,29 @@ class BinaryTraceWriter:
         else:
             self._tmp = self.path.with_name(self.path.name + ".tmp")
         self._fh = self._tmp.open("wb")
-        head: dict = {
-            "format": FORMAT_V2,
-            "nranks": nranks,
-            "chunk_crc32": True,
-            "enums": _enum_tables(),
-        }
-        if chain:
-            head["chunk_chain"] = CHAIN_ALGO
-        header = json.dumps(head).encode("utf-8")
-        hlen_raw = _U32.pack(len(header))
-        self._chain: Optional[bytes] = (
-            _chain_seed(hlen_raw, header) if chain else None)
-        self._fh.write(MAGIC_V2)
-        self._fh.write(hlen_raw)
-        self._fh.write(header)
-        if self._live:
-            self._fh.flush()
+        try:
+            head: dict = {
+                "format": FORMAT_V2,
+                "nranks": nranks,
+                "chunk_crc32": True,
+                "enums": _enum_tables(),
+            }
+            if chain:
+                head["chunk_chain"] = CHAIN_ALGO
+            header = json.dumps(head).encode("utf-8")
+            hlen_raw = _U32.pack(len(header))
+            self._chain: Optional[bytes] = (
+                _chain_seed(hlen_raw, header) if chain else None)
+            self._fh.write(MAGIC_V2)
+            self._fh.write(hlen_raw)
+            self._fh.write(header)
+            if self._live:
+                self._fh.flush()
+        except BaseException:
+            # e.g. SIGTERM before the caller's ``with`` is entered: no
+            # __exit__ will run, so drop the temp file here
+            self.abort()
+            raise
 
     @classmethod
     def open_append(
@@ -365,8 +371,12 @@ class JsonTraceWriter:
         self._done = False
         self._tmp = self.path.with_name(self.path.name + ".tmp")
         self._fh = self._tmp.open("w")
-        json.dump({"format": FORMAT_V1, "nranks": nranks}, self._fh)
-        self._fh.write("\n")
+        try:
+            json.dump({"format": FORMAT_V1, "nranks": nranks}, self._fh)
+            self._fh.write("\n")
+        except BaseException:
+            self.abort()  # as in BinaryTraceWriter.__init__
+            raise
 
     def write(self, event: TraceEvent) -> None:
         json.dump(self._to_dict(event), self._fh, separators=(",", ":"))

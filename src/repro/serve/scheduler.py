@@ -142,7 +142,7 @@ class Scheduler:
         retries: int = 2,
         deadline_s: Optional[float] = None,
         max_rss_mb: Optional[int] = None,
-        ckpt_every: int = 1,
+        ckpt_every: Optional[int] = None,
         backoff_base: float = 0.05,
         backoff_max: float = 2.0,
         compact_every: int = 512,
@@ -154,6 +154,8 @@ class Scheduler:
             raise ValueError("max_queue must be >= 1")
         if tenant_cap < 1:
             raise ValueError("tenant_cap must be >= 1")
+        if ckpt_every is not None and ckpt_every < 1:
+            raise ValueError("ckpt_every must be >= 1")
         self.state_dir = Path(state_dir)
         self.traces_dir = self.state_dir / "traces"
         self.ckpt_base = self.state_dir / "ckpt"

@@ -76,7 +76,7 @@ class ServeConfig:
     retries: int = 2
     deadline_s: Optional[float] = None
     max_rss_mb: Optional[int] = None
-    ckpt_every: int = 1
+    ckpt_every: Optional[int] = None
     drain_s: float = 10.0
     max_body_mb: int = 256
     cache_max: Optional[int] = 256

@@ -28,6 +28,28 @@ def make_acc():
     return acc
 
 
+def _record_minivite(tmp_path_factory, size: int):
+    from repro.pipeline import record_app
+
+    path = tmp_path_factory.mktemp("mv") / f"mv{size}.trace"
+    record_app("minivite", nranks=4, size=size, inject_race=True,
+               out=path, format="binary")
+    return path
+
+
+@pytest.fixture(scope="session")
+def mv4096_trace(tmp_path_factory):
+    """The 36,895-event, 19-chunk racy miniVite trace the benches use."""
+    return _record_minivite(tmp_path_factory, 4096)
+
+
+@pytest.fixture(scope="session")
+def mv8192_trace(tmp_path_factory):
+    """A 73,755-event racy miniVite trace: long enough that the
+    amortized rule checkpoints mid-trace (at 40,960 events)."""
+    return _record_minivite(tmp_path_factory, 8192)
+
+
 # re-export the enum members as conveniences for test modules
 LR = AccessType.LOCAL_READ
 LW = AccessType.LOCAL_WRITE

@@ -70,6 +70,13 @@ class TestRecordAnalyzeEndToEnd:
         assert report["events_total"] > 0
         assert isinstance(report["verdicts"], list)
 
+    def test_analyze_json_is_the_indented_dump(self, minivite_trace, capsys):
+        """``--json`` streams exactly the text ``json.dumps`` would build."""
+        assert main(["analyze", str(minivite_trace), "--json"]) == 0
+        text = capsys.readouterr().out
+        assert json.loads(text)["forensics"]
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
     def test_inject_race_rejected_for_non_minivite(self, tmp_path, capsys):
         assert main(["record", "cfd", "--inject-race",
                      "-o", str(tmp_path / "t")]) == 2

@@ -130,6 +130,7 @@ def test_deadline_partial_exits_4_and_resume_exits_0(mv_trace, tmp_path,
     assert status == 0
     out = capsys.readouterr().out
     assert "resumed lane serial from checkpoint" in out
+    assert "(amortized)" in out
     assert "PARTIAL" not in out
 
 

@@ -114,6 +114,27 @@ def test_sigterm_mid_analysis_leaves_no_orphans(mv_trace, tmp_path):
         proc.stdout.close()
 
 
+@pytest.mark.parametrize("fmt", ["binary", "json"])
+def test_writer_interrupted_while_starting_leaves_no_temp(tmp_path,
+                                                          monkeypatch, fmt):
+    """SIGTERM landing while a writer writes its header — after it has
+    created ``<out>.tmp``, before the caller's ``with`` — leaves no file."""
+    import types
+
+    import repro.pipeline.writer as writer_mod
+
+    def interrupted(*args, **kwargs):
+        raise SystemExit(143)
+
+    monkeypatch.setattr(writer_mod, "json",
+                        types.SimpleNamespace(dump=interrupted,
+                                              dumps=interrupted))
+    with pytest.raises(SystemExit):
+        writer_mod.make_trace_writer(tmp_path / "t.trace", nranks=2,
+                                     format=fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sigterm_mid_record_removes_temp_files(tmp_path):
     """``repro record`` killed mid-write leaves neither trace nor temp."""
     out = tmp_path / "mv.trace"

@@ -1,9 +1,10 @@
-"""The RSS probe degrades gracefully where ``resource`` is unusable.
+"""The RSS probe reads current memory, and degrades gracefully.
 
 The memory guard is telemetry, not correctness: on a platform where
-``getrusage`` fails (or the module is missing), an analysis with
+neither ``/proc/self/statm`` nor ``getrusage`` works, an analysis with
 ``--max-rss-mb`` must warn once, disable the guard, and run to a full
-verdict — never die on the probe itself.
+verdict — never die on the probe itself.  Where ``/proc`` is missing
+but ``getrusage`` works, the probe falls back to the lifetime peak.
 """
 
 import sys
@@ -24,7 +25,12 @@ class _BrokenResource:
 
 
 @pytest.fixture
-def broken_resource(monkeypatch):
+def no_proc(monkeypatch, tmp_path):
+    monkeypatch.setattr(ckpt_mod, "_STATM", str(tmp_path / "no-statm"))
+
+
+@pytest.fixture
+def broken_resource(monkeypatch, no_proc):
     monkeypatch.setitem(sys.modules, "resource", _BrokenResource())
     monkeypatch.setattr(ckpt_mod, "_rss_unavailable_warned", False)
 
@@ -40,6 +46,14 @@ def test_probe_returns_none_and_warns_once(broken_resource):
 
 def test_probe_works_on_this_platform():
     assert ckpt_mod.current_rss_mb() > 0
+
+
+def test_probe_without_proc_falls_back_to_the_peak(no_proc):
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    want = peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+    assert ckpt_mod.current_rss_mb() == pytest.approx(want, rel=0.05)
 
 
 def test_memory_guard_disables_instead_of_dying(

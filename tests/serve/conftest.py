@@ -72,9 +72,11 @@ def small_trace(tmp_path_factory):
 def chaos_trace(tmp_path_factory):
     """A racy miniVite run re-chunked small (~12 chunks).
 
-    The chaos injectors key off checkpoint writes (one per chunk at
-    the daemon's default cadence), so the trace must span enough
+    The chaos injectors key off checkpoint writes (one per chunk when
+    a test pins ``--ckpt-every 1``), so the trace must span enough
     chunks that a kill after the 2nd checkpoint is genuinely mid-run.
+    At the default, amortized placement its only checkpoint is the
+    final one.
     """
     base = tmp_path_factory.mktemp("serve") / "mv_raw.trace"
     record_app("minivite", nranks=4, size=256, inject_race=True,

@@ -13,6 +13,7 @@ of wherever the scheduler happened to be.
 
 import json
 
+from repro.pipeline import CheckpointStore, analyze_trace
 from repro.serve import poll_job, request, submit_trace
 
 
@@ -26,7 +27,7 @@ def test_sigkill_mid_job_resumes_to_identical_verdicts(
     # arm the injector: the daemon os._exit(137)s right after the job's
     # 2nd checkpoint write — to every file it is exactly `kill -9`
     proc, base = spawn_daemon(
-        state, "--workers", "1",
+        state, "--workers", "1", "--ckpt-every", "1",
         env_extra={"REPRO_SERVE_FAULT": "kill-after-ckpt:2"})
     status, _, job = submit_trace(base, chaos_trace)
     assert status == 202
@@ -54,7 +55,7 @@ def test_stalled_worker_leaves_daemon_healthy(
     # the daemon keeps answering health checks throughout
     proc, base = spawn_daemon(
         tmp_path / "svc", "--workers", "1", "--deadline-s", "1",
-        "--drain-s", "1",
+        "--drain-s", "1", "--ckpt-every", "1",
         env_extra={"REPRO_SERVE_FAULT": "stall-after-ckpt:1:2"})
     status, _, job = submit_trace(base, chaos_trace)
     assert status == 202
@@ -93,13 +94,13 @@ def test_sigkill_recovery_idempotent_across_two_kills(
     # verdicts still match the oracle bit for bit
     state = tmp_path / "svc"
     proc, base = spawn_daemon(
-        state, "--workers", "1",
+        state, "--workers", "1", "--ckpt-every", "1",
         env_extra={"REPRO_SERVE_FAULT": "kill-after-ckpt:2"})
     _, _, job = submit_trace(base, chaos_trace)
     assert proc.wait(timeout=60) == 137
 
     proc2, _ = spawn_daemon(
-        state, "--workers", "1",
+        state, "--workers", "1", "--ckpt-every", "1",
         env_extra={"REPRO_SERVE_FAULT": "kill-after-ckpt:2"})
     assert proc2.wait(timeout=60) == 137  # died again, further along
 
@@ -110,3 +111,66 @@ def test_sigkill_recovery_idempotent_across_two_kills(
     status, _, result = request(f"{base3}/jobs/{job['id']}/result")
     assert status == 200
     assert _canon(result["verdicts"]) == _canon(chaos_oracle["verdicts"])
+
+
+# -- the default (amortized) cadence ------------------------------------------
+
+
+def test_sigkill_after_first_amortized_checkpoint_resumes(
+        spawn_daemon, tmp_path, mv8192_trace):
+    """Die right after the rule's first, mid-trace checkpoint; restart."""
+    # the oracle, and where the rule places that checkpoint in-process
+    ck = tmp_path / "direct"
+    oracle = analyze_trace(mv8192_trace, detector="our", jobs=1,
+                           ckpt_dir=ck).to_dict()
+    first = ck / "serial-00000001.ckpt"
+    blob = first.read_bytes()
+    at = CheckpointStore._read_header(first, blob, 8)[0]["meta"][
+        "events_applied"]
+    assert 0 < at < oracle["events_total"]
+
+    state = tmp_path / "svc"
+    proc, base = spawn_daemon(
+        state, "--workers", "1",
+        env_extra={"REPRO_SERVE_FAULT": "kill-after-ckpt:1"})
+    status, _, job = submit_trace(base, mv8192_trace)
+    assert status == 202
+    assert proc.wait(timeout=60) == 137
+
+    proc2, base2 = spawn_daemon(state, "--workers", "1")
+    done = poll_job(base2, job["id"], timeout_s=90.0)
+    assert done["state"] == "done", done
+    # the seeded kill stopped at the cursor the rule picks in-process
+    assert done["resumed"][0]["from_seq"] == 1
+    assert done["resumed"][0]["events_skipped"] == at
+
+    status, _, result = request(f"{base2}/jobs/{job['id']}/result")
+    assert status == 200
+    assert _canon(result["verdicts"]) == _canon(oracle["verdicts"])
+    assert result["forensics"] == oracle["forensics"]
+
+
+def test_sigkill_after_final_checkpoint_before_cache_put(
+        spawn_daemon, tmp_path, chaos_trace, chaos_oracle):
+    """On a short trace the rule's only checkpoint is the final one: die
+    after it, before the verdict is cached; restart finishes the job."""
+    state = tmp_path / "svc"
+    proc, base = spawn_daemon(
+        state, "--workers", "1",
+        env_extra={"REPRO_SERVE_FAULT": "kill-after-ckpt:1"})
+    status, _, job = submit_trace(base, chaos_trace)
+    assert status == 202
+    assert proc.wait(timeout=60) == 137
+    assert not list((state / "cache").glob(f"{job['trace_sha']}-*.json"))
+
+    proc2, base2 = spawn_daemon(state, "--workers", "1")
+    done = poll_job(base2, job["id"], timeout_s=90.0)
+    assert done["state"] == "done", done
+    assert done["resumed"][0]["from_seq"] == 1
+    assert done["resumed"][0]["events_skipped"] == \
+        chaos_oracle["events_total"]
+
+    status, _, result = request(f"{base2}/jobs/{job['id']}/result")
+    assert status == 200
+    assert _canon(result["verdicts"]) == _canon(chaos_oracle["verdicts"])
+    assert result["forensics"] == chaos_oracle["forensics"]

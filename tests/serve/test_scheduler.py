@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -130,6 +133,60 @@ def test_deterministic_failure_skips_retries(
     assert job["state"] == "failed"
     assert job["attempts"] == 1  # no retry: same bytes, same failure
     assert job["reason"].startswith("ValueError")
+
+
+#: a fresh daemon process: a job; a transient spike (touched, then
+#: freed) that lifts the lifetime peak past the budget; a second job
+_SPIKE_THEN_JOB = """
+import json, os, resource, sys, time
+from repro.serve import Scheduler
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+def now_mb():
+    with open("/proc/self/statm") as fh:
+        pages = int(fh.read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / (1024.0 * 1024.0)
+
+def run(sched, trace):
+    with open(trace, "rb") as fh:
+        job = sched.submit_bytes(fh.read())
+    while sched.get_job(job.id)["state"] not in ("done", "failed"):
+        time.sleep(0.02)
+    return sched.get_job(job.id)
+
+state, first_trace, second_trace = sys.argv[1:]
+budget = int(peak_mb()) + 40
+sched = Scheduler(state, workers=1, max_rss_mb=budget)
+sched.start()
+first = run(sched, first_trace)
+spike = b"\\x01" * (int(budget + 16 - now_mb()) << 20)
+del spike
+assert peak_mb() > budget and now_mb() < budget
+second = run(sched, second_trace)
+sched.drain()
+print(json.dumps([first["state"], second["state"], second["reason"]]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc for current RSS")
+def test_memory_guard_forgets_a_past_spike(tmp_path, small_trace,
+                                           chaos_trace):
+    """``--max-rss-mb`` budgets the daemon's memory *now*.
+
+    A lifetime-peak probe (``ru_maxrss``) failed every job after the
+    daemon had once been over budget, even with the memory long freed.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPIKE_THEN_JOB, str(tmp_path / "state"),
+         str(small_trace), str(chaos_trace)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, second, reason = json.loads(proc.stdout.splitlines()[-1])
+    assert first == "done"
+    assert second == "done", reason
 
 
 # -- crash recovery -----------------------------------------------------------
