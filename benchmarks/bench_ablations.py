@@ -24,7 +24,7 @@ from repro.apps import (
     minivite_program,
 )
 from repro.bst import IntervalBST, legacy_find_overlapping
-from repro.core import OurDetector, insert_access
+from repro.core import FlatDetector, insert_access
 from repro.intervals import Interval
 from repro.mpi import World
 from tests.conftest import LR, RW, acc
@@ -35,7 +35,7 @@ class TestMergeAblation:
         def run(enable_merge):
             from repro.microbench import code2_program
 
-            det = OurDetector(enable_merge=enable_merge)
+            det = FlatDetector(enable_merge=enable_merge)
             World(2, [det]).run(code2_program, 500)
             return det.node_stats().max_nodes_per_rank[0]
 
@@ -85,7 +85,7 @@ class TestAliasFilterAblation:
         plan = make_comm_plan(graph, 4)
 
         def run(policy):
-            det = OurDetector(filter_policy=policy)
+            det = FlatDetector(filter_policy=policy)
             World(4, [det]).run(
                 minivite_program, graph, plan, config, MiniViteResult()
             )

@@ -1,22 +1,24 @@
-"""Bench: flat-array detector core vs legacy object core — serial events/s.
+"""Bench: flat-array detector core vs the object-core oracle — serial events/s.
 
-The flat core (``REPRO_CORE=flat``, the default) re-implements the §4
-detector over struct-of-arrays interval stores, interned records and a
-fused binary wire path; the object core (``REPRO_CORE=object``) is the
-legacy implementation kept as the differential oracle.  This bench runs
-both cores end to end (``analyze_trace``, serial) on the two recorded
-workloads the paper reports — miniVite with an injected race and
-CFD-Proxy — and writes ``BENCH_detector_core.json``.
+The flat core re-implements the §4 detector over struct-of-arrays
+interval stores, interned records and a fused binary wire path; it is
+what ``analyze_trace`` runs.  The object core (``OurDetector``) is the
+reference oracle, selectable by no entry point, so its leg replays the
+trace directly the way the engine's decoded path does: every decoded
+``TraceReader`` chunk into :func:`repro.pipeline.shard.dispatch_batch`.
+This bench times both on the two recorded workloads the paper reports
+— miniVite with an injected race and CFD-Proxy — and writes
+``BENCH_detector_core.json``.
 
-Methodology notes, honestly earned on a 1-core CI container:
+Methodology notes:
 
 * obs is disabled for the timed runs (a disabled ``obs.scope``), so the
   wire fast path engages and neither core pays metrics overhead — same
   configuration the ROADMAP throughput baseline was measured in;
 * runs are *interleaved* (object, flat, object, flat, ...) and the best
-  of ``ROUNDS`` per core is kept: single-core container timers drift
-  ±20% between runs, and interleaving keeps a frequency excursion from
-  crediting one core only;
+  of ``ROUNDS`` per core is kept: container timers drift ±20% between
+  runs, and interleaving keeps a frequency excursion from crediting one
+  core only;
 * verdict byte-parity across cores is asserted unconditionally — a
   throughput number for a core that disagrees is meaningless;
 * the smoke gate asserts flat ≥ 3× object on every workload.  Measured
@@ -38,8 +40,11 @@ import time
 from pathlib import Path
 
 from repro import obs
+from repro.core import OurDetector
 from repro.obs import Registry
-from repro.pipeline import analyze_trace, record_app
+from repro.pipeline import TraceReader, analyze_trace, record_app
+from repro.pipeline.engine import canonical_verdicts
+from repro.pipeline.shard import dispatch_batch
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_detector_core.json"
 
@@ -48,7 +53,7 @@ ROUNDS = 3
 
 #: CI smoke gate: flat-core serial events/s over object-core, per
 #: workload.  The paper target is 5x; 3x leaves margin for the ±20%
-#: single-core container timer drift documented above.
+#: container timer drift documented above.
 MIN_SPEEDUP = 3.0
 
 WORKLOADS = (
@@ -57,20 +62,25 @@ WORKLOADS = (
 )
 
 
+def _object_replay(trace: Path):
+    """The object core over the decoded trace, chunk by chunk."""
+    reader = TraceReader(trace)
+    det = OurDetector()
+    for chunk, _cursor in reader.iter_chunks():
+        dispatch_batch(det, chunk, reader.nranks)
+    det.finalize()
+    return canonical_verdicts(det.reports)
+
+
 def _timed_run(trace: Path, core: str):
-    env_before = os.environ.get("REPRO_CORE")
-    os.environ["REPRO_CORE"] = core
-    try:
-        with obs.scope(Registry(enabled=False), merge=False):
-            t0 = time.perf_counter()
-            result = analyze_trace(trace, detector="our", jobs=1)
-            wall = time.perf_counter() - t0
-    finally:
-        if env_before is None:
-            os.environ.pop("REPRO_CORE", None)
+    with obs.scope(Registry(enabled=False), merge=False):
+        t0 = time.perf_counter()
+        if core == "flat":
+            verdicts = analyze_trace(trace, detector="our", jobs=1).verdicts
         else:
-            os.environ["REPRO_CORE"] = env_before
-    return result, wall
+            verdicts = _object_replay(trace)
+        wall = time.perf_counter() - t0
+    return verdicts, wall
 
 
 def _bench_workload(spec: dict, tmp: str) -> dict:
@@ -84,11 +94,10 @@ def _bench_workload(spec: dict, tmp: str) -> dict:
     races = {}
     for _ in range(ROUNDS):
         for core in ("object", "flat"):
-            result, wall = _timed_run(trace, core)
+            verdicts, wall = _timed_run(trace, core)
             walls[core].append(wall)
-            digests[core] = json.dumps(result.verdicts, sort_keys=True,
-                                       default=str)
-            races[core] = result.races
+            digests[core] = json.dumps(verdicts, sort_keys=True, default=str)
+            races[core] = len(verdicts)
 
     assert digests["flat"] == digests["object"], \
         f"{spec['app']}: cores disagree on verdicts"

@@ -7,7 +7,7 @@ ours works on a 2-node tree.
 
 import pytest
 
-from repro.core import OurDetector
+from repro.core import FlatDetector
 from repro.detectors import RmaAnalyzerLegacy
 from repro.experiments import fig8_code2
 from repro.microbench import code2_program
@@ -20,7 +20,7 @@ def test_fig8_regenerate(once):
     assert result.data["Our Contribution"] == 2
 
 
-@pytest.mark.parametrize("factory", [RmaAnalyzerLegacy, OurDetector],
+@pytest.mark.parametrize("factory", [RmaAnalyzerLegacy, FlatDetector],
                          ids=["legacy", "ours"])
 def test_code2_analysis_speed(benchmark, factory):
     def run():
@@ -30,4 +30,4 @@ def test_code2_analysis_speed(benchmark, factory):
 
     det = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
     nodes = det.node_stats().max_nodes_per_rank[0]
-    assert nodes == (2 if factory is OurDetector else 5002)
+    assert nodes == (2 if factory is FlatDetector else 5002)

@@ -23,7 +23,7 @@ from repro.apps import (
     make_comm_plan,
     minivite_program,
 )
-from repro.core import OurDetector, StridedDetector
+from repro.core import FlatDetector, StridedDetector
 from repro.detectors import RmaAnalyzerLegacy
 from repro.experiments import static_analysis
 from repro.mpi import World
@@ -44,7 +44,7 @@ def main() -> None:
     config = MiniViteConfig(nvertices=4096)
     graph = default_graph(config)
     plan = make_comm_plan(graph, 8)
-    for factory in (RmaAnalyzerLegacy, OurDetector, StridedDetector):
+    for factory in (RmaAnalyzerLegacy, FlatDetector, StridedDetector):
         detector = factory()
         World(8, [detector]).run(minivite_program, graph, plan, config,
                                  MiniViteResult())

@@ -18,7 +18,7 @@ Usage::
 
 import sys
 
-from repro import MustRma, OurDetector, RmaAnalyzerLegacy, World
+from repro import FlatDetector, MustRma, RmaAnalyzerLegacy, World
 from repro.apps.histogram import HistogramConfig, HistogramResult, histogram_program
 from repro.experiments import render_table
 
@@ -28,7 +28,7 @@ VARIANTS = [
     ("exclusive-lock RMW", HistogramConfig(use_accumulate=False,
                                            use_locks=True)),
 ]
-TOOLS = [OurDetector, RmaAnalyzerLegacy, MustRma]
+TOOLS = [FlatDetector, RmaAnalyzerLegacy, MustRma]
 
 
 def main(nranks: int = 4) -> None:

@@ -17,14 +17,15 @@ Usage::
 import sys
 
 from repro.apps import (
-    DETECTOR_FACTORIES,
     MiniViteConfig,
     MiniViteResult,
     default_graph,
+    detector_factory,
     make_comm_plan,
     minivite_program,
     run_app,
 )
+from repro.detectors import detector_names
 from repro.experiments import render_table
 
 
@@ -37,8 +38,9 @@ def main(nvertices: int = 8192, nranks: int = 8) -> None:
 
     result = MiniViteResult()
     rows = []
-    for tool, factory in DETECTOR_FACTORIES.items():
-        run = run_app("minivite", minivite_program, nranks, factory(),
+    for tool in ("Baseline",) + detector_names("paper"):
+        run = run_app("minivite", minivite_program, nranks,
+                      detector_factory(tool)(),
                       graph, plan, config, result)
         rows.append([
             tool,

@@ -13,7 +13,7 @@ Usage::
     python examples/quickstart.py
 """
 
-from repro import OurDetector, World
+from repro import FlatDetector, World
 
 
 def racy_program(ctx):
@@ -45,14 +45,14 @@ def fixed_program(ctx):
 
 def main() -> None:
     print("== racy version ==")
-    detector = OurDetector()
+    detector = FlatDetector()
     World(nranks=2, detectors=[detector]).run(racy_program)
     for report in detector.reports:
         print(report.message)
     assert detector.race_detected
 
     print("\n== fixed version ==")
-    detector = OurDetector()
+    detector = FlatDetector()
     World(nranks=2, detectors=[detector]).run(fixed_program)
     print("races found:", detector.reports_total)
     assert not detector.race_detected

@@ -24,7 +24,7 @@ Usage::
 import sys
 from collections import Counter
 
-from repro.core import OurDetector
+from repro.core import FlatDetector
 from repro.scenarios import (
     TOOL_NAMES,
     generate_corpus,
@@ -40,7 +40,7 @@ def hunt_one(scenario) -> None:
     """Run one labeled scenario live and compare report vs labels."""
     print(f"$ mpiexec -n {scenario.nranks} ./{scenario.file}"
           f"   # {scenario.labels.description}\n")
-    detector = OurDetector()
+    detector = FlatDetector()
     flagged, _ = run_scenario(scenario, detector)
     print(f"[{detector.name}] {'error' if flagged else 'clean'}")
     for report in detector.reports[:1]:

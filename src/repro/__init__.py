@@ -6,7 +6,9 @@ Layering (bottom up):
 * :mod:`repro.intervals` — interval/access algebra, Table 1, Fig. 3,
 * :mod:`repro.bst` — from-scratch balanced interval BST (+ the legacy
   unsound search),
-* :mod:`repro.core` — the paper's new insertion algorithm and detector,
+* :mod:`repro.core` — the paper's new insertion algorithm and detector
+  (:class:`FlatDetector`; the object core ``OurDetector`` is the
+  reference oracle),
 * :mod:`repro.tsan` — vector clocks / shadow memory substrate,
 * :mod:`repro.detectors` — RMA-Analyzer, MUST-RMA, Park, MC-CChecker,
 * :mod:`repro.mpi` — the simulated MPI-RMA runtime,
@@ -17,7 +19,7 @@ Layering (bottom up):
 
 Quickstart::
 
-    from repro import OurDetector, World
+    from repro import FlatDetector, World
 
     def program(ctx):
         win = yield ctx.win_allocate("w", 64)
@@ -29,7 +31,7 @@ Quickstart::
         ctx.win_unlock_all(win)
         yield ctx.win_free(win)
 
-    det = OurDetector()
+    det = FlatDetector()
     world = World(2, [det])
     world.run(program)
     print(det.reports[0].message)
@@ -43,7 +45,7 @@ __version__ = "1.0.0"
 #: ``import repro.<anything>`` never drags in the simulator and numpy
 _EXPORTS = {
     "DataRaceError": ".core",
-    "OurDetector": ".core",
+    "FlatDetector": ".core",
     "RaceReport": ".core",
     "McCChecker": ".detectors",
     "MustRma": ".detectors",

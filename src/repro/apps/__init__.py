@@ -11,7 +11,7 @@
 
 from .cfd_proxy import CfdConfig, CfdResult, cfd_program, default_partitions
 from .graphgen import Graph, block_range, generate_graph, owner_of
-from .harness import DETECTOR_FACTORIES, AppRun, detector_factory, run_app
+from .harness import AppRun, detector_factory, run_app
 from .histogram import HistogramConfig, HistogramResult, histogram_program
 from .meshgen import MeshPartition, make_partitions
 from .minivite import (
@@ -28,7 +28,6 @@ __all__ = [
     "CfdConfig",
     "CfdResult",
     "CommPlan",
-    "DETECTOR_FACTORIES",
     "Graph",
     "HistogramConfig",
     "HistogramResult",

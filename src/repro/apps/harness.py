@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from .. import obs
+from ..detectors import detector_class, detector_names
 from ..mpi import CostParams, World
 from ..mpi.interposition import DetectorProtocol
 
-__all__ = ["AppRun", "run_app", "DETECTOR_FACTORIES", "detector_factory"]
+__all__ = ["AppRun", "run_app", "detector_factory"]
 
 
 @dataclass
@@ -123,38 +124,17 @@ def run_app(
 
 
 def detector_factory(name: str) -> Callable[[], Optional[DetectorProtocol]]:
-    """Factory by paper name; 'Baseline' yields no detector at all."""
-    if name not in DETECTOR_FACTORIES:
-        raise KeyError(f"unknown detector {name!r}; have {sorted(DETECTOR_FACTORIES)}")
-    return DETECTOR_FACTORIES[name]
+    """Factory by paper name (a Fig. 10 bar); 'Baseline' yields no
+    detector at all."""
+    if name == "Baseline":
+        return _baseline
+    try:
+        return detector_class(name, by="paper")
+    except ValueError:
+        raise KeyError(f"unknown detector {name!r}; have "
+                       f"{sorted(('Baseline',) + detector_names('paper'))}"
+                       ) from None
 
 
 def _baseline() -> None:
     return None
-
-
-def _legacy():
-    from ..detectors import RmaAnalyzerLegacy
-
-    return RmaAnalyzerLegacy()
-
-
-def _must():
-    from ..detectors import MustRma
-
-    return MustRma()
-
-
-def _ours():
-    from ..core import OurDetector
-
-    return OurDetector()
-
-
-#: the four bars of the paper's Fig. 10, by display name
-DETECTOR_FACTORIES: Dict[str, Callable[[], Optional[DetectorProtocol]]] = {
-    "Baseline": _baseline,
-    "RMA-Analyzer": _legacy,
-    "MUST-RMA": _must,
-    "Our Contribution": _ours,
-}

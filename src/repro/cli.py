@@ -38,6 +38,7 @@ import time
 from typing import List, Optional
 
 from . import __version__
+from .detectors import detector_class, detector_names
 from .exitcodes import (
     EX_APP_FAILED,
     EX_DIVERGED,
@@ -51,15 +52,14 @@ from .exitcodes import (
 
 __all__ = ["main", "build_parser"]
 
-#: CLI names of the experiments / recordable apps / detectors, kept in
-#: sync with repro.experiments and repro.pipeline by tests — importing
-#: those here would drag the simulator, the app layer and numpy into
-#: every CLI start, ``repro analyze`` and ``repro serve`` included
+#: CLI names of the experiments / recordable apps, kept in sync with
+#: repro.experiments and repro.pipeline by tests — importing those here
+#: would drag the simulator, the app layer and numpy into every CLI
+#: start, ``repro analyze`` and ``repro serve`` included
 _EXPERIMENT_IDS = ("table1", "fig3", "fig5", "fig8", "table2", "table3",
                    "fig9", "fig10", "fig11", "fig12", "table4", "static",
                    "extensions")
 _RECORD_APPS = ("cfd", "histogram", "minivite")
-_DETECTORS = ("mc", "must", "our", "rma")
 
 
 def _experiments():
@@ -79,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    detectors = detector_names()
 
     sub.add_parser("list", help="list available experiments")
 
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "analysis by rank over a multiprocessing pool.",
     )
     an.add_argument("trace", help="trace file written by 'repro record'")
-    an.add_argument("--detector", choices=_DETECTORS, default="our",
+    an.add_argument("--detector", choices=detectors, default="our",
                     help="detector to replay under (default: our)")
     an.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="worker processes (default 1 = serial replay)")
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the surrounding per-rank event timeline.",
     )
     ex.add_argument("trace", help="trace file written by 'repro record'")
-    ex.add_argument("--detector", choices=_DETECTORS, default="our",
+    ex.add_argument("--detector", choices=detectors, default="our",
                     help="detector to replay under (default: our)")
     ex.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="worker processes (default 1 = serial replay)")
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--state", default=None, metavar="DIR",
                     help="discover the daemon via DIR/serve.json instead "
                          "of --server")
-    sb.add_argument("--detector", choices=_DETECTORS, default="our",
+    sb.add_argument("--detector", choices=detectors, default="our",
                     help="detector to analyze under (default: our)")
     sb.add_argument("--tenant", default="default",
                     help="tenant name for admission accounting")
@@ -583,7 +584,7 @@ def _analyze(args) -> int:
         TraceFormatError,
         WorkerCrashedError,
     )
-    from .pipeline import analyze_trace, detector_display_name
+    from .pipeline import analyze_trace
 
     ckpt_dir = args.ckpt_dir
     resume = False
@@ -649,7 +650,7 @@ def _analyze(args) -> int:
         sys.stdout.write("\n")
         return EX_PARTIAL if result.partial else EX_OK
 
-    name = detector_display_name(args.detector)
+    name = detector_class(args.detector).name
     print(f"{args.trace}: {result.events_total} events, "
           f"{result.nranks} ranks")
     print(f"detector {name!r}, jobs={result.jobs} "

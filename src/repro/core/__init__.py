@@ -3,11 +3,12 @@
 * :func:`fragment_accesses` — §4.1 disjointness by fragmentation,
 * :func:`merge_accesses` — §4.2 node merging,
 * :func:`insert_access` — Algorithm 1 end to end,
-* :class:`OurDetector` — the full on-the-fly detector on the object
-  core (the live simulator's detector and the differential oracle),
-* :class:`FlatDetector` — the same detector on the flat
-  struct-of-arrays core, which trace analysis runs
-  (``REPRO_CORE=object`` reverts to the object core),
+* :class:`FlatDetector` — the full on-the-fly detector on the flat
+  struct-of-arrays core: the one every entry point runs,
+* :class:`OurDetector` — the same detector on the object core, a
+  readable transcription of Algorithm 1 kept as the reference oracle
+  (the parity tests, the e2e benchmark) and as the base of
+  :class:`StridedDetector`,
 * :class:`RaceReport` / :class:`DataRaceError` — Fig. 9b style reports.
 
 Exports resolve lazily (:mod:`repro._lazy`): importing the flat core

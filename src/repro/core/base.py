@@ -1,16 +1,20 @@
 """What the two cores of the paper's detector share.
 
-The contribution runs on two cores with identical verdicts, forensics
-and metrics: the object core (:class:`~repro.core.detector.OurDetector`,
-Algorithm 1 over :class:`~repro.bst.interval_tree.IntervalBST`) and the
-flat core (:class:`~repro.core.flatcore.FlatDetector`, what trace
-analysis runs).  :class:`OurDetectorBase` holds everything of theirs
-that is not a store operation:
+The contribution has two cores with identical verdicts, forensics and
+metrics: the flat core (:class:`~repro.core.flatcore.FlatDetector`,
+the one every entry point runs) and the object core
+(:class:`~repro.core.detector.OurDetector`, Algorithm 1 over
+:class:`~repro.bst.interval_tree.IntervalBST`, the reference oracle).
+:class:`OurDetectorBase` holds everything of theirs that is not a
+store operation:
 
 * the tool identity (``name``) both cores publish metrics under,
 * the §6 flush generations, per (window, issuer),
-* the fragment/merge counters and the ``core.insert.*`` hot counters,
-* the cross-core checkpoint guard.
+* the fragment/merge counters and the ``core.insert.*`` hot counters.
+
+A snapshot names its class, so :meth:`Detector.restore
+<repro.detectors.base.Detector.restore>` refuses the other core's
+before touching any state.
 
 It imports no store and no insertion code, so loading the flat core
 loads neither the node-linked AVL tree nor Algorithm 1's object-level
@@ -24,7 +28,6 @@ from typing import Dict, Optional, Tuple
 from .. import obs
 from ..aliasing import FilterPolicy
 from ..detectors.bst_common import BstDetector
-from ..mpi.errors import CheckpointError
 
 __all__ = ["COMPLETED_LOCALLY", "OurDetectorBase"]
 
@@ -32,12 +35,6 @@ __all__ = ["COMPLETED_LOCALLY", "OurDetectorBase"]
 #: MPI_Wait on its request (request-based RMA); later accesses of the
 #: same origin are ordered after it, other ranks' accesses are not
 COMPLETED_LOCALLY = -1
-
-#: snapshot class -> (core description, ``REPRO_CORE`` value resuming it)
-_CORES = {
-    "OurDetector": ("object core (OurDetector)", "object"),
-    "FlatDetector": ("flat core (FlatDetector)", "flat"),
-}
 
 
 class _HotCounters:
@@ -133,18 +130,10 @@ class OurDetectorBase(BstDetector):
         key = (wid, rank)
         self._flush_gens[key] = self._flush_gens.get(key, 0) + 1
 
-    # -- checkpointing ---------------------------------------------------------
-
-    def restore(self, snap: dict) -> None:
-        # a snapshot resumes only on the core that wrote it: the store
-        # encodings differ, and silently adopting the other one would
-        # resume to confidently wrong verdicts
-        wrote, runs = snap.get("class"), type(self).__name__
-        if wrote != runs and wrote in _CORES and runs in _CORES:
-            raise CheckpointError(
-                f"repro-ckpt-v1 detector snapshot was written by the "
-                f"{_CORES[wrote][0]} but this analysis runs the "
-                f"{_CORES[runs][0]}; rerun with REPRO_CORE="
-                f"{_CORES[wrote][1]} to resume it, or re-analyze from "
-                f"scratch")
-        super().restore(snap)
+    def _flushed(self, wid: int, origin, flush_gen: int) -> bool:
+        """Has the issuer of a stored RMA access flushed it since — every
+        rank of an :data:`~repro.intervals.combine.OriginSet`?"""
+        gens = self._flush_gens
+        if type(origin) is tuple:
+            return all(g < gens.get((wid, r), 0) for r, g in origin)
+        return flush_gen < gens.get((wid, origin), 0)

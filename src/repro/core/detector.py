@@ -104,7 +104,6 @@ class OurDetector(OurDetectorBase):
 
     def on_barrier(self) -> None:
         """Prune completed accesses: they happen-before everything coming."""
-        gens = self._flush_gens
         for (rank, wid), bst in self._stores.items():
             if not len(bst):
                 continue
@@ -114,7 +113,7 @@ class OurDetector(OurDetectorBase):
                 if acc.type.is_local:
                     pruned = True
                     continue
-                if acc.flush_gen < gens.get((wid, acc.origin), 0):
+                if self._flushed(wid, acc.origin, acc.flush_gen):
                     pruned = True
                     continue
                 survivors.append(acc)

@@ -19,21 +19,19 @@ event-kind dispatch plus the record path itself.  Wire ingestion
 files: it reads the chunk's binary records directly, builds no event
 objects, and is what every serial analysis of a strict v2 trace runs.
 
-The object core stays available behind ``REPRO_CORE=object`` (see
-:data:`repro.pipeline.engine.DETECTOR_SPECS`) as the differential
-oracle; ``tests/pipeline/test_core_parity.py`` asserts byte-identical
-results between the two over the recorded workloads and the scenario
-corpus.  The two cores share :class:`~repro.core.base.OurDetectorBase`
-(window/epoch bookkeeping, §6 flush generations, counters), not each
-other: this module imports neither the node-linked AVL tree nor the
-object core's insertion, fragmentation and merging code.
+It is the only "ours" the product builds: every entry point resolves
+it from :data:`repro.detectors.DETECTORS`.  The object core is the
+reference oracle; ``tests/pipeline/test_core_parity.py`` asserts
+byte-identical results between the two on every entry point.  The two
+cores share :class:`~repro.core.base.OurDetectorBase` (window/epoch
+bookkeeping, §6 flush generations, counters), not each other: this
+module imports neither the node-linked AVL tree nor the object core's
+insertion, fragmentation and merging code.
 
-Checkpoints: a ``repro-ckpt-v1`` detector snapshot carries its core
-kind in the ``class`` field.  Restoring an object-core snapshot on the
-flat core (or vice versa) raises a
-:class:`~repro.mpi.errors.CheckpointError` naming both kinds — the tree
-encodings differ, and silently adopting the wrong one would resume to
-confidently wrong verdicts.
+Checkpoints: a snapshot names its class, and
+:meth:`~repro.detectors.base.Detector.restore` refuses any other
+class's (an object-core one included) before touching any state: the
+store encodings differ.
 """
 
 from __future__ import annotations
@@ -611,8 +609,15 @@ class FlatDetector(OurDetectorBase):
                     f = (lo, hi) + ntail
                 else:
                     f = (lo, hi) + cur[2:]
+                # combine_accesses' markers: a mixed accum op, and
+                # mixed origins of two accumulates
                 if (cur[7] or naccum) and cur[7] != naccum:
                     f = f[:7] + (MIXED_ID, f[8])
+                if cur[7] and naccum and cur[4] != norigin:
+                    # rare: imported on first use
+                    from ..intervals.combine import mixed_origin
+                    f = f[:4] + (mixed_origin(
+                        cur[4], cur[6], norigin, nflush),) + f[5:]
                 frags.append(f)
             elif covering:
                 frags.append((lo, hi) + cur[2:])
@@ -685,7 +690,7 @@ class FlatDetector(OurDetectorBase):
                 return
 
     def on_barrier(self) -> None:
-        gens = self._flush_gens
+        flushed = self._flushed
         for (rank, wid), store in self._stores.items():
             if not store:
                 continue
@@ -693,7 +698,7 @@ class FlatDetector(OurDetectorBase):
             # complete at the barrier, and so do RMA accesses their
             # issuer has flushed since
             survivors = store.select(
-                lambda t: t[0] >= 2 and t[4] >= gens.get((wid, t[2]), 0))
+                lambda t: t[0] >= 2 and not flushed(wid, t[2], t[4]))
             if len(survivors) < len(store):
                 self._note_high_water((rank, wid))
                 stats = store.stats

@@ -40,6 +40,7 @@ __all__ = [
     "FORENSICS_SCHEMA",
     "capture_forensics",
     "forensics_message",
+    "issuer_text",
     "render_explain",
     "render_explain_all",
 ]
@@ -47,10 +48,26 @@ __all__ = [
 FORENSICS_SCHEMA = "repro-forensics-v1"
 
 
-def _involved_ranks(rank: int, stored_origin: int, new_origin: int) -> List[int]:
-    """The ranks a diagnostic must show, deduplicated, detection rank first."""
+def _origin_ranks(origin) -> List[int]:
+    """The ranks an access's ``origin`` names: itself, or those of an
+    origin set (also in its JSON form, a list of pairs)."""
+    if isinstance(origin, (tuple, list)):
+        return [rank for rank, _ in origin]
+    return [origin]
+
+
+def issuer_text(origin) -> str:
+    """``"rank 3"``, or ``"ranks 0, 2"`` for an origin set."""
+    ranks = _origin_ranks(origin)
+    return f"rank{'s' * (len(ranks) > 1)} {', '.join(map(str, ranks))}"
+
+
+def _involved_ranks(rank: int, stored_origin, new_origin) -> List[int]:
+    """The ranks a diagnostic must show, deduplicated, detection rank first
+    (every rank of an origin set)."""
     ranks: List[int] = []
-    for r in (rank, stored_origin, new_origin):
+    for r in (rank, *_origin_ranks(stored_origin),
+              *_origin_ranks(new_origin)):
         if r >= 0 and r not in ranks:
             ranks.append(r)
     return ranks
@@ -157,11 +174,13 @@ def render_explain(bundle: dict, *, index: Optional[int] = None) -> str:
     stored, new = bundle["stored"], bundle["new"]
     lines.append(
         f"  stored: {stored['type']:<10} [{stored['lo']}, {stored['hi']}] "
-        f"issued by rank {stored['origin']} at {stored['file']}:{stored['line']}"
+        f"issued by {issuer_text(stored['origin'])} at "
+        f"{stored['file']}:{stored['line']}"
     )
     lines.append(
         f"  new:    {new['type']:<10} [{new['lo']}, {new['hi']}] "
-        f"issued by rank {new['origin']} at {new['file']}:{new['line']}"
+        f"issued by {issuer_text(new['origin'])} at "
+        f"{new['file']}:{new['line']}"
     )
     sync = bundle.get("sync") or {}
     if sync:

@@ -211,12 +211,11 @@ class StridedDetector(OurDetector):
     def on_barrier(self) -> None:
         """Prune completed chains the way plain completed accesses prune."""
         self._note_chain_high_water()
-        gens = self._flush_gens
         for (rank, wid), chains in self._chains.items():
             for key in list(chains):
                 tpl = chains[key].template
-                if tpl.type.is_local or tpl.flush_gen < gens.get(
-                    (wid, tpl.origin), 0
+                if tpl.type.is_local or self._flushed(
+                    wid, tpl.origin, tpl.flush_gen
                 ):
                     del chains[key]
         super().on_barrier()

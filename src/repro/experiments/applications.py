@@ -21,17 +21,17 @@ from ..apps import (
     AppRun,
     CfdConfig,
     CfdResult,
-    DETECTOR_FACTORIES,
     MiniViteConfig,
     MiniViteResult,
     cfd_program,
     default_graph,
     default_partitions,
+    detector_factory,
     make_comm_plan,
     minivite_program,
     run_app,
 )
-from ..core import OurDetector
+from ..core import FlatDetector
 from ..mpi import World
 from .tables import ExperimentResult, render_bars, render_table
 
@@ -63,7 +63,7 @@ def fig9_minivite_race(
     config = MiniViteConfig(nvertices=nvertices, inject_put_race=True)
     graph = default_graph(config)
     plan = make_comm_plan(graph, nranks)
-    det = OurDetector()
+    det = FlatDetector()
     World(nranks, [det]).run(
         minivite_program, graph, plan, config, MiniViteResult()
     )
@@ -91,7 +91,7 @@ def fig10_cfd_epoch_time(
     parts = default_partitions(nranks, config)
     runs: List[AppRun] = []
     for tool in _TOOL_ORDER:
-        det = DETECTOR_FACTORIES[tool]()
+        det = detector_factory(tool)()
         runs.append(
             run_app("cfd-proxy", cfd_program, nranks, det, parts, config,
                     CfdResult())
@@ -135,7 +135,7 @@ def minivite_rank_sweep(
         plan = make_comm_plan(graph, nranks)
         out[nranks] = {}
         for tool in tools:
-            det = DETECTOR_FACTORIES[tool]()
+            det = detector_factory(tool)()
             out[nranks][tool] = run_app(
                 "minivite", minivite_program, nranks, det, graph, plan,
                 config, MiniViteResult(),

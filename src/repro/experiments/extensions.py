@@ -25,7 +25,7 @@ from ..apps import (
     make_comm_plan,
     minivite_program,
 )
-from ..core import OurDetector, StridedDetector
+from ..core import FlatDetector, StridedDetector
 from ..detectors import MustRma, RmaAnalyzerLegacy
 from ..mpi import World
 from .tables import ExperimentResult, render_table
@@ -38,7 +38,7 @@ def _minivite_nodes(nvertices: int = 4096, nranks: int = 8) -> List[List]:
     graph = default_graph(config)
     plan = make_comm_plan(graph, nranks)
     rows = []
-    for factory in (RmaAnalyzerLegacy, OurDetector, StridedDetector):
+    for factory in (RmaAnalyzerLegacy, FlatDetector, StridedDetector):
         det = factory()
         World(nranks, [det]).run(minivite_program, graph, plan, config,
                                  MiniViteResult())
@@ -62,7 +62,7 @@ def _histogram_verdicts(nranks: int = 4) -> List[List]:
     rows = []
     for label, config in variants:
         row: List = [label]
-        for factory in (OurDetector, RmaAnalyzerLegacy, MustRma):
+        for factory in (FlatDetector, RmaAnalyzerLegacy, MustRma):
             det = factory()
             World(nranks, [det]).run(histogram_program, config,
                                      HistogramResult())

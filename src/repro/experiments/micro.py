@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..core import OurDetector
+from ..core import FlatDetector
 from ..detectors import McCChecker, MustRma, ParkMirror, RmaAnalyzerLegacy
 from ..intervals import fig3_matrix, format_fig3, table1_rows
 from ..microbench import (
@@ -81,7 +81,7 @@ def fig5_code1() -> ExperimentResult:
     rows = []
     data: Dict[str, int] = {}
     messages: List[str] = []
-    for factory in (RmaAnalyzerLegacy, OurDetector):
+    for factory in (RmaAnalyzerLegacy, FlatDetector):
         det = factory()
         World(2, [det]).run(code1_program)
         rows.append([det.name, det.reports_total > 0, det.reports_total])
@@ -100,7 +100,7 @@ def fig8_code2(iterations: int = 1000) -> ExperimentResult:
     """Code 2: BST size with and without fragmentation+merging."""
     rows = []
     data: Dict[str, int] = {}
-    for factory in (RmaAnalyzerLegacy, OurDetector):
+    for factory in (RmaAnalyzerLegacy, FlatDetector):
         det = factory()
         World(2, [det]).run(code2_program, iterations)
         nodes = det.node_stats().max_nodes_per_rank.get(0, 0)
@@ -117,7 +117,7 @@ def fig8_code2(iterations: int = 1000) -> ExperimentResult:
 def table2_named_codes() -> ExperimentResult:
     """Tool feedback on the four named microbenchmarks of Table 2."""
     suite = suite_by_name()
-    factories = [RmaAnalyzerLegacy, MustRma, OurDetector]
+    factories = [RmaAnalyzerLegacy, MustRma, FlatDetector]
     headers = ["code", "expected"] + [f().name for f in factories]
     rows = []
     data: Dict[str, Dict[str, bool]] = {}
@@ -143,7 +143,7 @@ def table3_confusion(
     *, include_related_work: bool = False
 ) -> ExperimentResult:
     """FP/FN/TP/TN of every tool over the generated suite (paper Table 3)."""
-    factories = [RmaAnalyzerLegacy, MustRma, OurDetector]
+    factories = [RmaAnalyzerLegacy, MustRma, FlatDetector]
     if include_related_work:
         factories += [ParkMirror, McCChecker]
     rows = []

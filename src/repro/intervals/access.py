@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 from .interval import Interval
 
@@ -106,7 +106,9 @@ class MemoryAccess:
     """One recorded memory access: interval + type + provenance.
 
     ``origin`` is the rank that *issued* the operation (for an incoming
-    ``MPI_Put`` recorded at the target, ``origin`` is the remote rank).
+    ``MPI_Put`` recorded at the target, ``origin`` is the remote rank);
+    a stored fragment of several ranks' accumulates carries their
+    :data:`~repro.intervals.combine.OriginSet` instead.
     ``seq`` is a monotonically increasing per-detector sequence number
     used only for deterministic tie-breaking and debugging.
 
@@ -131,7 +133,7 @@ class MemoryAccess:
     interval: Interval
     type: AccessType
     debug: DebugInfo = _UNKNOWN_DEBUG
-    origin: int = 0
+    origin: Union[int, Tuple[Tuple[int, int], ...]] = 0
     seq: int = 0
     flush_gen: int = 0
     accum_op: Optional[str] = None

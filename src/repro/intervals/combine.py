@@ -19,17 +19,42 @@ exhaustively.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Tuple
+from typing import Tuple, Union
 
 from .access import MIXED_ACCUM_OP, AccessType, MemoryAccess
 
-__all__ = ["combined_type", "combine_accesses", "table1_rows",
-           "MIXED_ACCUM_OP"]
+__all__ = ["combined_type", "combine_accesses", "mixed_origin",
+           "table1_rows", "MIXED_ACCUM_OP", "OriginSet"]
+
+#: ``origin`` of a fragment built from accumulates of different origins
+#: (the origin counterpart of :data:`MIXED_ACCUM_OP`): its *origin set*,
+#: one ``(rank, flush_gen)`` pair per rank with that rank's newest flush
+#: generation, sorted by rank.  It equals no rank, so neither
+#: same-origin exemption — accumulate ordering (§2.1), completion by
+#: the issuer's own flush or wait (§6) — fires against it: the fragment
+#: stands for several ranks' accumulates, and a later access from one
+#: of them still races with the others'.  The pairs keep each rank's
+#: completion state: a barrier prunes the fragment only once every rank
+#: has flushed its share.
+OriginSet = Tuple[Tuple[int, int], ...]
 
 
 def _rank(t: AccessType) -> Tuple[int, int]:
     """Dominance key: RMA beats local, then WRITE beats READ."""
     return (1 if t.is_rma else 0, 1 if t.is_write else 0)
+
+
+def mixed_origin(a: Union[int, OriginSet], a_gen: int,
+                 b: Union[int, OriginSet], b_gen: int) -> OriginSet:
+    """The origin set of a fragment combined from accesses of origins
+    ``a`` and ``b`` (each a rank with its flush generation, or already
+    an origin set, whose generation field is then not used)."""
+    newest = {}
+    for origin, gen in ((a, a_gen), (b, b_gen)):
+        for rank, g in (origin if type(origin) is tuple
+                        else ((origin, gen),)):
+            newest[rank] = max(g, newest.get(rank, g))
+    return tuple(sorted(newest.items()))
 
 
 def combined_type(stored: AccessType, new: AccessType) -> Tuple[AccessType, int]:
@@ -67,6 +92,15 @@ def combine_accesses(stored: MemoryAccess, new: MemoryAccess) -> MemoryAccess:
         # accumulate matching the winner's op would wrongly pass the
         # same-op atomicity exemption and hide a real race
         frag = replace(frag, accum_op=MIXED_ACCUM_OP)
+    if stored.is_atomic and new.is_atomic and stored.origin != new.origin:
+        # e.g. Accumulate(max) from ranks 0 and 2: exempt from racing
+        # with each other (same op), but the fragment must not keep a
+        # single origin — a later Accumulate(sum) from the kept origin
+        # would wrongly pass the same-origin ordering exemption and hide
+        # its race with the other origin's max; the origin set keeps
+        # each rank's flush generation for the barrier prune
+        frag = replace(frag, origin=mixed_origin(
+            stored.origin, stored.flush_gen, new.origin, new.flush_gen))
     return frag
 
 

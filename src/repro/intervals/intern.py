@@ -25,7 +25,7 @@ object-core differential tests rely on.
 
 Record layout (index → field)::
 
-    0 lo   1 hi   2 type(int)   3 site id   4 origin
+    0 lo   1 hi   2 type(int)   3 site id   4 origin (rank|OriginSet)
     5 seq  6 flush_gen          7 accum id  8 excl_epoch (int|None)
 """
 

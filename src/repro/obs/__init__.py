@@ -47,7 +47,6 @@ from .registry import (
     SpanNode,
     env_enabled,
     metric_key,
-    sample_period_from_env,
 )
 from .timeline import (
     NULL_TIMELINE,
@@ -77,7 +76,6 @@ __all__ = [
     "record_trace_event",
     "render_metrics",
     "reset",
-    "sample_period_from_env",
     "scope",
     "set_registry",
     "snapshot",

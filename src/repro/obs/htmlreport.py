@@ -25,6 +25,8 @@ import html
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..core.forensics import issuer_text
+
 __all__ = ["render_html_report"]
 
 _CSS = """
@@ -89,7 +91,7 @@ def _access_row(label: str, acc: dict) -> str:
     return (
         f"<tr><td>{_esc(label)}</td><td><code>{_esc(acc['type'])}</code>"
         f"</td><td>[{_esc(acc['lo'])}, {_esc(acc['hi'])}]</td>"
-        f"<td>rank {_esc(acc['origin'])}</td>"
+        f"<td>{_esc(issuer_text(acc['origin']))}</td>"
         f"<td><code>{_esc(acc['file'])}:{_esc(acc['line'])}</code></td>"
         f"</tr>"
     )

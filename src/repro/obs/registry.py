@@ -29,7 +29,6 @@ part of the key, nothing more; there is no label indexing.
 from __future__ import annotations
 
 import os
-import warnings
 from time import perf_counter_ns
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -43,7 +42,6 @@ __all__ = [
     "SpanNode",
     "env_enabled",
     "metric_key",
-    "sample_period_from_env",
 ]
 
 #: histogram bucket upper bounds: powers of two up to 2**20, then +inf.
@@ -59,35 +57,6 @@ def env_enabled(default: bool = True) -> bool:
     if raw is None:
         return default
     return raw.strip().lower() not in ("off", "0", "false", "no", "disabled")
-
-
-_warned_sample: set = set()
-
-
-def sample_period_from_env(default: int = 64) -> int:
-    """The ``REPRO_OBS_SAMPLE`` knob: phase-timing sample period.
-
-    Must be a positive power of two (the hot path masks with
-    ``period - 1``); anything else warns once per distinct value and
-    falls back to the default so a typo cannot fail a run.
-    """
-    raw = os.environ.get("REPRO_OBS_SAMPLE")
-    if raw is None:
-        return default
-    try:
-        period = int(raw.strip())
-    except ValueError:
-        period = -1
-    if period < 1 or (period & (period - 1)):
-        if raw not in _warned_sample:
-            _warned_sample.add(raw)
-            warnings.warn(
-                f"REPRO_OBS_SAMPLE={raw!r} is not a positive power of "
-                f"two; using {default}",
-                RuntimeWarning, stacklevel=2,
-            )
-        return default
-    return period
 
 
 def metric_key(name: str, labels: Dict[str, str]) -> str:
@@ -293,18 +262,14 @@ class Registry:
     ``obs.scope()`` / ``obs.reset()`` swap.
     """
 
-    #: phase timings on per-access paths keep 1 sample in (mask + 1);
-    #: counts stay exact, sampled span totals are a profile, not a sum.
-    #: The class value is the default; each instance re-reads the
-    #: ``REPRO_OBS_SAMPLE`` env knob (power of two, default 64) so
-    #: overhead-sensitive runs can dial the sampling rate.
+    #: phase timings on per-access paths keep 1 sample in (mask + 1),
+    #: a fixed period both detector cores read; counts stay exact,
+    #: sampled span totals are a profile, not a sum
     SAMPLE_MASK = 63
 
     def __init__(self, *, enabled: Optional[bool] = None) -> None:
         #: hot-path guard — instrumented code may skip clock reads on it
         self.enabled: bool = env_enabled() if enabled is None else enabled
-        self.SAMPLE_MASK = sample_period_from_env(
-            type(self).SAMPLE_MASK + 1) - 1
         #: bounded per-rank event history feeding race forensics; the
         #: shared null timeline when obs or REPRO_OBS_TIMELINE is off
         self.timeline = make_timeline(enabled=self.enabled)

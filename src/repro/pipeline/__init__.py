@@ -52,12 +52,10 @@ _EXPORTS = {
     "CheckpointPlan": ".checkpoint",
     "CheckpointStore": ".checkpoint",
     "TraceDivergedError": "..mpi.errors",
-    "DETECTOR_SPECS": ".engine",
     "PipelineResult": ".engine",
     "ShardStats": ".engine",
     "analyze_trace": ".engine",
     "canonical_verdicts": ".engine",
-    "detector_display_name": ".engine",
     "CHAIN_ALGO": ".format",
     "FORMAT_V1": ".format",
     "FORMAT_V2": ".format",

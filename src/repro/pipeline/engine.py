@@ -36,12 +36,14 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
-                    Union)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 
 from .. import obs
-from ..core.flatcore import FlatDetector
+# the default detector ("our"), loaded with the engine: a daemon has it
+# before it reports ready instead of importing it on its first job
+from ..core import flatcore  # noqa: F401
 from ..core.report import RaceReport
+from ..detectors import detector_class
 from ..intervals.access import access_to_dict
 from ..mpi.errors import TraceChainMismatch, TraceDivergedError
 from .format import FORMAT_V2, TraceReader
@@ -51,66 +53,12 @@ if TYPE_CHECKING:  # in-memory traces; trace_io loads only when given one
     from ..mpi.trace_io import LoadedTrace
 
 __all__ = [
-    "DETECTOR_SPECS",
     "PipelineResult",
     "ShardStats",
     "analyze_trace",
     "canonical_forensics",
     "canonical_verdicts",
-    "detector_display_name",
 ]
-
-
-def _our():
-    core = os.environ.get("REPRO_CORE", "flat")
-    if core == "flat":
-        return FlatDetector()
-    if core == "object":
-        # legacy escape hatch, kept one release as the differential oracle
-        from ..core import OurDetector
-
-        return OurDetector()
-    raise ValueError(
-        f"unknown REPRO_CORE {core!r}; have 'flat' (default) and 'object'")
-
-
-def _rma():
-    from ..detectors import RmaAnalyzerLegacy
-
-    return RmaAnalyzerLegacy()
-
-
-def _mc():
-    from ..detectors import McCChecker
-
-    return McCChecker()
-
-
-def _must():
-    from ..detectors import MustRma
-
-    return MustRma()
-
-
-#: CLI names → detector factories (all existing detectors, unchanged)
-DETECTOR_SPECS: Dict[str, Callable] = {
-    "our": _our,
-    "rma": _rma,
-    "mc": _mc,
-    "must": _must,
-}
-
-def _make_detector(name: str):
-    try:
-        return DETECTOR_SPECS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown detector {name!r}; have {sorted(DETECTOR_SPECS)}"
-        ) from None
-
-
-def detector_display_name(name: str) -> str:
-    return _make_detector(name).name
 
 
 # -- verdict canonicalization -------------------------------------------------
@@ -391,7 +339,7 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
     rewritten underneath the follow trips the stored-chain verification
     and aborts with :class:`TraceDivergedError`.
     """
-    det = _make_detector(detector_name)
+    det = detector_class(detector_name)()
     reg = obs.active()
     t0 = time.perf_counter()
     tl = reg.timeline

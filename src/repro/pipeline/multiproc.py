@@ -52,12 +52,12 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from .. import obs
+from ..detectors import detector_class
 from ..mpi.errors import WorkerCrashedError
 from ..mpi.trace import TraceEvent
 from .engine import (
     PipelineResult,
     ShardStats,
-    _make_detector,
     _salvage_info,
     canonical_forensics,
     canonical_verdicts,
@@ -90,7 +90,8 @@ class _ShardGroup:
 
     def __init__(self, shards: Sequence[int], detector: str, nranks: int) -> None:
         self.nranks = nranks
-        self.detectors = {s: _make_detector(detector) for s in shards}
+        make = detector_class(detector)
+        self.detectors = {s: make() for s in shards}
         self.events = {s: 0 for s in shards}
 
     def dispatch(self, shard: int, batch: Sequence[TraceEvent]) -> None:
@@ -391,7 +392,7 @@ def analyze_sharded(events, nranks: int, path, reader: Optional[TraceReader],
             "batches die with their worker and cannot be replayed")
     if dispatch == "file" and path is None:
         raise ValueError("dispatch='file' needs a path-backed trace source")
-    _make_detector(detector)  # validate the name before forking
+    detector_class(detector)  # validate the name before forking
 
     ctx = _mp_context()
     out_q = ctx.Queue()

@@ -22,8 +22,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .. import obs
-from ..core import OurDetector
-from ..detectors import McCChecker, MustRma, ParkMirror, RmaAnalyzerLegacy
+from ..detectors import DETECTORS, detector_class
 from ..pipeline.shard import dispatch_event
 from ..staticcheck import check_program
 from .build import record_scenario
@@ -40,23 +39,14 @@ __all__ = [
 ]
 
 #: the paper's tool first, then the comparison zoo, then the static pass
-TOOL_NAMES = ("our", "rma_analyzer", "must_rma", "mc_cchecker",
-              "park_mirror", "staticcheck")
-
-_DETECTORS = {
-    "our": OurDetector,
-    "rma_analyzer": RmaAnalyzerLegacy,
-    "must_rma": MustRma,
-    "mc_cchecker": McCChecker,
-    "park_mirror": ParkMirror,
-}
+TOOL_NAMES = tuple(d.tool for d in DETECTORS) + ("staticcheck",)
 
 #: location pairs a tool reported: (stored "file:line", new "file:line")
 _Pairs = List[Tuple[str, str]]
 
 
-def _dynamic_verdict(sc: Scenario, trace, tool: str) -> Tuple[bool, _Pairs]:
-    detector = _DETECTORS[tool]()
+def _dynamic_verdict(sc: Scenario, trace, make) -> Tuple[bool, _Pairs]:
+    detector = make()
     for event in trace.events:
         dispatch_event(detector, event, sc.nranks)
     detector.finalize()
@@ -152,6 +142,8 @@ def score_corpus(
     disagreements: List[dict] = []
     seeds = sorted({sc.seed for sc in scenarios})
     racy = sum(1 for sc in scenarios if sc.racy)
+    makers = {t: detector_class(t, by="tool")
+              for t in tools if t != "staticcheck"}
 
     for sc in scenarios:
         trace = record_scenario(sc)
@@ -159,7 +151,7 @@ def score_corpus(
             if tool == "staticcheck":
                 verdict, pairs = _static_verdict(sc)
             else:
-                verdict, pairs = _dynamic_verdict(sc, trace, tool)
+                verdict, pairs = _dynamic_verdict(sc, trace, makers[tool])
             if verdict and sc.racy:
                 outcome = "tp"
             elif verdict:

@@ -45,6 +45,7 @@ from typing import Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
+from ..detectors import detector_names
 from ..mpi.errors import TraceFormatError
 from ..pipeline import TraceReader
 from .scheduler import AdmissionError, Scheduler
@@ -233,11 +234,10 @@ class _Handler(BaseHTTPRequestHandler):
         params = parse_qs(url.query)
         detector = params.get("detector", ["our"])[0]
         tenant = params.get("tenant", ["default"])[0]
-        from ..pipeline import DETECTOR_SPECS
-
-        if detector not in DETECTOR_SPECS:
+        names = detector_names()
+        if detector not in names:
             self._send_json(400, {"error": f"unknown detector {detector!r}; "
-                                           f"have {sorted(DETECTOR_SPECS)}"})
+                                           f"have {list(names)}"})
             return
         if not tenant or len(tenant) > 64 or set(tenant) - _TENANT_OK:
             self._send_json(400, {"error": "invalid tenant name"})

@@ -5,13 +5,13 @@ import pytest
 from repro.apps import (
     CfdConfig,
     CfdResult,
-    DETECTOR_FACTORIES,
     cfd_program,
     default_partitions,
     detector_factory,
     run_app,
 )
-from repro.core import OurDetector
+from repro.core import FlatDetector
+from repro.detectors import detector_names
 
 
 CFG = CfdConfig(cells_per_rank=64, iterations=3, bookkeeping_accesses=4)
@@ -29,7 +29,7 @@ class TestRunApp:
 
     def test_detector_run_collects_stats(self):
         parts = default_partitions(4, CFG)
-        det = OurDetector()
+        det = FlatDetector()
         r = run_app("cfd", cfd_program, 4, det, parts, CFG, CfdResult())
         assert r.detector == "Our Contribution"
         assert r.total_max_nodes > 0
@@ -50,13 +50,17 @@ class TestRunApp:
 
 class TestFactories:
     def test_the_four_fig10_bars(self):
-        assert set(DETECTOR_FACTORIES) == {
+        bars = {"Baseline", *detector_names("paper")}
+        assert bars == {
             "Baseline", "RMA-Analyzer", "MUST-RMA", "Our Contribution"
         }
+        for name in bars:
+            detector_factory(name)
 
     def test_factories_produce_fresh_instances(self):
         f = detector_factory("Our Contribution")
         assert f() is not f()
+        assert type(f()) is FlatDetector  # the shipped core
 
     def test_baseline_factory_is_none(self):
         assert detector_factory("Baseline")() is None

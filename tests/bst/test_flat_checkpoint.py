@@ -17,6 +17,8 @@ def _store():
         a = acc(10 * i, 10 * i + 4, RW, file="ckpt.c", line=i % 2)
         if i % 2:
             a = replace(a, accum_op=f"MPI_CKPT_OP{i % 4}", excl_epoch=2)
+        if i == 5:  # a fragment of two ranks' accumulates
+            a = replace(a, origin=((0, 1), (2, 0)))
         store.insert(access_to_rec(a))
     store.remove(next(iter(store)))  # a free row in the columns
     return store
@@ -50,6 +52,7 @@ def test_round_trip_is_exact():
     assert len(state["tails"]) == len(set(state["tails"])) < len(store)
     clone = FlatIntervalStore.from_state(pickle.loads(pickle.dumps(state)))
     assert list(clone) == list(store)
+    assert ((0, 1), (2, 0)) in {r[4] for r in clone}
     assert clone.save_state() == state
     clone.check_invariants()
 

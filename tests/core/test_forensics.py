@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from repro.core.forensics import (
     FORENSICS_SCHEMA,
@@ -82,6 +83,22 @@ def test_render_explain_names_everything():
     assert "<-- racing access (stored)" in text
     # the enclosing epoch made it into the shown timeline
     assert "lock_all" in text
+
+
+def test_origin_set_shows_every_origin():
+    """A fragment of two ranks' accumulates names both, and the
+    diagnostic shows both ranks' timelines."""
+    stored = replace(
+        acc(0, 8, AccessType.RMA_WRITE, file="acc.c", line=1),
+        accum_op="sum", origin=((0, 0), (1, 0)))
+    new = acc(0, 8, AccessType.LOCAL_READ, file="acc.c", line=2, origin=2)
+    bundle = json.loads(json.dumps(capture_forensics(
+        _StubDetector(), Timeline(16), rank=2, wid=0, stored=stored,
+        new=new, phase="data_race_detection")))
+    assert sorted(bundle["timeline"]["views"]) == ["0", "1", "2"]
+    text = render_explain(bundle)
+    assert "issued by ranks 0, 1 at acc.c:1" in text
+    assert "issued by rank 2 at acc.c:2" in text
 
 
 def test_render_explain_all_empty():

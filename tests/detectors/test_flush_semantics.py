@@ -12,7 +12,7 @@ The paper's §6 dissects MPI_Win_flush handling:
 
 import pytest
 
-from repro.core import OurDetector
+from repro.core import FlatDetector, OurDetector
 from repro.detectors import MustRma, RmaAnalyzerLegacy
 from repro.mpi import World
 
@@ -72,6 +72,32 @@ def local_read_after_sync_program(ctx):
     yield ctx.win_free(win)
 
 
+def two_origin_accumulates_then_target_read(flushers):
+    """Ranks 0 and 1 Accumulate(sum) onto the same byte of rank 2's
+    window (same-op accumulates do not race), ``flushers`` flush, then a
+    barrier and rank 2 reads the byte: safe iff both ranks flushed."""
+    def program(ctx):
+        win = yield ctx.win_allocate("w", 8)
+        buf = ctx.alloc("buf", 8, rma_hint=True)
+        ctx.win_lock_all(win)
+        yield
+        if ctx.rank in (0, 1):
+            ctx.accumulate(win, 2, 0, buf, 0, 1, op="sum")
+            if ctx.rank in flushers:
+                ctx.win_flush_all(win)
+        yield ctx.barrier()
+        if ctx.rank == 2:
+            from repro.mpi.simulator import Buffer
+            from repro.mpi import BYTE
+
+            ctx.load(Buffer(win.region_of(2), BYTE), 0, 1)
+        yield
+        ctx.win_unlock_all(win)
+        yield ctx.win_free(win)
+
+    return program
+
+
 def run(det, program, nranks):
     World(nranks, [det]).run(program)
     return det.reports_total
@@ -87,6 +113,22 @@ class TestOurDetectorPreciseFlush:
 
     def test_no_fp_on_target_read_after_sync(self):
         assert run(OurDetector(), local_read_after_sync_program, 2) == 0
+
+
+@pytest.mark.parametrize("core", [FlatDetector, OurDetector],
+                         ids=lambda c: c.__name__)
+class TestAccumulatesOfTwoOriginsAtBarrier:
+    """The two accumulates share one stored fragment; a barrier prunes
+    it only once each of its origins has flushed its share."""
+
+    def test_pruned_when_both_origins_flushed(self, core):
+        program = two_origin_accumulates_then_target_read((0, 1))
+        assert run(core(), program, 3) == 0
+
+    @pytest.mark.parametrize("flushers", [(0,), (1,)])
+    def test_kept_while_one_origin_is_unflushed(self, core, flushers):
+        program = two_origin_accumulates_then_target_read(flushers)
+        assert run(core(), program, 3) == 1
 
 
 class TestLegacyToolsMishandleFlush:

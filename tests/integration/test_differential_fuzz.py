@@ -5,7 +5,8 @@ gets, accumulates, instrumented loads/stores on RMA-visible memory) and
 runs *all* detectors on the very same event stream.  The oracle
 relations:
 
-* **Our contribution == MC-CChecker** on the boolean verdict: the
+* **Our contribution == MC-CChecker** on the boolean verdict, for both
+  cores (the shipped flat core and the object-core oracle): the
   post-mortem clock-based analysis has neither the lower-bound bug nor
   the order-insensitivity bug nor a stack blind spot, so on flush-free
   heap-only programs the two must agree exactly.
@@ -24,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import OurDetector, StridedDetector
+from repro.core import FlatDetector, OurDetector, StridedDetector
 from repro.detectors import McCChecker, MustRma, RmaAnalyzerLegacy
 from repro.intervals import DebugInfo
 from repro.mpi import BYTE, World
@@ -100,12 +101,18 @@ def _execute(ctx, win, buf, op: FuzzOp) -> None:
 
 
 def run_all(schedule):
-    ours = OurDetector()
+    """Every detector on one run; ``ours`` holds both cores."""
+    ours = (FlatDetector(), OurDetector())
     legacy = RmaAnalyzerLegacy()
     must = MustRma()
     mcc = McCChecker()
-    World(NRANKS, [ours, legacy, must, mcc]).run(make_program(schedule))
+    World(NRANKS, [*ours, legacy, must, mcc]).run(make_program(schedule))
     return ours, legacy, must, mcc
+
+
+def _acc(op: str) -> FuzzOp:
+    """Accumulate ``op`` onto byte 0 of rank 2's window."""
+    return FuzzOp("acc", 2, 0, 1, op, 1)
 
 
 @given(programs)
@@ -122,11 +129,20 @@ def test_strided_extension_verdict_parity(schedule):
 
 @given(programs)
 @settings(max_examples=120, deadline=None)
+# two same-op accumulates from different origins, then a different-op
+# one: it races with the origin it does not share (the first two), with
+# either (the third); all from one origin is ordered, hence safe (last)
+@example([(0, _acc("max")), (2, _acc("max")), (2, _acc("sum"))])
+@example([(0, _acc("max")), (1, _acc("max")), (1, _acc("sum"))])
+@example([(0, _acc("max")), (2, _acc("max")), (0, _acc("sum"))])
+@example([(0, _acc("max")), (0, _acc("max")), (0, _acc("sum"))])
 def test_ours_agrees_with_postmortem_oracle(schedule):
     ours, _legacy, _must, mcc = run_all(schedule)
-    assert ours.race_detected == mcc.race_detected, (
-        f"ours={ours.reports[:2]} mcc={mcc.reports[:2]}"
-    )
+    for core in ours:
+        assert core.race_detected == mcc.race_detected, (
+            f"{type(core).__name__}={core.reports[:2]} "
+            f"mcc={mcc.reports[:2]}"
+        )
 
 
 @given(programs)
@@ -134,7 +150,7 @@ def test_ours_agrees_with_postmortem_oracle(schedule):
 def test_must_rma_never_outreports_ours_here(schedule):
     ours, _legacy, must, _mcc = run_all(schedule)
     if must.race_detected:
-        assert ours.race_detected
+        assert all(core.race_detected for core in ours)
 
 
 @given(programs)
@@ -172,7 +188,6 @@ def test_bst_invariants_survive_fuzzing(schedule):
 @given(programs)
 @settings(max_examples=60, deadline=None)
 def test_verdicts_deterministic(schedule):
-    a = run_all(schedule)
-    b = run_all(schedule)
-    for first, second in zip(a, b):
+    (ours_a, *a), (ours_b, *b) = run_all(schedule), run_all(schedule)
+    for first, second in zip((*ours_a, *a), (*ours_b, *b)):
         assert first.reports_total == second.reports_total

@@ -4,17 +4,19 @@ import pytest
 
 from repro import (
     DataRaceError,
+    FlatDetector,
     McCChecker,
     MustRma,
-    OurDetector,
     ParkMirror,
     RmaAnalyzerLegacy,
     World,
 )
+from repro.core import OurDetector
 from repro.mpi import INT64
 
 
-ALL_DETECTORS = [OurDetector, RmaAnalyzerLegacy, MustRma, ParkMirror, McCChecker]
+ALL_DETECTORS = [FlatDetector, OurDetector, RmaAnalyzerLegacy, MustRma,
+                 ParkMirror, McCChecker]
 
 
 def ring_shift_program(ctx):
@@ -63,7 +65,8 @@ class TestCorrectProgramAcrossDetectors:
 class TestRacyProgramAcrossDetectors:
     @pytest.mark.parametrize(
         "factory",
-        [OurDetector, RmaAnalyzerLegacy, MustRma, ParkMirror, McCChecker],
+        [FlatDetector, OurDetector, RmaAnalyzerLegacy, MustRma, ParkMirror,
+         McCChecker],
         ids=lambda f: f.__name__,
     )
     def test_all_rma_aware_tools_catch_window_races(self, factory):

@@ -132,6 +132,47 @@ class TestMixedAccumulates:
         assert outcome.has_race
 
 
+class TestMixedOriginFragment:
+    """Same-op accumulates from different origins combine into a fragment
+    whose origin is the set of their ``(rank, flush_gen)`` pairs.  Keeping
+    the newest access's origin would let a later different-op accumulate
+    from that origin pass the same-origin ordering exemption of
+    :func:`is_race`, hiding its race with the other origin's accumulate."""
+
+    _acc_access = staticmethod(TestMixedAccumulates._acc_access)
+
+    def test_cross_origin_fragment_keeps_every_origin(self):
+        frag = combine_accesses(
+            replace(self._acc_access("max", origin=2), flush_gen=3),
+            self._acc_access("max", origin=0, line=2))
+        assert frag.origin == ((0, 0), (2, 3))
+        assert frag.accum_op == "max"  # the same-op exemption survives
+        assert not is_race(frag, self._acc_access("max", origin=1, line=3))
+
+    def test_origin_set_grows_with_each_origin(self):
+        frag = combine_accesses(self._acc_access("max", origin=0),
+                                self._acc_access("max", origin=2, line=2))
+        frag = combine_accesses(
+            frag, replace(self._acc_access("max", origin=0, line=3),
+                          flush_gen=1))
+        frag = combine_accesses(frag, self._acc_access("max", origin=1,
+                                                       line=4))
+        # one pair per rank, with its newest flush generation
+        assert frag.origin == ((0, 1), (1, 0), (2, 0))
+
+    def test_same_origin_fragment_keeps_its_origin(self):
+        frag = combine_accesses(self._acc_access("max", origin=2),
+                                self._acc_access("sum", origin=2, line=2))
+        assert frag.origin == 2
+
+    def test_marked_fragment_races_with_either_origin_other_op(self):
+        frag = combine_accesses(self._acc_access("max", origin=0),
+                                self._acc_access("max", origin=2, line=2))
+        for origin in (0, 2):
+            assert is_race(frag, self._acc_access("sum", origin=origin,
+                                                  line=3))
+
+
 class TestTable1Rendering:
     def test_shape(self):
         rows = table1_rows()

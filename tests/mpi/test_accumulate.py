@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import OurDetector
+from repro.core import FlatDetector, OurDetector
 from repro.detectors import MustRma, RmaAnalyzerLegacy
 from repro.mpi import INT64, RmaUsageError, World
 
@@ -75,6 +75,27 @@ class TestAtomicityExemption:
         det = factory()
         World(3, [det]).run(accum_program, "sum", "replace")
         assert det.reports_total >= 1
+
+    @pytest.mark.parametrize("factory", [FlatDetector, OurDetector],
+                             ids=lambda f: f.__name__)
+    def test_other_op_after_two_origins_same_op_races(self, factory):
+        """Ranks 0 and 2 Accumulate(max), then rank 2 Accumulate(sum):
+        the sum is ordered after rank 2's max but races with rank 0's."""
+        def program(ctx):
+            win = yield ctx.win_allocate("w", 8, INT64)
+            buf = ctx.alloc("buf", 8, INT64, rma_hint=True)
+            ctx.win_lock_all(win)
+            yield ctx.barrier()
+            for rank, op in ((0, "max"), (2, "max"), (2, "sum")):
+                if ctx.rank == rank:
+                    ctx.accumulate(win, 2, 0, buf, 0, 1, op=op)
+                yield
+            ctx.win_unlock_all(win)
+            yield ctx.win_free(win)
+
+        det = factory()
+        World(3, [det]).run(program)
+        assert det.reports_total == 1
 
     def test_accumulate_vs_put_races(self):
         def program(ctx):

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core import OurDetector
+from repro.core import FlatDetector, OurDetector
 from repro.detectors import McCChecker, MustRma, ParkMirror, RmaAnalyzerLegacy
 from repro.mpi import EpochError, INT64, World
 
-ALL_DETECTORS = [OurDetector, RmaAnalyzerLegacy, MustRma, ParkMirror, McCChecker]
+ALL_DETECTORS = [FlatDetector, OurDetector, RmaAnalyzerLegacy, MustRma,
+                 ParkMirror, McCChecker]
 
 
 def exchange_program(ctx, epochs=3):

@@ -214,27 +214,6 @@ def test_render_metrics_sections():
         "(no metrics recorded")
 
 
-def test_sample_period_env_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_OBS_SAMPLE", "8")
-    reg = Registry(enabled=True)
-    assert reg.SAMPLE_MASK == 7
-    assert sum(reg.sample() for _ in range(32)) == 4
-
-
-def test_sample_period_one_approves_every_call(monkeypatch):
-    monkeypatch.setenv("REPRO_OBS_SAMPLE", "1")
-    reg = Registry(enabled=True)
-    assert all(reg.sample() for _ in range(5))
-
-
-@pytest.mark.parametrize("bad", ["12", "-4", "zero"])
-def test_sample_period_rejects_non_powers_of_two(monkeypatch, bad):
-    monkeypatch.setenv("REPRO_OBS_SAMPLE", bad)
-    with pytest.warns(RuntimeWarning, match="REPRO_OBS_SAMPLE"):
-        reg = Registry(enabled=True)
-    assert reg.SAMPLE_MASK == Registry.SAMPLE_MASK
-
-
 def test_histogram_tracks_exact_max():
     reg = obs.active()
     h = reg.histogram("h")

@@ -9,12 +9,13 @@ import json
 
 import pytest
 
+from repro.detectors import detector_class, detector_names
 from repro.mpi import load_trace, replay_trace
-from repro.pipeline import DETECTOR_SPECS, analyze_trace, canonical_verdicts
+from repro.pipeline import analyze_trace, canonical_verdicts
 
 
 def _serial_verdicts(trace_path, detector):
-    det = replay_trace(load_trace(trace_path), DETECTOR_SPECS[detector]())
+    det = replay_trace(load_trace(trace_path), detector_class(detector)())
     return json.dumps(canonical_verdicts(det.reports), sort_keys=True)
 
 
@@ -23,7 +24,7 @@ def _pipeline_verdicts(result):
 
 
 class TestVerdictParity:
-    @pytest.mark.parametrize("detector", sorted(DETECTOR_SPECS))
+    @pytest.mark.parametrize("detector", detector_names())
     def test_minivite_jobs4_matches_serial(self, minivite_trace, detector):
         result = analyze_trace(minivite_trace, detector=detector, jobs=4)
         assert result.jobs == 4

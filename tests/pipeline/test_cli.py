@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro import __version__
-from repro.cli import _DETECTORS, _EXPERIMENT_IDS, _RECORD_APPS, main
-from repro.pipeline import DETECTOR_SPECS, RECORDABLE_APPS
+from repro.cli import _EXPERIMENT_IDS, _RECORD_APPS, main
+from repro.pipeline import RECORDABLE_APPS
 
 
 class TestVersionFlag:
@@ -32,9 +32,6 @@ class TestUnknownExperiment:
 class TestRegistryConsistency:
     def test_cli_app_choices_match_pipeline(self):
         assert _RECORD_APPS == tuple(sorted(RECORDABLE_APPS))
-
-    def test_cli_detector_choices_match_pipeline(self):
-        assert _DETECTORS == tuple(sorted(DETECTOR_SPECS))
 
     def test_cli_experiment_ids_match_registry(self):
         from repro.experiments import EXPERIMENTS

@@ -1,19 +1,32 @@
-"""Differential A/B harness: flat-array core vs legacy object core.
+"""One parity matrix: every entry point of the shipped core vs the oracle.
 
-The flat core (``src/repro/core/flatcore.py``) re-implements the paper's
-§4 detector over struct-of-arrays storage and a fused binary wire path.
-Its contract is *byte identity* with the object core it replaced:
+The flat core (``src/repro/core/flatcore.py``) is the only "ours" the
+product builds: the live simulator behind the paper experiments,
+serial ``repro analyze`` and sharded ``--jobs`` runs all get it from
+:data:`repro.detectors.DETECTORS`.  The object core
+(:class:`~repro.core.OurDetector`, Algorithm 1 over the node-linked
+interval tree) is the reference oracle, built directly and fed the way
+the e2e benchmark's ``Oracle`` feeds it: every recorded event through
+``dispatch_event``, the timeline through ``record_event_fanout``, then
+``finalize()`` and ``publish_obs()``.
 
-* canonical verdicts and forensics bundles — same JSON dumps,
-* node statistics — the Table-4 quantities (peak nodes, processed
-  accesses) match exactly, pinned against the recorded workloads,
-* the full obs registry snapshot (counters, bst.* tree statistics)
-  matches once volatile wall-clock/RSS keys are zeroed,
-* the seed-7 scenario corpus produces identical verdicts per scenario.
+Rows (:data:`ROWS`), each on the miniVite (race injected, v2 binary)
+and CFD-Proxy (v1 JSON) fixtures, plus the seed-7 scenario corpus:
 
-Anything short of byte identity is a correctness bug in the flat core,
-not a tolerable drift: the object core stays behind ``REPRO_CORE=object``
-precisely so this harness can keep arbitrating.
+* ``live`` — ``run_app`` through ``detector_factory("Our
+  Contribution")``; its node counts and simulated time (the Fig. 10-12
+  and Table 4 quantities) must also equal a live run of the oracle;
+* ``serial`` — ``analyze_trace`` (the wire path on v2);
+* ``jobs2`` — ``analyze_trace(jobs=2)``, verdicts and forensics;
+* the corpus, live, scenario by scenario.
+
+Each row runs once per workload (the ``observed`` fixture).  Compared
+byte for byte: canonical verdicts and forensics, event counts and shard
+statistics, and (``test_obs_snapshot_identical``, live and serial rows)
+every registry value under ``bst.*``, ``core.*``, ``detector.*`` and
+``filter.*`` once wall-clock keys are zeroed.  Anything short of
+identity is a flat-core bug.  Checkpoint + resume, ``--follow`` and
+serve are certified against serial by their own suites.
 """
 
 import json
@@ -21,20 +34,30 @@ import json
 import pytest
 
 from repro import obs
+from repro.apps.harness import detector_factory, run_app
 from repro.core import FlatDetector, OurDetector
-from repro.pipeline import analyze_trace
+from repro.mpi.trace_io import load_trace
+from repro.pipeline import RECORDABLE_APPS, analyze_trace
 from repro.pipeline.engine import canonical_forensics, canonical_verdicts
+from repro.pipeline.shard import dispatch_event
 from repro.scenarios import generate_corpus
-from repro.scenarios.build import run_scenario
+from repro.scenarios.build import record_scenario, run_scenario
 
-#: Table-4 pins for the recorded fixtures (minivite 4x256 +race, cfd 4x4):
+#: the fixtures' recordings (tests/pipeline/conftest.py): app -> (size,
+#: inject_race), on 4 ranks
+INPUTS = {"minivite": (256, True), "cfd": (4, False)}
+NRANKS = 4
+
+#: Table-4 pins for the recorded fixtures:
 #: (events_total, races, peak_nodes, accesses_processed)
 PINNED = {
     "minivite": (2333, 12, 196, 807),
     "cfd": (4414, 0, 8, 1024),
 }
 
-#: registry-snapshot keys that legitimately differ run to run
+#: registry sections compared, and the snapshot keys that legitimately
+#: differ run to run
+_PREFIXES = ("bst.", "core.", "detector.", "filter.")
 _VOLATILE = ("ns", "seconds", "time", "wall", "rss")
 
 
@@ -50,98 +73,179 @@ def _normalize(d):
     return out
 
 
-def _analyze(path, core, monkeypatch, **kwargs):
-    monkeypatch.setenv("REPRO_CORE", core)
-    res = analyze_trace(path, **kwargs)
-    monkeypatch.delenv("REPRO_CORE")
-    return res
+def _registry(reg):
+    snap = reg.snapshot()
+    return _normalize({
+        section: {k: v for k, v in snap.get(section, {}).items()
+                  if k.startswith(_PREFIXES)}
+        for section in ("counters", "gauges", "histograms")
+    })
 
 
-def _result_key(res):
-    """Everything observable about a pipeline run, as one JSON string."""
-    return json.dumps({
-        "verdicts": res.verdicts,
-        "forensics": res.forensics,
-        "events": res.events_total,
-        "shards": [(s.shard, s.events, s.races, s.peak_nodes, s.processed)
-                   for s in res.shard_stats],
-    }, sort_keys=True, default=str)
+def _reports(reports):
+    return {"verdicts": canonical_verdicts(reports),
+            "forensics": canonical_forensics(reports)}
 
 
-@pytest.fixture(params=["minivite", "cfd"])
+def _shard(events, reports, stats):
+    """The serial run's one shard: (events, races, peak, processed)."""
+    return [(events, len(reports),
+             max(stats.max_nodes_per_rank.values(), default=0),
+             stats.accesses_processed)]
+
+
+def _app(app, det):
+    size, race = INPUTS[app]
+    program, args = RECORDABLE_APPS[app].builder(NRANKS, size, race)
+    return run_app(app, program, NRANKS, det, *args)
+
+
+def _fed_oracle(events, nranks, reg):
+    """``OurDetector()`` fed like the e2e Oracle, then finalized."""
+    det = OurDetector()
+    for event in events:
+        reg.timeline.record_event_fanout(event, nranks)
+        dispatch_event(det, event, nranks)
+    det.finalize()
+    return det
+
+
+def oracle(app, path):
+    """The object core's observation of one recorded trace."""
+    loaded = load_trace(path)
+    events = loaded.log.events
+    with obs.scope() as reg:
+        det = _fed_oracle(events, loaded.nranks, reg)
+        det.publish_obs()
+        registry = _registry(reg)
+    return {**_reports(det.reports), "events": len(events),
+            "shards": _shard(len(events), det.reports, det.node_stats()),
+            "registry": registry,
+            # the live rows' node counts and simulated time
+            "app": _app_stats(_app(app, OurDetector()))}
+
+
+def _app_stats(run):
+    return (run.total_max_nodes, run.max_nodes_one_rank,
+            run.accesses_processed, run.accesses_filtered,
+            run.sim_elapsed_ms, run.sim_breakdown)
+
+
+def _live(app, path):
+    det = detector_factory("Our Contribution")()
+    assert type(det) is FlatDetector
+    with obs.scope() as reg:
+        run = _app(app, det)
+        return {**_reports(det.reports), "registry": _registry(reg),
+                "app": _app_stats(run)}
+
+
+def _analyzed(path, jobs):
+    with obs.scope() as reg:
+        res = analyze_trace(path, jobs=jobs)
+        out = {"verdicts": res.verdicts, "forensics": res.forensics,
+               "events": res.events_total}
+        if jobs == 1:
+            s = res.shard_stats[0]
+            out["shards"] = [(s.events, s.races, s.peak_nodes, s.processed)]
+            out["registry"] = _registry(reg)
+        return out
+
+
+#: the matrix: row -> run of the shipped core on one recorded input
+ROWS = {
+    "live": _live,
+    "serial": lambda app, path: _analyzed(path, jobs=1),
+    "jobs2": lambda app, path: _analyzed(path, jobs=2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(INPUTS))
 def workload(request, minivite_trace, cfd_trace):
-    path = {"minivite": minivite_trace, "cfd": cfd_trace}[request.param]
-    return request.param, path
+    """(app, trace path, oracle observation), the oracle run once."""
+    app = request.param
+    path = {"minivite": minivite_trace, "cfd": cfd_trace}[app]
+    return app, path, oracle(app, path)
+
+
+@pytest.fixture(scope="module")
+def observed(workload):
+    """Every row's observation of the workload, each row run once."""
+    app, path, _ = workload
+    return {row: run(app, path) for row, run in ROWS.items()}
+
+
+def _assert_row(workload, observed, row, keys):
+    """Compare one row's observation with the oracle's on ``keys``."""
+    app, _, want = workload
+    got = observed[row]
+    for key in keys:
+        assert json.dumps(got[key], sort_keys=True, default=str) == \
+            json.dumps(want[key], sort_keys=True, default=str), (
+                f"{row} row diverges from the oracle on {app}: {key}")
 
 
 class TestRecordedWorkloads:
-    def test_serial_byte_identical(self, workload, monkeypatch):
-        name, path = workload
-        obj = _analyze(path, "object", monkeypatch, jobs=1)
-        flat = _analyze(path, "flat", monkeypatch, jobs=1)
-        assert _result_key(flat) == _result_key(obj)
+    def test_live_byte_identical(self, workload, observed):
+        _assert_row(workload, observed, "live",
+                    ("verdicts", "forensics", "app"))
 
-    def test_table4_pins(self, workload, monkeypatch):
-        """The flat core reproduces the exact pinned Table-4 numbers."""
-        name, path = workload
-        events, races, peak, processed = PINNED[name]
-        res = _analyze(path, "flat", monkeypatch, jobs=1)
-        shard = res.shard_stats[0]
-        assert res.events_total == events
-        assert shard.races == races
-        assert shard.peak_nodes == peak
-        assert shard.processed == processed
+    def test_serial_byte_identical(self, workload, observed):
+        _assert_row(workload, observed, "serial",
+                    ("verdicts", "forensics", "events", "shards"))
 
-    def test_sharded_byte_identical(self, workload, monkeypatch):
-        name, path = workload
-        obj = _analyze(path, "object", monkeypatch, jobs=2)
-        flat = _analyze(path, "flat", monkeypatch, jobs=2)
-        assert json.dumps(flat.verdicts, sort_keys=True, default=str) == \
-            json.dumps(obj.verdicts, sort_keys=True, default=str)
-        assert json.dumps(flat.forensics, sort_keys=True, default=str) == \
-            json.dumps(obj.forensics, sort_keys=True, default=str)
+    def test_sharded_byte_identical(self, workload, observed):
+        _assert_row(workload, observed, "jobs2",
+                    ("verdicts", "forensics", "events"))
 
-    def test_obs_snapshot_identical(self, workload, monkeypatch):
-        """Full registry snapshots match: every ``bst.*`` tree counter
-        (comparisons, rotations, queries, fanout histogram) and every
-        detector counter is reproduced by the flat core exactly."""
-        name, path = workload
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        snaps = {}
-        for core in ("object", "flat"):
-            with obs.scope() as reg:
-                _analyze(path, core, monkeypatch, jobs=1)
-                snaps[core] = json.dumps(_normalize(reg.snapshot()),
-                                         sort_keys=True, default=str)
-        assert snaps["flat"] == snaps["object"]
+    def test_obs_snapshot_identical(self, workload, observed):
+        """Registry values match, live and serial: every ``bst.*`` tree
+        counter (comparisons, rotations, queries, fanout histogram) and
+        every core, detector and filter counter."""
+        for row in ("live", "serial"):
+            _assert_row(workload, observed, row, ("registry",))
+
+    def test_table4_pins(self, workload, observed):
+        """The shipped core and the oracle reproduce the exact pinned
+        Table-4 numbers."""
+        app, _, want = workload
+        events, races, peak, processed = PINNED[app]
+        assert want["shards"] == [(events, races, peak, processed)]
+        assert observed["serial"]["events"] == events
+        assert observed["serial"]["shards"] == want["shards"]
 
 
 class TestScenarioCorpus:
-    """Seed-7 corpus: 60 scenarios through both cores, live (no trace)."""
+    """Seed-7 corpus: 60 scenarios, the shipped core live vs the oracle."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
         return generate_corpus(7, 60)
 
     @staticmethod
-    def _run(sc, det_cls):
+    def _key(det):
+        return json.dumps(_reports(det.reports), sort_keys=True, default=str)
+
+    def _live(self, sc):
         # fresh registry per run: forensics embed timeline views, which
-        # would otherwise leak across the two detector executions
+        # would otherwise leak across the two executions
         with obs.scope():
-            det = det_cls()
+            det = detector_factory("Our Contribution")()
             run_scenario(sc, det)
             det.finalize()
-            key = json.dumps({
-                "verdicts": canonical_verdicts(det.reports),
-                "forensics": canonical_forensics(det.reports),
-            }, sort_keys=True, default=str)
-            return key, det.node_stats()
+            return self._key(det), det.node_stats()
+
+    def _oracle(self, sc):
+        trace = record_scenario(sc)
+        with obs.scope() as reg:
+            det = _fed_oracle(trace.events, sc.nranks, reg)
+            return self._key(det), det.node_stats()
 
     def test_corpus_byte_identical(self, corpus):
         mismatches = []
         for sc in corpus:
-            key_o, ns_o = self._run(sc, OurDetector)
-            key_f, ns_f = self._run(sc, FlatDetector)
+            key_f, ns_f = self._live(sc)
+            key_o, ns_o = self._oracle(sc)
             if key_o != key_f:
                 mismatches.append(sc.name)
             if ns_o != ns_f:

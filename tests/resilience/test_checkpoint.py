@@ -26,6 +26,7 @@ import zlib
 
 import pytest
 
+from repro.detectors import detector_class, detector_names
 from repro.faultinject import (
     FaultPlan,
     KillWorker,
@@ -42,7 +43,6 @@ from repro.pipeline import (
     analyze_trace,
 )
 from repro.pipeline.checkpoint import CKPT_MAGIC, CKPT_SCHEMA
-from repro.pipeline.engine import DETECTOR_SPECS
 from repro.pipeline.shard import dispatch_event
 
 #: counters whose values legitimately differ between faulted and
@@ -99,7 +99,7 @@ def baseline_jobs4(chunked_trace):
 # -- unit: state snapshots ----------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(DETECTOR_SPECS))
+@pytest.mark.parametrize("name", detector_names())
 def test_detector_snapshot_roundtrip_mid_replay(name, mv_trace):
     """snapshot() mid-replay + restore() == never-interrupted replay."""
     import pickle
@@ -109,16 +109,16 @@ def test_detector_snapshot_roundtrip_mid_replay(name, mv_trace):
     nranks = reader.nranks
     cut = len(events) // 2
 
-    straight = DETECTOR_SPECS[name]()
+    straight = detector_class(name)()
     for event in events:
         dispatch_event(straight, event, nranks)
     straight.finalize()
 
-    first = DETECTOR_SPECS[name]()
+    first = detector_class(name)()
     for event in events[:cut]:
         dispatch_event(first, event, nranks)
     snap = pickle.loads(pickle.dumps(first.snapshot()))
-    resumed = DETECTOR_SPECS[name]()
+    resumed = detector_class(name)()
     resumed.restore(snap)
     for event in events[cut:]:
         dispatch_event(resumed, event, nranks)
@@ -132,8 +132,8 @@ def test_detector_snapshot_roundtrip_mid_replay(name, mv_trace):
 
 
 def test_detector_restore_rejects_wrong_class():
-    ours = DETECTOR_SPECS["our"]()
-    other = DETECTOR_SPECS["mc"]()
+    ours = detector_class("our")()
+    other = detector_class("mc")()
     with pytest.raises(ValueError, match="checkpoint is for detector"):
         other.restore(ours.snapshot())
 

@@ -1,13 +1,14 @@
 """Checkpoint cross-compatibility between the two detector cores.
 
 ``repro-ckpt-v1`` detector snapshots carry the writing class: the flat
-core serializes stores in the ``repro-flat-bst-v2`` column layout, the
-legacy object core pickles ``IntervalBST`` state.  A snapshot must only
-ever resume on the core that wrote it — restoring across cores raises a
-:class:`~repro.pipeline.CheckpointError` that *names both core kinds*
-and the ``REPRO_CORE`` setting that would resume it.  A silent
-wrong-resume (empty stores, zeroed stats, missed races) is the failure
-mode this file exists to make impossible.
+core (the one every entry point builds) serializes stores in the
+``repro-flat-bst-v3`` column layout, the object core (the reference
+oracle) pickles ``IntervalBST`` state.  A snapshot must only ever resume
+on the core that wrote it — restoring across cores raises the generic
+class check's ``ValueError``, naming both classes, before any state is
+touched; the CLI and serve refuse it like any other unusable
+checkpoint.  A silent wrong-resume (empty stores, zeroed stats, missed
+races) is the failure mode this file exists to make impossible.
 """
 
 import pickle
@@ -15,7 +16,7 @@ import pickle
 import pytest
 
 from repro.core import FlatDetector, OurDetector
-from repro.pipeline import CheckpointError, TraceReader
+from repro.pipeline import TraceReader
 from repro.pipeline.shard import dispatch_event
 
 
@@ -32,25 +33,18 @@ def test_object_snapshot_rejected_by_flat_core(mv_trace):
     snap = pickle.loads(pickle.dumps(
         _mid_replay(OurDetector(), mv_trace).snapshot()))
     assert snap["class"] == "OurDetector"
-    with pytest.raises(CheckpointError) as exc:
+    with pytest.raises(ValueError, match=(
+            "checkpoint is for detector 'OurDetector', not 'FlatDetector'")):
         FlatDetector().restore(snap)
-    msg = str(exc.value)
-    assert "object core (OurDetector)" in msg
-    assert "flat core (FlatDetector)" in msg
-    assert "REPRO_CORE=object" in msg
-    assert "repro-ckpt-v1" in msg
 
 
 def test_flat_snapshot_rejected_by_object_core(mv_trace):
     snap = pickle.loads(pickle.dumps(
         _mid_replay(FlatDetector(), mv_trace).snapshot()))
     assert snap["class"] == "FlatDetector"
-    with pytest.raises(CheckpointError) as exc:
+    with pytest.raises(ValueError, match=(
+            "checkpoint is for detector 'FlatDetector', not 'OurDetector'")):
         OurDetector().restore(snap)
-    msg = str(exc.value)
-    assert "FlatDetector" in msg
-    assert "OurDetector" in msg
-    assert "REPRO_CORE" in msg
 
 
 def test_rejection_leaves_no_partial_state(mv_trace):
@@ -58,7 +52,7 @@ def test_rejection_leaves_no_partial_state(mv_trace):
     detector — a later run would silently mix cores' state."""
     snap = _mid_replay(OurDetector(), mv_trace).snapshot()
     det = FlatDetector()
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ValueError):
         det.restore(snap)
     assert not det._stores
     assert not det.reports
@@ -67,7 +61,7 @@ def test_rejection_leaves_no_partial_state(mv_trace):
 
 def test_flat_snapshot_resumes_on_flat_core(mv_trace):
     """Same-core resume stays byte-identical to an uninterrupted run
-    (the cross-core guard must not over-reject)."""
+    (the class check must not over-reject)."""
     reader = TraceReader(mv_trace)
     events = list(reader)
     nranks = reader.nranks
