@@ -86,8 +86,7 @@ def _timed_run(trace: Path, core: str):
 def _bench_workload(spec: dict, tmp: str) -> dict:
     trace = Path(tmp) / f"{spec['app']}.trace"
     rec = record_app(spec["app"], nranks=spec["nranks"], size=spec["size"],
-                     inject_race=spec["inject_race"], out=trace,
-                     format="binary")
+                     inject_race=spec["inject_race"], out=trace)
 
     walls = {"object": [], "flat": []}
     digests = {}

@@ -30,7 +30,7 @@ def run_scaling(out: Path = OUT, *, size: int = 512) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "mv.trace"
         rec = record_app("minivite", nranks=4, size=size,
-                         inject_race=True, out=trace, format="binary")
+                         inject_race=True, out=trace)
 
         runs = []
         for jobs in JOBS:

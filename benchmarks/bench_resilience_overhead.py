@@ -118,7 +118,7 @@ def run_overhead(out: Path = OUT, *, size: int = 512) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "mv.trace"
         rec = record_app("minivite", nranks=4, size=size,
-                         inject_race=True, out=trace, format="binary")
+                         inject_race=True, out=trace)
 
         clean = analyze_trace(trace, detector="our", jobs=2,
                               dispatch="file", timeout=30.0)
@@ -130,7 +130,7 @@ def run_overhead(out: Path = OUT, *, size: int = 512) -> dict:
         salvage_eps = _read_throughput(trace, strict=False)
         ckpt_trace = Path(tmp) / "ckpt.trace"
         record_app("minivite", nranks=4, size=CKPT_SIZE, inject_race=True,
-                   out=ckpt_trace, format="binary")
+                   out=ckpt_trace)
         checkpoint = _ckpt_overhead(ckpt_trace, Path(tmp), every=1)
         checkpoint_default = _ckpt_overhead(ckpt_trace, Path(tmp),
                                             every=None)

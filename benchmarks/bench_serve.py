@@ -95,7 +95,7 @@ def _incremental_leg(tmp: Path) -> dict:
 
     trace = tmp / "incr.trace"
     rec = record_app("minivite", nranks=4, size=INCR_SIZE,
-                     inject_race=True, out=trace, format="binary")
+                     inject_race=True, out=trace)
     stack = _Stack(tmp / "incr-svc")
     try:
         base_s, _ = _submit_to_verdict(stack.base, trace)
@@ -146,7 +146,7 @@ def run_serve_bench(out: Path = OUT, *, size: int = 512) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "mv.trace"
         rec = record_app("minivite", nranks=4, size=size,
-                         inject_race=True, out=trace, format="binary")
+                         inject_race=True, out=trace)
 
         t0 = time.perf_counter()
         direct = analyze_trace(trace, detector="our", jobs=1)

@@ -60,11 +60,6 @@ __all__ = ["FLAT_LAYOUT", "FlatIntervalStore"]
 #: checkpoint layout tag of one serialized store (inside ``repro-ckpt-v1``)
 FLAT_LAYOUT = "repro-flat-bst-v3"
 
-#: earlier layouts, still loaded: v2 copied one record per row, v1
-#: also resolved every record's site and accum op to strings
-_FLAT_LAYOUT_V2 = "repro-flat-bst-v2"
-_FLAT_LAYOUT_V1 = "repro-flat-bst-v1"
-
 #: a record without its bounds: (type, site, origin, seq, flush_gen,
 #: accum, excl_epoch) — ``rec[2:]``
 Tail = Tuple[int, int, int, int, int, int, Optional[int]]
@@ -72,18 +67,13 @@ Tail = Tuple[int, int, int, int, int, int, Optional[int]]
 
 def _packed(col: List[int], code: str):
     """An int column as a typed array: bounds as int64 (``"q"``), row
-    indices, heights and tail ids as int32 (``"i"``).
-
-    No v2 trace can carry a bound outside int64, but a v1 JSON trace
-    can; such a column stays a list.  (``array`` is imported here, on
+    indices, heights and tail ids as int32 (``"i"``) — a trace's
+    access records hold int64 bounds.  (``array`` is imported here, on
     the first checkpoint: a plain analysis never loads it.)
     """
     from array import array
 
-    try:
-        return array(code, col)
-    except OverflowError:
-        return list(col)
+    return array(code, col)
 
 
 class FlatIntervalStore:
@@ -832,12 +822,12 @@ class FlatIntervalStore:
     def load_state(self, state: dict) -> None:
         """Rebuild from :meth:`save_state` output (re-interning ids).
 
-        Layouts v2 (one record per row, id tables) and v1 (one record
-        per row, resolved strings) load too; their records are split
-        into tail ids and a tail table here.
+        Only layout ``repro-flat-bst-v3`` loads; an older snapshot
+        raises :class:`ValueError`, which a resumed run reports as an
+        unusable checkpoint.
         """
         layout = state.get("layout")
-        if layout not in (FLAT_LAYOUT, _FLAT_LAYOUT_V2, _FLAT_LAYOUT_V1):
+        if layout != FLAT_LAYOUT:
             raise ValueError(
                 f"flat store cannot load layout {layout!r} "
                 f"(expected {FLAT_LAYOUT!r})")
@@ -853,56 +843,20 @@ class FlatIntervalStore:
         self._aug = list(state["aug"])
         site_id = SITES.id_of
         accum_id = ACCUMS.id_of
-        if layout == _FLAT_LAYOUT_V1:
-            self._split_recs([
-                None if r is None else
-                (r[0], r[1], r[2], site_id(DebugInfo(r[3], r[4])),
-                 r[5], r[6], r[7], accum_id(r[8]), r[9])
-                for r in state["recs"]])
-        else:
-            sites = {i: site_id(DebugInfo(*v))
-                     for i, v in state["sites"].items()}
-            accums = {i: accum_id(v) for i, v in state["accums"].items()}
-            moved = any(i != j for i, j in sites.items()) or any(
-                i != j for i, j in accums.items())
-            if layout == _FLAT_LAYOUT_V2:
-                recs = state["recs"]
-                if moved:
-                    recs = [None if r is None else
-                            r[:3] + (sites[r[3]],) + r[4:7]
-                            + (accums[r[7]], r[8]) for r in recs]
-                self._split_recs(recs)
-            else:
-                tails = list(state["tails"])
-                if moved:
-                    # another process interned in another order: remap
-                    # the tails — the rows keep their tail ids
-                    tails = [t[:1] + (sites[t[1]],) + t[2:5]
-                             + (accums[t[5]], t[6]) for t in tails]
-                self._tid = list(state["tid"])
-                self._tails = tails
-                self._tail_ids = {t: i for i, t in enumerate(tails)}
+        sites = {i: site_id(DebugInfo(*v)) for i, v in state["sites"].items()}
+        accums = {i: accum_id(v) for i, v in state["accums"].items()}
+        tails = list(state["tails"])
+        if any(i != j for i, j in sites.items()) or any(
+                i != j for i, j in accums.items()):
+            # another process interned in another order: remap the
+            # tails — the rows keep their tail ids
+            tails = [t[:1] + (sites[t[1]],) + t[2:5] + (accums[t[5]], t[6])
+                     for t in tails]
+        self._tid = list(state["tid"])
+        self._tails = tails
+        self._tail_ids = {t: i for i, t in enumerate(tails)}
         self.stats = TreeStats.from_dict(state["stats"])
         self._forget_last()
-
-    def _split_recs(self, recs: List[Optional[Rec]]) -> None:
-        """Tail ids and table from a v1/v2 list of one record per row."""
-        tid: List[int] = []
-        tails: List[Tail] = []
-        ids: Dict[Tail, int] = {}
-        for r in recs:
-            if r is None:
-                tid.append(-1)
-                continue
-            tail = r[2:]
-            t = ids.get(tail)
-            if t is None:
-                t = ids[tail] = len(tails)
-                tails.append(tail)
-            tid.append(t)
-        self._tid = tid
-        self._tails = tails
-        self._tail_ids = ids
 
     @classmethod
     def from_state(cls, state: dict) -> "FlatIntervalStore":

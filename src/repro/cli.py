@@ -116,18 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="inject the Fig. 9a duplicated-put race "
                           "(minivite only)")
     rec.add_argument("-o", "--out", default=None, metavar="PATH",
-                     help="output trace path (default: <app>.trace)")
-    rec.add_argument("--format", choices=("binary", "json"),
-                     default="binary",
-                     help="trace format: repro-trace-v2 chunked binary "
-                          "(default) or v1 JSON lines")
+                     help="output repro-trace-v2 path (default: "
+                          "<app>.trace)")
     _add_metrics_args(rec)
 
     an = sub.add_parser(
         "analyze", help="post-mortem race analysis of a recorded trace",
-        description="Stream a recorded trace (either format, auto-"
-                    "detected) through a detector; --jobs shards the "
-                    "analysis by rank over a multiprocessing pool.",
+        description="Stream a recorded repro-trace-v2 trace through a "
+                    "detector; --jobs shards the analysis by rank over a "
+                    "multiprocessing pool.",
     )
     an.add_argument("trace", help="trace file written by 'repro record'")
     an.add_argument("--detector", choices=detectors, default="our",
@@ -554,7 +551,7 @@ def _record(args) -> int:
             t0 = time.perf_counter()
             result = record_app(
                 args.app, nranks=args.ranks, size=args.size,
-                inject_race=args.inject_race, out=out, format=args.format,
+                inject_race=args.inject_race, out=out,
             )
             dt = time.perf_counter() - t0
         except ValueError as exc:
@@ -573,7 +570,7 @@ def _record(args) -> int:
                           json_path=args.metrics_json)
     print(f"recorded {result.app} on {result.nranks} ranks: "
           f"{result.events} events -> {result.path} "
-          f"({args.format}, {dt:.1f}s)")
+          f"({dt:.1f}s)")
     return EX_OK
 
 

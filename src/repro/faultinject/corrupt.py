@@ -1,7 +1,8 @@
 """Deterministic on-disk trace corruptors, framed like the reader reads.
 
 These walk the ``repro-trace-v2`` chunk framing of a *written* trace
-and damage it surgically: flip payload bytes of one chunk (caught by
+(the frame layout of :mod:`repro.pipeline.format`) and damage it
+surgically: flip payload bytes of one chunk (caught by
 the chunk checksum), truncate the file mid-chunk (a recorder that died
 with the trailer unwritten), or smash a frame tag (exercises the
 salvage resync scan).  All randomness is seeded, so every chaos test
@@ -10,7 +11,6 @@ reproduces byte-identical damage.
 
 from __future__ import annotations
 
-import json
 import random
 import struct
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import List, Union
 
 from ..mpi.errors import TraceFormatError
-from ..pipeline.format import MAGIC_V2
+from ..pipeline.format import _CHUNK_TAG, _END_TAG, _FRAME, MAGIC_V2
 
 __all__ = [
     "ChunkInfo",
@@ -52,29 +52,27 @@ def chunk_index(path: Union[str, Path]) -> List[ChunkInfo]:
         raise TraceFormatError("not a v2 trace (bad magic)", path=path)
     pos = len(MAGIC_V2)
     (hlen,) = _U32.unpack_from(raw, pos)
-    header = json.loads(raw[pos + 4:pos + 4 + hlen])
-    frame_size = 12 if header.get("chunk_crc32") else 8
-    if header.get("chunk_chain"):
-        frame_size += 32  # per-frame rolling chain digest
-    pos += 4 + hlen
+    pos += _U32.size + hlen
+    head = len(_CHUNK_TAG) + _FRAME.size
     chunks: List[ChunkInfo] = []
-    while pos + 4 <= len(raw):
-        tag = raw[pos:pos + 4]
-        if tag == b"TEND":
+    while pos + len(_CHUNK_TAG) <= len(raw):
+        tag = raw[pos:pos + len(_CHUNK_TAG)]
+        if tag == _END_TAG:
             break
-        if tag != b"CHNK":
+        if tag != _CHUNK_TAG:
             raise TraceFormatError(
                 f"bad chunk tag {tag!r} at offset {pos}", path=path
             )
-        nbytes, nevents = struct.unpack_from("<II", raw, pos + 4)
+        nbytes, nevents, _crc, _chain = _FRAME.unpack_from(
+            raw, pos + len(_CHUNK_TAG))
         chunks.append(ChunkInfo(
             chunk=len(chunks) + 1,
             frame_pos=pos,
-            payload_pos=pos + 4 + frame_size,
+            payload_pos=pos + head,
             nbytes=nbytes,
             nevents=nevents,
         ))
-        pos += 4 + frame_size + nbytes
+        pos += head + nbytes
     return chunks
 
 
@@ -227,6 +225,6 @@ def corrupt_chunk_tag(path: Union[str, Path], chunk: int) -> int:
     path = Path(path)
     info = _chunk(path, chunk)
     raw = bytearray(path.read_bytes())
-    raw[info.frame_pos:info.frame_pos + 4] = b"JUNK"
+    raw[info.frame_pos:info.frame_pos + len(_CHUNK_TAG)] = b"JUNK"
     path.write_bytes(bytes(raw))
     return info.frame_pos

@@ -16,8 +16,8 @@ prefix-resume, and each gets a deterministic injector:
   in-progress (wait, don't quarantine); ``open_append`` must drop it
   and rewrite.
 * **Rewritten history** — :func:`rewrite_prefix` flips payload bytes in
-  an already-analyzed chunk and then *repairs* the file's own checksums
-  and stored chain digests.  The result is a perfectly self-consistent
+  an already-analyzed chunk and then *repairs* every frame's checksum
+  and stored chain digest.  The result is a perfectly self-consistent
   trace that merely disagrees with its past — undetectable by per-chunk
   checksums, caught only by comparing against a retained chain cursor.
   Resume/follow must refuse it with a divergence error, never blend old
@@ -28,7 +28,6 @@ All randomness is seeded; every chaos run reproduces identical damage.
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 import time
@@ -37,7 +36,8 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from ..mpi.errors import TraceFormatError
-from ..pipeline.format import MAGIC_V2, TraceReader, _chain_next, _chain_seed
+from ..pipeline.format import (_CHUNK_TAG, _FRAME, MAGIC_V2, TraceReader,
+                               _chain_next, _chain_seed)
 from ..pipeline.writer import BinaryTraceWriter
 from .corrupt import _U32, chunk_index
 
@@ -189,8 +189,8 @@ def rewrite_prefix(
     """Rewrite history: alter ``chunk`` and repair every self-check.
 
     Flips ``count`` seeded-random payload bytes of the 1-based
-    ``chunk``, then recomputes that chunk's crc32 and *all* stored
-    rolling-chain digests so the file passes every internal consistency
+    ``chunk``, then rewrites every frame's crc32 and stored
+    rolling-chain digest so the file passes every internal consistency
     check a fresh reader applies.  What it can no longer pass is a
     comparison against externally retained state — a checkpoint cursor
     or a cached chain sidecar — because the chain values from ``chunk``
@@ -206,10 +206,6 @@ def rewrite_prefix(
     (hlen,) = _U32.unpack_from(raw, len(MAGIC_V2))
     hdr_start = len(MAGIC_V2) + _U32.size
     header_bytes = bytes(raw[hdr_start:hdr_start + hlen])
-    header = json.loads(header_bytes)
-    if not header.get("chunk_crc32"):
-        raise TraceFormatError(
-            "rewrite_prefix needs a checksummed trace", path=path)
     chunks = chunk_index(path)
     if not 1 <= chunk <= len(chunks):
         raise ValueError(f"{path} has {len(chunks)} chunks, no chunk {chunk}")
@@ -221,17 +217,14 @@ def rewrite_prefix(
     )
     for off in offsets:
         raw[off] ^= xor
-    # repair the flipped chunk's crc (frame: tag, nbytes, nevents, crc)
-    payload = bytes(raw[info.payload_pos:info.payload_pos + info.nbytes])
-    _U32.pack_into(raw, info.frame_pos + 12, zlib.crc32(payload))
-    # recompute every stored chain digest from the seed; values before
-    # the flipped chunk are unchanged by construction, values from it
-    # onward now commit to the rewritten bytes
-    if header.get("chunk_chain"):
-        chain = _chain_seed(bytes(raw[len(MAGIC_V2):hdr_start]), header_bytes)
-        for inf in chunks:
-            pl = bytes(raw[inf.payload_pos:inf.payload_pos + inf.nbytes])
-            chain = _chain_next(chain, pl)
-            raw[inf.frame_pos + 16:inf.frame_pos + 16 + 32] = chain
+    # rewrite every frame from the seed on: the flipped chunk's crc
+    # changes, and so does every chain value from it onward (values
+    # before it are unchanged by construction)
+    chain = _chain_seed(bytes(raw[len(MAGIC_V2):hdr_start]), header_bytes)
+    for inf in chunks:
+        pl = bytes(raw[inf.payload_pos:inf.payload_pos + inf.nbytes])
+        chain = _chain_next(chain, pl)
+        _FRAME.pack_into(raw, inf.frame_pos + len(_CHUNK_TAG), inf.nbytes,
+                         inf.nevents, zlib.crc32(pl), chain)
     path.write_bytes(bytes(raw))
     return offsets

@@ -203,7 +203,7 @@ def make_access(
 
 
 def access_to_dict(acc: MemoryAccess) -> dict:
-    """The JSON form of an access (v1 trace records, verdicts, forensics)."""
+    """The JSON form of an access (verdicts, forensics)."""
     return {
         "lo": acc.interval.lo,
         "hi": acc.interval.hi,

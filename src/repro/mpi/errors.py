@@ -53,21 +53,19 @@ class DeadlockError(MpiSimError):
 
 
 class TraceFormatError(MpiSimError, ValueError):
-    """A trace file is corrupt, truncated, or not a trace at all.
+    """A trace file is corrupt, truncated, or not a ``repro-trace-v2``
+    trace at all.
 
-    Carries the offending ``path`` and, where meaningful (JSON-lines
-    traces, chunk records of binary traces), the 1-based ``line`` the
-    decoder choked on.  Subclasses :class:`ValueError` so pre-existing
+    Carries the offending ``path``; the message names the chunk where
+    one is to blame.  Subclasses :class:`ValueError` so pre-existing
     callers that caught the old raw error keep working.
     """
 
-    def __init__(self, message: str, *, path=None, line=None) -> None:
+    def __init__(self, message: str, *, path=None) -> None:
         if path is not None:
-            where = str(path) if line is None else f"{path}:{line}"
-            message = f"{where}: {message}"
+            message = f"{path}: {message}"
         super().__init__(message)
         self.path = str(path) if path is not None else None
-        self.line = line
 
 
 class TraceChainMismatch(TraceFormatError):

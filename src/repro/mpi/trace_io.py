@@ -5,153 +5,50 @@ profiling layer writes the execution trace to disk, and the analysis
 runs post mortem — possibly repeatedly, with different tools.  This
 module provides exactly that for the simulated runtime:
 
-* :func:`save_trace` / :func:`load_trace` — JSON-lines serialization of
-  a :class:`TraceLog` (every access with its full metadata, every sync
-  event);
+* :func:`save_trace` / :func:`load_trace` — a :class:`TraceLog` to and
+  from a ``repro-trace-v2`` file (:mod:`repro.pipeline.format`), every
+  access with its full metadata, every sync event;
 * :func:`replay_trace` — feed a recorded trace into any detector, as if
-  the events were live.  ``replay_trace(load_trace(p), OurDetector())``
+  the events were live.  ``replay_trace(load_trace(p), FlatDetector())``
   produces byte-for-byte the verdicts of the original run.
 
 Record with ``World(..., trace=True)``; the world's trace log carries
-the rank count needed to rebuild collective events.
-
-Two on-disk formats exist: the v1 JSON-lines format written here, and
-the compact chunked-binary ``repro-trace-v2`` of
-:mod:`repro.pipeline.format` (pass ``format="binary"``).
-:func:`load_trace` auto-detects either and raises
-:class:`~repro.mpi.errors.TraceFormatError` — naming the file and line —
-on truncated or corrupt input.  For analysis that should not hold the
-whole trace in memory, use the streaming pipeline
-(:func:`repro.pipeline.analyze_trace`) instead of
-:func:`load_trace` + :func:`replay_trace`.
+the rank count needed to rebuild collective events.  :func:`load_trace`
+raises :class:`~repro.mpi.errors.TraceFormatError` — naming the file —
+on truncated, corrupt or non-v2 input.  For analysis that should not
+hold the whole trace in memory, use the streaming pipeline
+(:func:`repro.pipeline.analyze_trace`) instead of :func:`load_trace` +
+:func:`replay_trace`.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
-from ..intervals import AccessType, DebugInfo, Interval, MemoryAccess
-from ..intervals.access import access_to_dict
-from .memory import RegionInfo, RegionKind
-from .trace import LocalEvent, RmaEvent, SyncEvent, SyncKind, TraceEvent, TraceLog
+from .trace import TraceLog
 
 if TYPE_CHECKING:
     from .interposition import DetectorProtocol
 
 __all__ = ["save_trace", "load_trace", "replay_trace"]
 
-_FORMAT = "repro-trace-v1"
 
+def save_trace(log: TraceLog, path: Union[str, Path], *, nranks: int) -> None:
+    """Write a trace as a ``repro-trace-v2`` file."""
+    from ..pipeline.writer import BinaryTraceWriter
 
-# -- serialization -----------------------------------------------------------
-
-
-def _access_from_dict(d: dict) -> MemoryAccess:
-    return MemoryAccess(
-        Interval(d["lo"], d["hi"]),
-        AccessType[d["type"]],
-        DebugInfo(d["file"], d["line"]),
-        d["origin"],
-        0,
-        d["flush_gen"],
-        d.get("accum_op"),
-        d.get("excl_epoch"),
-    )
-
-
-def _region_to_dict(info: RegionInfo) -> dict:
-    return {"kind": info.kind.value, "rma": info.may_alias_rma}
-
-
-def _region_from_dict(d: dict) -> RegionInfo:
-    return RegionInfo(RegionKind(d["kind"]), d["rma"])
-
-
-def _event_to_dict(event: TraceEvent) -> dict:
-    if isinstance(event, LocalEvent):
-        return {
-            "ev": "local",
-            "seq": event.seq,
-            "rank": event.rank,
-            "access": access_to_dict(event.access),
-            "region": _region_to_dict(event.region),
-        }
-    if isinstance(event, RmaEvent):
-        return {
-            "ev": "rma",
-            "seq": event.seq,
-            "rank": event.rank,
-            "op": event.op,
-            "target": event.target,
-            "wid": event.wid,
-            "origin_access": access_to_dict(event.origin_access),
-            "target_access": access_to_dict(event.target_access),
-            "origin_region": _region_to_dict(event.origin_region),
-            "target_region": _region_to_dict(event.target_region),
-            "nbytes": event.nbytes,
-        }
-    if isinstance(event, SyncEvent):
-        return {
-            "ev": "sync",
-            "seq": event.seq,
-            "rank": event.rank,
-            "kind": event.kind.value,
-            "wid": event.wid,
-        }
-    raise TypeError(f"unknown trace event {event!r}")  # pragma: no cover
-
-
-def _event_from_dict(d: dict) -> TraceEvent:
-    kind = d["ev"]
-    if kind == "local":
-        return LocalEvent(d["seq"], d["rank"], _access_from_dict(d["access"]),
-                          _region_from_dict(d["region"]))
-    if kind == "rma":
-        return RmaEvent(
-            d["seq"], d["rank"], d["op"], d["target"], d["wid"],
-            _access_from_dict(d["origin_access"]),
-            _access_from_dict(d["target_access"]),
-            _region_from_dict(d["origin_region"]),
-            _region_from_dict(d["target_region"]),
-            d["nbytes"],
-        )
-    if kind == "sync":
-        return SyncEvent(d["seq"], d["rank"], SyncKind(d["kind"]), d["wid"])
-    raise ValueError(f"unknown trace record {kind!r}")
-
-
-def save_trace(
-    log: TraceLog, path: Union[str, Path], *, nranks: int,
-    format: str = "json",
-) -> None:
-    """Write a trace — v1 JSON lines or the v2 chunked binary format."""
-    path = Path(path)
-    if format in ("binary", "repro-trace-v2"):
-        from ..pipeline.writer import BinaryTraceWriter
-
-        with BinaryTraceWriter(path, nranks=nranks) as writer:
-            for event in log.events:
-                writer.write(event)
-        return
-    if format not in ("json", _FORMAT):
-        raise ValueError(f"unknown trace format {format!r} (json or binary)")
-    with path.open("w") as fh:
-        json.dump({"format": _FORMAT, "nranks": nranks,
-                   "events": len(log.events)}, fh)
-        fh.write("\n")
+    with BinaryTraceWriter(path, nranks=nranks) as writer:
         for event in log.events:
-            json.dump(_event_to_dict(event), fh, separators=(",", ":"))
-            fh.write("\n")
+            writer.write(event)
 
 
 def load_trace(path: Union[str, Path]) -> "LoadedTrace":
-    """Read a trace written by :func:`save_trace` (either format).
+    """Read a trace written by :func:`save_trace` or ``repro record``.
 
     Corrupt, truncated, or non-trace files raise
     :class:`~repro.mpi.errors.TraceFormatError` (a :class:`ValueError`)
-    pointing at the offending file and line.
+    naming the offending file.
     """
     from ..pipeline.format import TraceReader
 
@@ -172,15 +69,6 @@ class LoadedTrace:
 
     def __len__(self) -> int:
         return len(self.log)
-
-
-class _ReplayWindow:
-    """Just enough of a Window for detector on_win_create hooks."""
-
-    def __init__(self, wid: int, nranks: int) -> None:
-        self.wid = wid
-        self.name = f"replay-{wid}"
-        self.regions = [None] * nranks
 
 
 def replay_trace(

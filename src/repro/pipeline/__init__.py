@@ -5,9 +5,9 @@ checked against one window's BST.  Analysis of a *recorded* execution is
 therefore embarrassingly parallel across per-rank shards, which this
 subsystem exploits end to end:
 
-* :mod:`repro.pipeline.format` — the ``repro-trace-v2`` chunked binary
-  format's streaming reader (auto-detects and still reads the v1
-  JSON-lines format); :mod:`repro.pipeline.writer` holds the writers,
+* :mod:`repro.pipeline.format` — the streaming reader of
+  ``repro-trace-v2``, the chunked binary format and the one input every
+  analysis reads; :mod:`repro.pipeline.writer` holds the writer,
 * :mod:`repro.pipeline.shard` — event routing by memory rank, with sync
   events replicated so every shard sees the full ordering skeleton,
 * :mod:`repro.pipeline.engine` — ``analyze_trace``: the serial chunk
@@ -39,7 +39,7 @@ verdicts afterwards.
 Exports resolve lazily (:mod:`repro._lazy`): a serial analysis loads
 the engine, the reader and the flat core, never the multi-process
 engine, the supervision layer, the checkpoint module (unless asked
-to checkpoint), the writers or the recorder.
+to checkpoint), the writer or the recorder.
 """
 
 from .._lazy import lazy_exports
@@ -57,7 +57,6 @@ _EXPORTS = {
     "analyze_trace": ".engine",
     "canonical_verdicts": ".engine",
     "CHAIN_ALGO": ".format",
-    "FORMAT_V1": ".format",
     "FORMAT_V2": ".format",
     "MAGIC_V2": ".format",
     "TraceReader": ".format",
@@ -77,7 +76,6 @@ _EXPORTS = {
     "own_reports": ".shard",
     "shards_of": ".shard",
     "BinaryTraceWriter": ".writer",
-    "JsonTraceWriter": ".writer",
     "make_trace_writer": ".writer",
 }
 

@@ -424,16 +424,14 @@ class CheckpointStore:
 
 def run_meta(detector: str, nranks: int, path, shards, cursor: dict) -> dict:
     """JSON header metadata pinning what this checkpoint belongs to."""
-    trace_bytes = None
-    if path is not None:
-        try:
-            trace_bytes = os.path.getsize(path)
-        except OSError:
-            pass
+    try:
+        trace_bytes = os.path.getsize(path)
+    except OSError:
+        trace_bytes = None
     return {
         "detector": detector,
         "nranks": nranks,
-        "trace": str(path) if path is not None else None,
+        "trace": str(path),
         "trace_bytes": trace_bytes,
         "shards": list(shards),
         "events_applied": cursor["events_applied"],
@@ -449,28 +447,26 @@ def resume_expect(detector: str, nranks: int, path) -> dict:
     moved next to its checkpoint directory still resumes.
     """
     expect = {"detector": detector, "nranks": nranks}
-    if path is not None:
-        try:
-            expect["trace_bytes"] = os.path.getsize(path)
-        except OSError:
-            pass
+    try:
+        expect["trace_bytes"] = os.path.getsize(path)
+    except OSError:
+        pass
     return expect
 
 
 def verify_resume_trace(meta: dict, path) -> None:
     """Check the trace on disk still begins with the checkpointed prefix.
 
-    Chain-carrying checkpoints (v2 traces) verify by *content*: the
-    rolling chain recomputed over the first ``meta["chunk"]`` chunks
-    must equal the cursor's chain value, which proves byte-identity of
-    the analyzed prefix — and therefore admits append-only extensions,
-    the whole point of incremental re-analysis.  A shorter or differing
-    file raises :class:`TraceDivergedError`.  Checkpoints without a
-    chain (v1 traces, in-memory sources, pre-chain files) fall back to
-    the legacy exact-size pin.
+    Checkpoints verify by *content*: the rolling chain recomputed over
+    the first ``meta["chunk"]`` chunks must equal the cursor's chain
+    value, which proves byte-identity of the analyzed prefix — and
+    therefore admits append-only extensions, the whole point of
+    incremental re-analysis.  A shorter or differing file, or one whose
+    stored digests disagree with its bytes, raises
+    :class:`TraceDivergedError`.  A salvage run's cursor loses its chain
+    at a quarantined chunk; its checkpoints fall back to the exact-size
+    pin.
     """
-    if path is None:
-        return
     chain = meta.get("chain")
     chunk = meta.get("chunk")
     if chain and chunk:

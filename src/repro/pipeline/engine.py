@@ -1,12 +1,14 @@
 """The analysis engine: one serial chunk loop, and the entry point.
 
-``analyze_trace`` is the one entry point.  With ``jobs=1`` — the CLI
-default and every ``repro serve`` job — it replays the trace through a
-single detector in-process: :func:`_serial` runs one chunk loop over
-:func:`_feed_chunks`, the flat core reading a strict v2 trace's wire
-records directly (every other source is decoded to trace events).
-That loop is optionally checkpointed, follows a growing trace, and
-stops at the deadline/drain/memory guards; the checkpoint code
+``analyze_trace`` is the one entry point, and its one input is a
+``repro-trace-v2`` file (a path, or a :class:`TraceReader` over one).
+With ``jobs=1`` — the CLI default and every ``repro serve`` job — it
+replays the trace through a single detector in-process: :func:`_serial`
+runs one chunk loop over :func:`_feed_chunks`, the flat core reading a
+strict reader's wire records directly (salvage reads and the baseline
+detectors are decoded to trace events).  That loop is optionally
+checkpointed, follows a growing trace, and stops at the
+deadline/drain/memory guards; the checkpoint code
 (:mod:`repro.pipeline.checkpoint`) is imported only when a checkpoint
 directory is in play.
 
@@ -34,9 +36,8 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from .. import obs
 # the default detector ("our"), loaded with the engine: a daemon has it
@@ -45,12 +46,10 @@ from ..core import flatcore  # noqa: F401
 from ..core.report import RaceReport
 from ..detectors import detector_class
 from ..intervals.access import access_to_dict
-from ..mpi.errors import TraceChainMismatch, TraceDivergedError
-from .format import FORMAT_V2, TraceReader
+from ..mpi.errors import (CheckpointError, TraceChainMismatch,
+                          TraceDivergedError)
+from .format import TraceReader
 from .shard import dispatch_batch
-
-if TYPE_CHECKING:  # in-memory traces; trace_io loads only when given one
-    from ..mpi.trace_io import LoadedTrace
 
 __all__ = [
     "PipelineResult",
@@ -231,80 +230,32 @@ class PipelineResult:
         }
 
 
-def _virtual_chunks(events, start: Optional[dict]):
-    """Chunk-wise iteration over an in-memory event list (LoadedTrace).
-
-    Mirrors :meth:`TraceReader.iter_chunks` for sources with no file to
-    seek: resume skips ``events_applied`` events by position.
-    """
-    size = TraceReader.VIRTUAL_CHUNK_EVENTS
-    total = start["events_applied"] if start is not None else 0
-    it = iter(events)
-    if total:
-        next(islice(it, total - 1, total), None)  # advance past the prefix
-    while True:
-        chunk = list(islice(it, size))
-        if not chunk:
-            break
-        total += len(chunk)
-        yield chunk, {"kind": "seq", "events_applied": total,
-                      "salvage": None}
-
-
 # -- driver ------------------------------------------------------------------
 
-Source = Union[str, Path, TraceReader, "LoadedTrace"]
+
+def _salvage_info(reader: TraceReader) -> Optional[dict]:
+    return None if reader.strict else reader.salvage_report()
 
 
-def _as_stream(source: Source, *, strict: bool = True):
-    """(events, nranks, path-or-None, reader-or-None) for any source.
-
-    The events iterable is *re-iterable* for every supported source —
-    a :class:`TraceReader` opens the file anew per pass and a
-    :class:`LoadedTrace` holds a list — which is what makes retry and
-    degraded replay possible at all.
-    """
-    if isinstance(source, (str, Path)):
-        source = TraceReader(source, strict=strict)
-    if isinstance(source, TraceReader):
-        return source, source.nranks, source.path, source
-    from ..mpi.trace_io import LoadedTrace
-
-    if isinstance(source, LoadedTrace):
-        return source.log.events, source.nranks, None, None
-    raise TypeError(f"cannot analyze {type(source).__name__}")
-
-
-def _salvage_info(reader: Optional[TraceReader]) -> Optional[dict]:
-    if reader is None or reader.strict:
-        return None
-    return reader.salvage_report()
-
-
-def _feed_chunks(det, events, reader, nranks, timeline, start):
+def _feed_chunks(det, reader, timeline, start):
     """Feed ``det`` chunk by chunk from ``start``: the one ingest loop.
 
     Yields ``(events_in_chunk, cursor)`` after each chunk; the cursor is
-    the chunk-boundary resume point checkpoints record.  A strict v2
-    trace feeding a detector with wire ingestion (the flat core) never
+    the chunk-boundary resume point checkpoints record.  A strict
+    reader feeding a detector with wire ingestion (the flat core) never
     builds event objects: the detector reads the chunk's records, and
-    the timeline keeps lazily formatted record tuples.  Every other
-    source — v1 JSON, salvage reads, in-memory traces, the baseline
-    detectors — is decoded to trace events first.
+    the timeline keeps lazily formatted record tuples.  Salvage reads
+    and the baseline detectors are decoded to trace events first.
     """
+    nranks = reader.nranks
     ingest_wire = getattr(det, "ingest_wire", None)
-    wire = (reader.wire_stream(start)
-            if reader is not None and ingest_wire is not None else None)
+    wire = reader.wire_stream(start) if ingest_wire is not None else None
     if wire is not None:
         for payload, off, count in wire:
             ingest_wire(payload, off, count, wire, nranks, timeline=timeline)
             yield count, wire.cursor()
         return
-    if reader is not None:
-        chunks = reader.iter_chunks(start=start)
-    else:
-        chunks = _virtual_chunks(events, start)
-    for chunk, cursor in chunks:
+    for chunk, cursor in reader.iter_chunks(start=start):
         # the timeline's lane projection (fed before each dispatch)
         # matches the sharded pipeline's routing, so lanes stay
         # byte-identical
@@ -312,8 +263,8 @@ def _feed_chunks(det, events, reader, nranks, timeline, start):
         yield len(chunk), cursor
 
 
-def _serial(events, nranks, detector_name, reader=None, plan=None,
-            path=None, follow=False, follow_timeout_s=None):
+def _serial(reader, detector_name, plan=None, follow=False,
+            follow_timeout_s=None):
     """Serial analysis in this process, optionally checkpointed.
 
     With a :class:`~repro.pipeline.checkpoint.CheckpointPlan` the chunk
@@ -329,7 +280,7 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
     Counters are added per chunk, so a mid-run checkpoint's registry
     snapshot already accounts the events it covers.
 
-    ``follow=True`` tails a still-growing v2 trace: when the file ends
+    ``follow=True`` tails a still-growing trace: when the file ends
     without a trailer the loop checkpoints, polls with capped backoff
     (``incremental.tail_retries``), and re-enters from the last cursor
     as new chunks land — the trailer ends the run normally.  The
@@ -340,6 +291,7 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
     and aborts with :class:`TraceDivergedError`.
     """
     det = detector_class(detector_name)()
+    nranks, path = reader.nranks, reader.path
     reg = obs.active()
     t0 = time.perf_counter()
     tl = reg.timeline
@@ -358,7 +310,12 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
             if loaded is not None:
                 header, state = loaded
                 _ckpt.verify_resume_trace(header["meta"], path)
-                det.restore(state["detector"])
+                try:
+                    det.restore(state["detector"])
+                except ValueError as exc:
+                    raise CheckpointError(
+                        f"{store._path(header['seq'])}: cannot restore: "
+                        f"{exc}") from exc
                 _ckpt.restore_registry(reg, state)
                 start = state["cursor"]
                 skipped_chunks = start.get("chunk") or 0
@@ -372,7 +329,7 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
                     "chunks_skipped": skipped_chunks,
                 })
 
-    if follow and reader is not None:
+    if follow:
         reader.tail = True
 
     n = start["events_applied"] if start is not None else 0
@@ -414,8 +371,8 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
         while True:
             progressed = False
             try:
-                for count, cursor in _feed_chunks(det, events, reader,
-                                                  nranks, timeline, cursor):
+                for count, cursor in _feed_chunks(det, reader, timeline,
+                                                  cursor):
                     n += count
                     c_read.add(count)
                     c_analyzed.add(count)
@@ -442,7 +399,7 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
                     f"({exc})", path=str(path), chunk=exc.chunk) from exc
             if stop is not None:
                 break
-            if not follow or reader is None or reader.complete:
+            if not follow or reader.complete:
                 break
             # trailerless tail: the recorder is (presumably) still
             # writing.  Checkpoint the boundary, then poll for growth.
@@ -457,7 +414,7 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
                 stop = "follow-timeout"
             if stop is not None:
                 break
-            if cursor is not None and path is not None:
+            if cursor is not None:
                 try:
                     size = os.path.getsize(path)
                 except OSError:
@@ -494,10 +451,7 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
     )
     if plan is None:
         return result
-    if reader is not None:
-        total = reader.total_events()
-    else:
-        total = len(events) if hasattr(events, "__len__") else None
+    total = reader.total_events()
     if stop is not None and total is not None and n >= total:
         stop = None  # the guard fired on the last chunk: nothing is missing
     result.partial = stop is not None
@@ -516,7 +470,7 @@ def _serial(events, nranks, detector_name, reader=None, plan=None,
 
 
 def analyze_trace(
-    source: Source,
+    source: Union[str, Path, TraceReader],
     *,
     detector: str = "our",
     jobs: int = 1,
@@ -570,7 +524,7 @@ def analyze_trace(
 
 
 def _analyze_impl(
-    source: Source,
+    source: Union[str, Path, TraceReader],
     *,
     detector: str = "our",
     jobs: int = 1,
@@ -594,9 +548,8 @@ def _analyze_impl(
 ) -> PipelineResult:
     """Analyze a recorded trace, optionally sharded over ``jobs`` processes.
 
-    ``source`` may be a path (either trace format, auto-detected), an
-    open :class:`TraceReader`, or an in-memory :class:`LoadedTrace`.
-    ``dispatch="file"`` requires a path-backed source.
+    ``source`` is the path of a ``repro-trace-v2`` file or an open
+    :class:`TraceReader`; anything else raises :class:`TypeError`.
 
     Resilience knobs:
 
@@ -631,11 +584,11 @@ def _analyze_impl(
 
     Follow knobs (incremental analysis of a still-growing trace):
 
-    * ``follow`` — tail a live-appended v2 trace: analyze chunks as
-      they land, checkpoint at chunk boundaries, finish when the
-      recorder writes the trailer.  Requires ``ckpt_dir``, ``jobs=1``
-      and a path-backed strict v2 source; a rewritten prefix aborts
-      with :class:`~repro.mpi.errors.TraceDivergedError`;
+    * ``follow`` — tail a live-appended trace: analyze chunks as they
+      land, checkpoint at chunk boundaries, finish when the recorder
+      writes the trailer.  Requires ``ckpt_dir``, ``jobs=1`` and a
+      strict reader; a rewritten prefix aborts with
+      :class:`~repro.mpi.errors.TraceDivergedError`;
     * ``follow_timeout_s`` — stop a follow that has seen no new chunk
       for this many seconds, as a partial, resumable result.
     """
@@ -678,25 +631,24 @@ def _analyze_impl(
                          if deadline_s is not None else None),
             max_rss_mb=max_rss_mb, resume=resume,
         )
-    events, nranks, path, reader = _as_stream(source, strict=not salvage)
-    if reader is not None and not reader.strict:
+    if isinstance(source, (str, Path)):
+        reader = TraceReader(source, strict=not salvage)
+    elif isinstance(source, TraceReader):
+        reader = source
+    else:
+        raise TypeError(f"cannot analyze {type(source).__name__}")
+    if not reader.strict:
         salvage = True  # honor an already-open salvage reader
-    if follow:
-        if reader is None or path is None or reader.format != FORMAT_V2:
-            raise ValueError(
-                "follow needs a path-backed repro-trace-v2 source — only "
-                "binary chunk framing distinguishes a torn append from "
-                "corruption")
-        if salvage:
+        if follow:
             raise ValueError("follow requires a strict reader")
-    jobs = max(1, min(jobs, nranks))
+    jobs = max(1, min(jobs, reader.nranks))
     if jobs == 1:
-        return _serial(events, nranks, detector, reader, plan, path,
-                       follow=follow, follow_timeout_s=follow_timeout_s)
+        return _serial(reader, detector, plan, follow=follow,
+                       follow_timeout_s=follow_timeout_s)
     from .multiproc import analyze_sharded
 
     return analyze_sharded(
-        events, nranks, path, reader, detector=detector, jobs=jobs,
+        reader, detector=detector, jobs=jobs,
         dispatch=dispatch, batch_size=batch_size, queue_depth=queue_depth,
         timeout=timeout, retries=retries, backoff_base=backoff_base,
         backoff_max=backoff_max, salvage=salvage, recover=recover,

@@ -1,14 +1,13 @@
 """``repro-trace-v2`` — compact chunked binary traces, streamed both ways.
 
-The v1 JSON-lines format (:mod:`repro.mpi.trace_io`) is convenient but
-verbose, and both its writer and reader materialize the whole event list
-in memory.  For the analysis pipeline we want the recording side to run
-in constant memory next to the simulation, and the analysis side to
-stream events into the sharder without ever holding the trace — the
-MC-Checker lesson that "the recorded trace grows with the execution"
-must not apply to the *analyzer's* footprint.
+The one trace format: ``repro record`` writes it, and analysis, the
+daemon, ``repro explain`` and the Chrome export read nothing else.  The
+recording side runs in constant memory next to the simulation, and the
+analysis side streams events into the detector without ever holding
+the trace — the MC-Checker lesson that "the recorded trace grows with
+the execution" must not apply to the *analyzer's* footprint.
 
-Layout of a v2 file::
+Layout of a file::
 
     magic    8 bytes   b"REPROTR2"
     header   u32 length + JSON   {"format": "repro-trace-v2",
@@ -16,10 +15,13 @@ Layout of a v2 file::
                                   "chunk_crc32": true,
                                   "chunk_chain": "sha256"}
     chunk*   b"CHNK" + u32 payload bytes + u32 event count
-             [+ u32 crc32(payload), when the header flags it]
-             [+ 32-byte rolling sha256 chain, when the header flags it]
+             + u32 crc32(payload) + 32-byte rolling sha256 chain
              + payload
     trailer  b"TEND" + u64 total event count
+
+The chunk frame is defined once, as :data:`_CHUNK_TAG` and
+:data:`_FRAME`; the writer, :class:`WireStream` and the fault injectors
+all use that definition.  A header without both flags is refused.
 
 The *chain* turns the chunk sequence into a hash chain: ``chain[0] =
 sha256(magic + u32(header length) + header bytes)`` and ``chain[k] =
@@ -27,19 +29,16 @@ sha256(chain[k-1] + payload[k])``.  Two traces share chain value k iff
 they are byte-identical through chunk k, so a reader can prove "this
 file is an append-only extension of that one" — or name the exact
 chunk where they diverge — by comparing one 32-byte value per file
-(:func:`trace_chain` / :func:`compare_chain`).  The chain is computed
-for any v2 file; new writers additionally *store* it per frame so
-single-file prefix rewrites are self-detecting.  Files from before
-either flag are still read.
+(:func:`trace_chain` / :func:`compare_chain`).  Every frame stores its
+chain value, so a strict reader detects a single-file prefix rewrite
+on its own (:class:`~repro.mpi.errors.TraceChainMismatch`).
 
 Each chunk payload starts with the strings *first seen* in that chunk
 (file names, op names, accumulate ops); readers grow the same string
 table in lockstep, so strings are written once per file.  Events are
 fixed little-endian ``struct`` records plus string ids.  Enum members
 are encoded as indexes into tables spelled out in the header, so a file
-survives enum reordering in future versions of the package.  Files
-written before the checksum existed carry no ``chunk_crc32`` header
-flag and are still read.
+survives enum reordering in future versions of the package.
 
 Robustness:
 
@@ -48,20 +47,18 @@ Robustness:
   recording can never leave a final path that passes the trailer
   check; :meth:`abort` (called automatically when the ``with`` block
   exits on an exception) removes the temp file.
-* :class:`TraceReader` auto-detects and streams v1 JSON-lines files
-  too: open one path, iterate events, never care which format it was.
-* In the default ``strict=True`` mode, malformed input of either format
-  raises :class:`~repro.mpi.errors.TraceFormatError` naming the file
-  and (where meaningful) the line.  With ``strict=False`` the reader
-  *salvages*: corrupt or truncated chunks are quarantined using the
-  chunk framing + checksum and iteration continues with the remaining
-  chunks, with the damage accounted in :attr:`TraceReader.salvage_report`
-  (quarantined chunk numbers, events lost, truncation flag).  One
-  caveat is inherent to the incremental string table: if a quarantined
-  chunk was the first to intern a string, later chunks referencing it
-  decode against a shorter table and are quarantined in turn — the
-  accounting stays exact (the trailer reconciles the loss), but a
-  corrupt *early* chunk can shadow later ones.
+* In the default ``strict=True`` mode, malformed input raises
+  :class:`~repro.mpi.errors.TraceFormatError` naming the file.  With
+  ``strict=False`` the reader *salvages*: corrupt or truncated chunks
+  are quarantined using the chunk framing + checksum and iteration
+  continues with the remaining chunks, with the damage accounted in
+  :attr:`TraceReader.salvage_report` (quarantined chunk numbers, events
+  lost, truncation flag).  One caveat is inherent to the incremental
+  string table: if a quarantined chunk was the first to intern a
+  string, later chunks referencing it decode against a shorter table
+  and are quarantined in turn — the accounting stays exact (the trailer
+  reconciles the loss), but a corrupt *early* chunk can shadow later
+  ones.
 """
 
 from __future__ import annotations
@@ -70,6 +67,7 @@ import hashlib
 import json
 import struct
 import zlib
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -80,11 +78,9 @@ from ..mpi.memory import RegionInfo, RegionKind
 from ..mpi.trace import LocalEvent, RmaEvent, SyncEvent, SyncKind, TraceEvent
 
 __all__ = [
-    "FORMAT_V1",
     "FORMAT_V2",
     "MAGIC_V2",
     "BinaryTraceWriter",
-    "JsonTraceWriter",
     "TraceReader",
     "WireStream",
     "compare_chain",
@@ -92,9 +88,15 @@ __all__ = [
     "trace_chain",
 ]
 
-FORMAT_V1 = "repro-trace-v1"
 FORMAT_V2 = "repro-trace-v2"
 MAGIC_V2 = b"REPROTR2"
+
+#: one chunk frame: this tag, then :data:`_FRAME`, then the payload
+_CHUNK_TAG = b"CHNK"
+#: payload bytes, event count, crc32(payload), rolling chain digest
+_FRAME = struct.Struct("<III32s")
+#: the trailer: this tag, then the u64 total event count
+_END_TAG = b"TEND"
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -108,9 +110,8 @@ _SYNC = struct.Struct("<qiBi")       # seq, rank, kind id, wid
 _TAG_LOCAL, _TAG_RMA, _TAG_SYNC = 0, 1, 2
 _FLAG_ACCUM, _FLAG_EXCL = 1, 2
 
-#: rolling-chain algorithm flagged in v2 headers and its digest size
+#: rolling-chain algorithm flagged in v2 headers
 CHAIN_ALGO = "sha256"
-_CHAIN_BYTES = 32
 
 
 def _chain_seed(hlen_raw: bytes, header_bytes: bytes) -> bytes:
@@ -129,8 +130,7 @@ def _chain_next(prev: bytes, payload: bytes) -> bytes:
 # the writers live in repro.pipeline.writer: analysis only reads traces
 # and never loads them
 __getattr__, __dir__ = lazy_exports(__name__, {
-    name: "..writer"
-    for name in ("BinaryTraceWriter", "JsonTraceWriter", "make_trace_writer")
+    name: "..writer" for name in ("BinaryTraceWriter", "make_trace_writer")
 })
 
 
@@ -138,12 +138,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 
 
 class TraceReader:
-    """Streaming reader for both trace formats, auto-detected.
+    """Streaming reader of a ``repro-trace-v2`` file.
 
     Iterating a reader opens the file anew each time, so one reader can
     drive several passes (and several worker processes can each hold
     their own iterator over the same path).  Memory use is bounded by
-    one chunk (v2) or one line (v1).
+    one chunk.  Any other file — JSON lines included — raises
+    :class:`~repro.mpi.errors.TraceFormatError` here.
 
     ``strict=False`` turns on *salvage* mode: instead of raising on the
     first corrupt or truncated chunk, the reader quarantines it (the
@@ -154,8 +155,8 @@ class TraceReader:
     skipped.  Damage that predates iteration (bad magic, unreadable
     header) still raises: there is nothing to salvage without a header.
 
-    Setting :attr:`tail` to True turns on *tail* mode for v2 traces
-    that are still being appended to: an incomplete final frame, a
+    Setting :attr:`tail` to True turns on *tail* mode for traces that
+    are still being appended to: an incomplete final frame, a
     short payload, or a missing trailer at end-of-file stops iteration
     cleanly (``tail_pending=True``) instead of raising or flagging
     truncation — the caller polls and re-enters from the last cursor.
@@ -174,7 +175,7 @@ class TraceReader:
         self.complete = False
         #: last (tail-mode) iteration stopped at an unfinished tail
         self.tail_pending = False
-        #: chunk numbers (v2) / line numbers (v1) skipped by salvage mode
+        #: chunk numbers skipped by salvage mode
         self.quarantined_chunks: List[int] = []
         #: events known lost to quarantined chunks (trailer-reconciled)
         self.events_lost = 0
@@ -183,27 +184,18 @@ class TraceReader:
         try:
             with self.path.open("rb") as fh:
                 head = fh.read(len(MAGIC_V2))
-                if head == MAGIC_V2:
-                    self.format = FORMAT_V2
-                    self._header = self._read_v2_header(fh)
-                elif head[:1] == b"{":
-                    self.format = FORMAT_V1
-                    self._header = self._read_v1_header(fh, head)
-                elif len(head) == 0:
+                if not head:
                     raise TraceFormatError("empty file", path=self.path)
-                else:
+                if head != MAGIC_V2:
                     raise TraceFormatError(
-                        "not a repro trace (bad magic and not JSON lines)",
-                        path=self.path,
-                    )
+                        f"not a {FORMAT_V2} file (bad magic)", path=self.path)
+                self._header = self._read_header(fh)
         except OSError as exc:
             raise TraceFormatError(f"cannot read trace: {exc}",
                                    path=self.path) from exc
         self.nranks = self._header["nranks"]
 
-    # -- headers -------------------------------------------------------------
-
-    def _read_v2_header(self, fh) -> dict:
+    def _read_header(self, fh) -> dict:
         raw = fh.read(_U32.size)
         if len(raw) < _U32.size:
             raise TraceFormatError("truncated v2 header length", path=self.path)
@@ -223,6 +215,12 @@ class TraceReader:
             )
         if not isinstance(header.get("nranks"), int):
             raise TraceFormatError("v2 header missing 'nranks'", path=self.path)
+        # every frame carries its checksum and chain digest (_FRAME)
+        for key, want in (("chunk_crc32", True), ("chunk_chain", CHAIN_ALGO)):
+            if header.get(key) != want:
+                raise TraceFormatError(
+                    f"v2 header missing {key!r} = {json.dumps(want)}",
+                    path=self.path)
         try:
             header["access_table"] = [
                 AccessType[n] for n in header["enums"]["access"]
@@ -236,53 +234,29 @@ class TraceReader:
         except (KeyError, ValueError) as exc:
             raise TraceFormatError(f"bad v2 enum tables: {exc!r}",
                                    path=self.path) from exc
-        # files from before the per-chunk checksum carry no flag
-        header["chunk_crc"] = bool(header.get("chunk_crc32"))
-        # likewise for the rolling chain; the seed binds cursors' chain
-        # values to this exact header, and is computable for any v2
-        # file — only the *stored* per-frame digests need the flag
-        header["chunk_chain_stored"] = bool(header.get("chunk_chain"))
+        # the seed binds cursors' chain values to this exact header
         header["chain_seed"] = _chain_seed(raw, blob)
         header["data_start"] = len(MAGIC_V2) + _U32.size + length
-        return header
-
-    def _read_v1_header(self, fh, head: bytes) -> dict:
-        line = head + fh.readline()
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise TraceFormatError(f"corrupt v1 header: {exc}",
-                                   path=self.path, line=1) from exc
-        if header.get("format") != FORMAT_V1:
-            raise TraceFormatError(
-                f"not a {FORMAT_V1} file (header says "
-                f"{header.get('format')!r})", path=self.path, line=1,
-            )
-        if not isinstance(header.get("nranks"), int):
-            raise TraceFormatError("v1 header missing 'nranks'",
-                                   path=self.path, line=1)
         return header
 
     # -- iteration -----------------------------------------------------------
 
     def __iter__(self) -> Iterator[TraceEvent]:
         self._begin(None)
-        if self.format == FORMAT_V2:
-            return self._iter_v2()
-        return self._iter_v1()
+        return (event for events, _cursor in self._chunks(None)
+                for event in events)
 
     def wire_stream(self, start: Optional[dict] = None
                     ) -> Optional["WireStream"]:
         """Raw chunk records for the flat core's fused decode, if eligible.
 
-        Only strict v2 binary readers qualify: the wire path feeds a
-        detector record by record, so it has no chunk to quarantine
-        after the fact (any damage raises), and v1 JSON traces have no
-        binary records to hand over.  Returns ``None`` when the caller
-        should fall back to decoded-event iteration.  ``start`` resumes
-        from an :meth:`iter_chunks` cursor.
+        Only strict readers qualify: the wire path feeds a detector
+        record by record, so it has no chunk to quarantine after the
+        fact (any damage raises).  Returns ``None`` for a salvage
+        reader, whose caller falls back to decoded-event iteration.
+        ``start`` resumes from an :meth:`iter_chunks` cursor.
         """
-        if not self.strict or self.format != FORMAT_V2:
+        if not self.strict:
             return None
         self._begin(start)
         return WireStream(self, start)
@@ -303,11 +277,6 @@ class TraceReader:
 
     # -- chunk-wise iteration (checkpoint/resume) -----------------------------
 
-    #: v1 JSON-lines traces have no physical chunks; group this many
-    #: events into one *virtual* chunk so checkpoint cadence is
-    #: comparable across formats (matches the v2 writer's default)
-    VIRTUAL_CHUNK_EVENTS = 2048
-
     def iter_chunks(self, start: Optional[dict] = None
                     ) -> Iterator[Tuple[List[TraceEvent], dict]]:
         """Iterate ``(events, cursor)`` one fully-decoded chunk at a time.
@@ -316,28 +285,25 @@ class TraceReader:
         ``start`` (possibly in another process, days later) and the
         remaining chunks decode exactly as they would have — the cursor
         carries the incremental string table, the cumulative event
-        count, the rolling chain value (v2), and the salvage
-        accounting, so loss statistics survive the hop.  Cursors are
-        plain picklable dicts; they are only valid against the same
-        trace file — or, when they carry a chain value, against any
-        append-only extension of it (checkpoint metadata pins
-        identity either way).
+        count, the rolling chain value and the salvage accounting, so
+        loss statistics survive the hop.  Cursors are plain picklable
+        dicts; they are valid against the same trace file or any
+        append-only extension of it (checkpoint metadata pins identity
+        by the chain value, or by file size once a salvage read has
+        dropped the chain).
         """
         self._begin(start)
-        if self.format == FORMAT_V2:
-            return self._chunks_v2(start)
-        return self._chunks_v1(start)
+        return self._chunks(start)
 
     def _begin(self, start: Optional[dict]) -> None:
         """Reset per-pass state, or adopt a resume cursor's."""
         self.complete = False
         self.tail_pending = False
         if start is not None:
-            expect = "v2" if self.format == FORMAT_V2 else "v1"
-            if start.get("kind") != expect:
+            if start.get("kind") != "v2":
                 raise TraceFormatError(
-                    f"resume cursor kind {start.get('kind')!r} does not "
-                    f"match a {expect} trace", path=self.path)
+                    f"resume cursor kind {start.get('kind')!r} is not a "
+                    f"{FORMAT_V2} cursor", path=self.path)
             salvage = start.get("salvage") or {}
             self.quarantined_chunks = list(
                 salvage.get("quarantined_chunks", []))
@@ -358,96 +324,24 @@ class TraceReader:
     def total_events(self) -> Optional[int]:
         """Total events the trace claims to hold, or None when unknowable.
 
-        v2 files are answered from the 12-byte trailer without scanning
-        the body (``analyzed_fraction`` needs this on multi-GB traces);
-        a missing/torn trailer returns None.  v1 counts event lines.
+        Answered from the 12-byte trailer without scanning the body
+        (``analyzed_fraction`` needs this on multi-GB traces); a
+        missing/torn trailer returns None.
         """
-        if self.format == FORMAT_V2:
-            try:
-                with self.path.open("rb") as fh:
-                    fh.seek(0, 2)
-                    size = fh.tell()
-                    if size < 4 + _U64.size:
-                        return None
-                    fh.seek(size - (4 + _U64.size))
-                    tail = fh.read(4 + _U64.size)
-            except OSError:
-                return None
-            if tail[:4] != b"TEND":
-                return None
-            return _U64.unpack(tail[4:])[0]
+        trailer = len(_END_TAG) + _U64.size
         try:
-            with self.path.open() as fh:
-                fh.readline()  # header
-                return sum(1 for line in fh if line.strip())
+            with self.path.open("rb") as fh:
+                fh.seek(0, 2)
+                size = fh.tell()
+                if size < trailer:
+                    return None
+                fh.seek(size - trailer)
+                tail = fh.read(trailer)
         except OSError:
             return None
-
-    def _iter_v1(self) -> Iterator[TraceEvent]:
-        for events, _cursor in self._chunks_v1(None):
-            yield from events
-
-    def _chunks_v1(self, start: Optional[dict]
-                   ) -> Iterator[Tuple[List[TraceEvent], dict]]:
-        from ..mpi.trace_io import _event_from_dict  # lazy: avoids a cycle
-
-        with self.path.open() as fh:
-            fh.readline()  # header, validated in __init__
-            if start is not None:
-                fh.seek(start["pos"])
-                lineno = start["line"]
-                total = start["events_applied"]
-            else:
-                lineno = 1
-                total = 0
-            batch: List[TraceEvent] = []
-
-            def cursor() -> dict:
-                return {
-                    "kind": "v1",
-                    "pos": fh.tell(),
-                    "line": lineno,
-                    "events_applied": total,
-                    "salvage": self._salvage_state(self.events_lost),
-                }
-
-            while True:
-                # readline (not file iteration) keeps fh.tell() legal,
-                # which is what makes v1 cursors byte-resumable
-                line = fh.readline()
-                if not line:
-                    break
-                lineno += 1
-                if not line.strip():
-                    continue
-                try:
-                    event = _event_from_dict(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    if self.strict:
-                        raise TraceFormatError(
-                            f"corrupt or truncated event record: {exc}",
-                            path=self.path, line=lineno,
-                        ) from exc
-                    self.quarantined_chunks.append(lineno)
-                    self.events_lost += 1
-                    continue
-                except (KeyError, ValueError, TypeError) as exc:
-                    if self.strict:
-                        raise TraceFormatError(
-                            f"malformed event record: {exc!r}",
-                            path=self.path, line=lineno,
-                        ) from exc
-                    self.quarantined_chunks.append(lineno)
-                    self.events_lost += 1
-                    continue
-                batch.append(event)
-                if len(batch) >= self.VIRTUAL_CHUNK_EVENTS:
-                    total += len(batch)
-                    yield batch, cursor()
-                    batch = []
-            if batch:
-                total += len(batch)
-                yield batch, cursor()
+        if not tail.startswith(_END_TAG):
+            return None
+        return _U64.unpack(tail[len(_END_TAG):])[0]
 
     def _bad(self, message: str) -> None:
         """Raise in strict mode; in salvage mode the caller quarantines."""
@@ -463,19 +357,15 @@ class TraceReader:
             if not block:
                 return False
             hay = overlap + block
-            hits = [i for i in (hay.find(b"CHNK"), hay.find(b"TEND"))
+            hits = [i for i in (hay.find(_CHUNK_TAG), hay.find(_END_TAG))
                     if i != -1]
             if hits:
                 fh.seek(fh.tell() - len(hay) + min(hits))
                 return True
             overlap = hay[-3:]
 
-    def _iter_v2(self) -> Iterator[TraceEvent]:
-        for events, _cursor in self._chunks_v2(None):
-            yield from events
-
-    def _chunks_v2(self, start: Optional[dict]
-                   ) -> Iterator[Tuple[List[TraceEvent], dict]]:
+    def _chunks(self, start: Optional[dict]
+                ) -> Iterator[Tuple[List[TraceEvent], dict]]:
         stream = WireStream(self, start)
         for payload, off, nevents in stream:
             try:
@@ -489,7 +379,7 @@ class TraceReader:
 
 
 class WireStream:
-    """One pass over a v2 trace's chunk frames — the only framing walker.
+    """One pass over a trace's chunk frames — the only framing walker.
 
     Iterating yields ``(payload, offset, nevents)`` triples: ``payload``
     is a checksum- and chain-verified chunk body, ``offset`` points just
@@ -525,11 +415,6 @@ class WireStream:
         self.access_table: List[AccessType] = header["access_table"]
         self.sync_table: List[SyncKind] = header["sync_table"]
         self.region_table: List[RegionKind] = header["region_table"]
-        self._crc: bool = header["chunk_crc"]
-        self._frame = (struct.Struct("<III") if self._crc
-                       else struct.Struct("<II"))
-        self._chain_extra = (_CHAIN_BYTES if header["chunk_chain_stored"]
-                             else 0)
         if start is not None:
             #: shared wire string table, grown chunk by chunk (append-only)
             self.strings: List[str] = list(start["strings"])
@@ -561,18 +446,16 @@ class WireStream:
 
     def __iter__(self) -> Iterator[Tuple[bytes, int, int]]:
         reader = self.reader
-        frame = self._frame
-        fsize = frame.size + self._chain_extra
         with self.path.open("rb") as fh:
             fh.seek(self.pos)
             while True:
                 tag_pos = fh.tell()
-                tag = fh.read(4)
-                if tag == b"CHNK":
+                tag = fh.read(len(_CHUNK_TAG))
+                if tag == _CHUNK_TAG:
                     self.chunk += 1
                     chunk_no = self.chunk
-                    raw = fh.read(fsize)
-                    if len(raw) < fsize:
+                    raw = fh.read(_FRAME.size)
+                    if len(raw) < _FRAME.size:
                         if reader.tail:
                             reader.tail_pending = True
                             return
@@ -580,11 +463,7 @@ class WireStream:
                         reader.quarantined_chunks.append(chunk_no)
                         reader.truncated = True
                         break
-                    if self._crc:
-                        nbytes, nevents, crc = frame.unpack_from(raw, 0)
-                    else:
-                        (nbytes, nevents), crc = frame.unpack_from(raw, 0), \
-                            None
+                    nbytes, nevents, crc, stored = _FRAME.unpack(raw)
                     if not reader.strict and nbytes > (1 << 30):
                         # a frame this large is corruption, not data
                         reader.quarantined_chunks.append(chunk_no)
@@ -606,7 +485,7 @@ class WireStream:
                         self._claimed_lost += nevents
                         reader.truncated = True
                         break
-                    if crc is not None and zlib.crc32(payload) != crc:
+                    if zlib.crc32(payload) != crc:
                         reader._bad(
                             f"chunk {chunk_no}: checksum mismatch "
                             f"(payload corrupt)"
@@ -616,8 +495,7 @@ class WireStream:
                         continue
                     if self.chain is not None:
                         self.chain = _chain_next(self.chain, payload)
-                        if (self._chain_extra
-                                and raw[frame.size:] != self.chain):
+                        if stored != self.chain:
                             if reader.strict:
                                 raise TraceChainMismatch(
                                     f"chunk {chunk_no}: chain mismatch "
@@ -633,7 +511,7 @@ class WireStream:
                     self.events += nevents
                     self.pos = fh.tell()
                     yield payload, off, nevents
-                elif tag == b"TEND":
+                elif tag == _END_TAG:
                     raw = fh.read(_U64.size)
                     if len(raw) < _U64.size:
                         if reader.tail:
@@ -664,7 +542,7 @@ class WireStream:
                     reader.truncated = True
                     break
                 else:
-                    if reader.tail and len(tag) < 4:
+                    if reader.tail and len(tag) < len(_CHUNK_TAG):
                         # a partial tag at EOF is a write in flight
                         reader.tail_pending = True
                         return
@@ -852,101 +730,51 @@ _ACCESS_EXTRA = (0, _U32.size, _I64.size, _U32.size + _I64.size)
 # -- chain helpers (incremental analysis) ------------------------------------
 
 
-def trace_chain(path: Union[str, Path], upto: Optional[int] = None) -> dict:
-    """Rolling hash chain of a v2 trace, computed without decoding events.
+class _FrameWalk(WireStream):
+    """A :class:`WireStream` over the frames alone: the chain commits to
+    payload bytes, so the chunks' string tables are not decoded."""
 
-    Walks the chunk framing only — one crc verify and one sha256 update
-    per chunk — so it is cheap enough to run at serve admission on every
-    upload.  Returns::
+    def _take_strings(self, payload: bytes, chunk_no: int) -> int:
+        return 0
+
+
+def trace_chain(path: Union[str, Path], upto: Optional[int] = None) -> dict:
+    """Rolling hash chain of a trace, computed without decoding events.
+
+    A strict, tail-mode :class:`WireStream` walk of the frames only —
+    one crc verify, one sha256 update and one stored-digest compare per
+    chunk, no string table decoded — so it is cheap enough to run at
+    serve admission on every upload.  Returns::
 
         {"algo": "sha256",
          "chunks": [hex chain value after chunk 1, 2, ...],
          "offsets": [file offset just past chunk 1, 2, ...],
          "events": [cumulative event count after chunk 1, 2, ...],
-         "complete": bool,            # reached a valid trailer
-         "stored_mismatch": int|None} # first chunk whose *stored* chain
-                                      # digest disagrees (prefix rewrite)
+         "complete": bool}            # reached a valid trailer
 
     ``upto`` stops after that many chunks (``complete`` is then about
-    the trailer only if it was reached, i.e. normally False).  The
-    chain is computed for any v2 file, with or without stored per-frame
-    digests; a torn tail simply ends the walk (``complete=False``),
-    matching tail-reader semantics.  Genuinely corrupt framing — a bad
-    tag mid-file or a checksum mismatch on a complete payload — raises
-    :class:`~repro.mpi.errors.TraceFormatError`.
+    the trailer only if it was reached, i.e. normally False).  A torn
+    tail simply ends the walk (``complete=False``), matching tail-reader
+    semantics.  Damage raises :class:`~repro.mpi.errors.TraceFormatError`
+    — a stored chain digest that disagrees with the recomputed chain (a
+    rewritten prefix) as :class:`~repro.mpi.errors.TraceChainMismatch`.
     """
-    path = Path(path)
+    reader = TraceReader(path)
+    reader.tail = True
+    stream = _FrameWalk(reader)
     chunks: List[str] = []
     offsets: List[int] = []
     events: List[int] = []
-    complete = False
-    stored_mismatch: Optional[int] = None
-    with path.open("rb") as fh:
-        if fh.read(len(MAGIC_V2)) != MAGIC_V2:
-            raise TraceFormatError("not a repro-trace-v2 file", path=path)
-        hlen_raw = fh.read(_U32.size)
-        if len(hlen_raw) < _U32.size:
-            raise TraceFormatError("truncated v2 header length", path=path)
-        (hlen,) = _U32.unpack(hlen_raw)
-        header_bytes = fh.read(hlen)
-        if len(header_bytes) < hlen:
-            raise TraceFormatError("truncated v2 header", path=path)
-        try:
-            header = json.loads(header_bytes)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"corrupt v2 header: {exc}",
-                                   path=path) from exc
-        has_crc = bool(header.get("chunk_crc32"))
-        has_stored = bool(header.get("chunk_chain"))
-        frame = struct.Struct("<III") if has_crc else struct.Struct("<II")
-        extra = _CHAIN_BYTES if has_stored else 0
-        chain = _chain_seed(hlen_raw, header_bytes)
-        total = 0
-        chunk_no = 0
-        while upto is None or chunk_no < upto:
-            tag = fh.read(4)
-            if tag == b"CHNK":
-                chunk_no += 1
-                raw = fh.read(frame.size + extra)
-                if len(raw) < frame.size + extra:
-                    break  # torn tail
-                if has_crc:
-                    nbytes, nevents, crc = frame.unpack_from(raw, 0)
-                else:
-                    (nbytes, nevents), crc = frame.unpack_from(raw, 0), None
-                payload = fh.read(nbytes)
-                if len(payload) < nbytes:
-                    break  # torn tail
-                if crc is not None and zlib.crc32(payload) != crc:
-                    raise TraceFormatError(
-                        f"chunk {chunk_no}: checksum mismatch "
-                        f"(payload corrupt)", path=path)
-                chain = _chain_next(chain, payload)
-                if extra and stored_mismatch is None \
-                        and raw[frame.size:] != chain:
-                    stored_mismatch = chunk_no
-                total += nevents
-                chunks.append(chain.hex())
-                offsets.append(fh.tell())
-                events.append(total)
-            elif tag == b"TEND":
-                raw = fh.read(_U64.size)
-                if len(raw) == _U64.size:
-                    complete = True
-                break
-            elif len(tag) < 4:
-                break  # torn tail
-            else:
-                raise TraceFormatError(
-                    f"bad chunk tag {tag!r} after chunk {chunk_no}",
-                    path=path)
+    for _chunk in islice(stream, upto):
+        chunks.append(stream.chain.hex())
+        offsets.append(stream.pos)
+        events.append(stream.events)
     return {
         "algo": CHAIN_ALGO,
         "chunks": chunks,
         "offsets": offsets,
         "events": events,
-        "complete": complete,
-        "stored_mismatch": stored_mismatch,
+        "complete": reader.complete,
     }
 
 

@@ -19,10 +19,10 @@ The sharded pipeline:
   deduplicates, and produces one canonically ordered verdict list plus
   pipeline metrics (events/s, per-shard BST peaks, queue depths).
 
-``dispatch="file"`` is an alternative fan-out for on-disk traces: every
-worker streams the file itself and keeps only its shards' events.  The
-producer then ships nothing at all — on machines where decode is cheap
-relative to detector work this trades duplicated decoding for zero IPC.
+``dispatch="file"`` is the alternative fan-out: every worker streams
+the trace file itself and keeps only its shards' events.  The producer
+then ships nothing at all — on machines where decode is cheap relative
+to detector work this trades duplicated decoding for zero IPC.
 
 The engine is *supervised* (see :mod:`repro.pipeline.resilience`):
 workers heartbeat on the result queue, every wait is bounded, and a
@@ -230,10 +230,11 @@ def _worker_file(worker_id, shards, detector, nranks, path, out_q,
     restores the newest valid checkpoint first and replays only the
     events after it, instead of re-running the shard-group from byte 0.
 
-    A strict v2 trace is read as wire records, each owned shard's flat
-    detector taking the chunk with a lane filter; other sources are
-    decoded and routed event by event.  Fault-plan ticks count the
-    events analyzed either way (per chunk on the wire path).
+    A strict reader hands over wire records, each owned shard's flat
+    detector taking the chunk with a lane filter; salvage reads and the
+    baseline detectors are decoded and routed event by event.
+    Fault-plan ticks count the events analyzed either way (per chunk on
+    the wire path).
     """
     reg = obs.reset()  # fork copied the parent's registry: start clean
     group = _ShardGroup(shards, detector, nranks)
@@ -347,16 +348,17 @@ def _worker_file(worker_id, shards, detector, nranks, path, out_q,
     out_q.put((kind, worker_id, attempt, payload))
 
 
-def _run_shards_inline(events, shards, detector, nranks):
+def _run_shards_inline(reader, shards, detector):
     """Degraded path: replay one shard-group serially, in this process.
 
     Replay is deterministic, so the verdicts are exactly what the dead
     worker would have reported — the analysis completes, just without
     that worker's parallelism.
     """
+    nranks = reader.nranks
     group = _ShardGroup(shards, detector, nranks)
     own = set(shards)
-    for event in events:
+    for event in reader:
         for shard in shards_of(event, nranks):
             if shard in own:
                 group.dispatch(shard, (event,))
@@ -373,16 +375,15 @@ def _mp_context():
         return mp.get_context("spawn")
 
 
-def analyze_sharded(events, nranks: int, path, reader: Optional[TraceReader],
-                    *, detector: str, jobs: int, dispatch: str,
-                    batch_size: int, queue_depth: int,
+def analyze_sharded(reader: TraceReader, *, detector: str, jobs: int,
+                    dispatch: str, batch_size: int, queue_depth: int,
                     timeout: Optional[float], retries: int,
                     backoff_base: float, backoff_max: float, salvage: bool,
                     recover: bool, fault_plan, plan) -> PipelineResult:
     """Run one analysis over ``jobs`` worker processes.
 
-    ``events`` / ``nranks`` / ``path`` / ``reader`` are the source as
-    :func:`repro.pipeline.engine.analyze_trace` opened it, ``plan`` its
+    ``reader`` is the trace as :func:`repro.pipeline.engine.analyze_trace`
+    opened it, ``plan`` its
     :class:`~repro.pipeline.checkpoint.CheckpointPlan` (or None); the
     other parameters are ``analyze_trace``'s, already validated.
     """
@@ -390,9 +391,8 @@ def analyze_sharded(events, nranks: int, path, reader: Optional[TraceReader],
         raise ValueError(
             "checkpointing with jobs>1 requires dispatch='file' — queue "
             "batches die with their worker and cannot be replayed")
-    if dispatch == "file" and path is None:
-        raise ValueError("dispatch='file' needs a path-backed trace source")
     detector_class(detector)  # validate the name before forking
+    nranks, path = reader.nranks, reader.path
 
     ctx = _mp_context()
     out_q = ctx.Queue()
@@ -438,7 +438,7 @@ def analyze_sharded(events, nranks: int, path, reader: Optional[TraceReader],
                 if wire is not None:
                     events_total = sum(n for _, _, n in wire)
                 else:
-                    events_total = sum(1 for _ in events)
+                    events_total = sum(1 for _ in reader)
             reg.counter("pipeline.events.read").add(events_total)
             with reg.span("pipeline.collect"):
                 outcome = collect_results(out_q, procs, worker_shards,
@@ -573,7 +573,7 @@ def analyze_sharded(events, nranks: int, path, reader: Optional[TraceReader],
                 _put_bounded(worker, (shard, batch))
 
             with reg.span("pipeline.produce"):
-                for event in events:
+                for event in reader:
                     events_total += 1
                     for shard in shards_of(event, nranks):
                         buffers[shard].append(event)
@@ -609,9 +609,7 @@ def analyze_sharded(events, nranks: int, path, reader: Optional[TraceReader],
             with reg.span("pipeline.degrade"):
                 for failure in {f.worker: f for f in failures}.values():
                     payloads[failure.worker] = _run_shards_inline(
-                        events, worker_shards[failure.worker], detector,
-                        nranks,
-                    )
+                        reader, worker_shards[failure.worker], detector)
             reg.counter("pipeline.degraded").inc()
             degraded = True
         if failures_all:

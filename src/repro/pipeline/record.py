@@ -4,7 +4,7 @@
 tracing enabled and no detector attached — the cheapest possible
 recording run, matching the MC-Checker-style split where the profiling
 layer only logs and every analysis happens post mortem.  Events are
-streamed straight through a trace writer (binary v2 by default) via
+streamed straight through a ``repro-trace-v2`` writer via
 :class:`~repro.mpi.trace.StreamingTraceLog`, so recording memory stays
 constant no matter how long the run is.
 """
@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..mpi.trace import StreamingTraceLog
-from .writer import make_trace_writer
+from .writer import BinaryTraceWriter
 
 __all__ = ["RECORDABLE_APPS", "AppSpec", "RecordResult", "record_app"]
 
@@ -94,12 +94,11 @@ def record_app(
     size: Optional[int] = None,
     inject_race: bool = False,
     out: Optional[Union[str, Path]] = None,
-    format: str = "binary",
 ) -> RecordResult:
     """Run ``app`` on ``nranks`` simulated ranks and record its trace.
 
-    With ``out`` set the trace streams to that file in the requested
-    format and never accumulates in memory; without it the (small) run's
+    With ``out`` set the trace streams to that ``repro-trace-v2`` file
+    and never accumulates in memory; without it the (small) run's
     :class:`~repro.mpi.trace.TraceLog` is returned for direct replay.
     """
     spec = RECORDABLE_APPS.get(app)
@@ -123,7 +122,7 @@ def record_app(
                             trace_log=world.trace_log)
 
     path = Path(out)
-    with make_trace_writer(path, nranks=nranks, format=format) as writer:
+    with BinaryTraceWriter(path, nranks=nranks) as writer:
         log = StreamingTraceLog(writer.write)
         world = World(nranks, [], trace=log)
         world.run(program, *args)

@@ -1,10 +1,10 @@
-"""Trace writers: ``repro-trace-v2`` binary and v1 JSON lines.
+"""Trace writers: the recording side of ``repro-trace-v2``.
 
 The recording side of :mod:`repro.pipeline.format` (the layout is
-documented there): :class:`BinaryTraceWriter` streams v2 chunks in
+documented there): :class:`BinaryTraceWriter` streams chunks in
 constant memory and :meth:`~BinaryTraceWriter.open_append` reopens a
-v2 trace to grow it; :class:`JsonTraceWriter` writes the v1 format.
-Analysis only reads traces, so it never imports this module.
+trace to grow it.  Analysis only reads traces, so it never imports
+this module.
 """
 
 from __future__ import annotations
@@ -22,8 +22,11 @@ from ..mpi.memory import RegionInfo, RegionKind
 from ..mpi.trace import LocalEvent, RmaEvent, SyncEvent, SyncKind, TraceEvent
 from .format import (
     _ACCESS,
+    _CHUNK_TAG,
+    _END_TAG,
     _FLAG_ACCUM,
     _FLAG_EXCL,
+    _FRAME,
     _LOCAL,
     _RMA,
     _SYNC,
@@ -33,7 +36,6 @@ from .format import (
     _U32,
     _U64,
     CHAIN_ALGO,
-    FORMAT_V1,
     FORMAT_V2,
     MAGIC_V2,
     TraceReader,
@@ -41,7 +43,7 @@ from .format import (
     _chain_seed,
 )
 
-__all__ = ["BinaryTraceWriter", "JsonTraceWriter", "make_trace_writer"]
+__all__ = ["BinaryTraceWriter", "make_trace_writer"]
 
 # enum member order as written into the header; readers map ids through
 # the header tables, not through these lists
@@ -85,10 +87,10 @@ class BinaryTraceWriter:
     """Streaming v2 writer: ``write`` events one at a time, constant memory.
 
     Events are buffered into chunks of ``events_per_chunk`` and flushed
-    as framed, crc32-checksummed records; :meth:`close` (or a clean
-    context-manager exit) appends the trailer that lets readers prove
-    the file was not truncated, then atomically renames the temp file
-    into ``path``.  An exceptional ``with``-block exit calls
+    as frames carrying the payload's crc32 and rolling chain digest;
+    :meth:`close` (or a clean context-manager exit) appends the trailer
+    that lets readers prove the file was not truncated, then atomically
+    renames the temp file into ``path``.  An exceptional ``with``-block exit calls
     :meth:`abort` instead, which removes the temp file — an interrupted
     recording never leaves a file that looks complete.
 
@@ -112,7 +114,6 @@ class BinaryTraceWriter:
         nranks: int,
         events_per_chunk: int = 2048,
         fault_hook: Optional[Callable[[str, int], None]] = None,
-        chain: bool = True,
         live: bool = False,
     ) -> None:
         if events_per_chunk < 1:
@@ -134,18 +135,15 @@ class BinaryTraceWriter:
             self._tmp = self.path.with_name(self.path.name + ".tmp")
         self._fh = self._tmp.open("wb")
         try:
-            head: dict = {
+            header = json.dumps({
                 "format": FORMAT_V2,
                 "nranks": nranks,
                 "chunk_crc32": True,
                 "enums": _enum_tables(),
-            }
-            if chain:
-                head["chunk_chain"] = CHAIN_ALGO
-            header = json.dumps(head).encode("utf-8")
+                "chunk_chain": CHAIN_ALGO,
+            }).encode("utf-8")
             hlen_raw = _U32.pack(len(header))
-            self._chain: Optional[bytes] = (
-                _chain_seed(hlen_raw, header) if chain else None)
+            self._chain = _chain_seed(hlen_raw, header)
             self._fh.write(MAGIC_V2)
             self._fh.write(hlen_raw)
             self._fh.write(header)
@@ -165,7 +163,7 @@ class BinaryTraceWriter:
         events_per_chunk: Optional[int] = None,
         fault_hook: Optional[Callable[[str, int], None]] = None,
     ) -> "BinaryTraceWriter":
-        """Reopen a v2 trace for appending more chunks (live mode).
+        """Reopen a trace for appending more chunks (live mode).
 
         The existing chunks are scanned (framing and checksums
         verified, the incremental string table and the rolling chain
@@ -179,19 +177,11 @@ class BinaryTraceWriter:
         """
         path = Path(path)
         reader = TraceReader(path)
-        if reader.format != FORMAT_V2:
-            raise TraceFormatError(
-                "open_append needs a repro-trace-v2 file", path=path)
         header = reader._header
         if header.get("enums") != _enum_tables():
             raise TraceFormatError(
                 "cannot append: trace was written with different enum "
                 "tables", path=path)
-        has_chain = header["chunk_chain_stored"]
-        if has_chain and not header["chunk_crc"]:
-            raise TraceFormatError(
-                "malformed header: chunk_chain without chunk_crc32",
-                path=path)
         # the strict frame walk verifies checksums and stored chain
         # digests and replays the incremental string table; tail mode
         # ends it cleanly at the last complete chunk (a torn tail or the
@@ -209,7 +199,6 @@ class BinaryTraceWriter:
             strings.intern(text)
         strings.take_pending()  # already on disk, not pending
         total = stream.events
-        chain = stream.chain if has_chain else None
         good_end = stream.pos
         per_chunk = events_per_chunk or first_chunk_events or 2048
         self = cls.__new__(cls)
@@ -225,7 +214,7 @@ class BinaryTraceWriter:
         self._done = False
         self._live = True
         self._tmp = path
-        self._chain = chain
+        self._chain = stream.chain
         self._fh = path.open("r+b")
         self._fh.seek(good_end)
         self._fh.truncate(good_end)
@@ -295,13 +284,10 @@ class BinaryTraceWriter:
             head += _U32.pack(len(raw))
             head += raw
         payload = bytes(head) + bytes(self._buf)
-        self._fh.write(b"CHNK")
-        self._fh.write(_U32.pack(len(payload)))
-        self._fh.write(_U32.pack(self._chunk_events))
-        self._fh.write(_U32.pack(zlib.crc32(payload)))
-        if self._chain is not None:
-            self._chain = _chain_next(self._chain, payload)
-            self._fh.write(self._chain)
+        self._chain = _chain_next(self._chain, payload)
+        self._fh.write(_CHUNK_TAG + _FRAME.pack(
+            len(payload), self._chunk_events, zlib.crc32(payload),
+            self._chain))
         self._fh.write(payload)
         if self._live:
             self._fh.flush()
@@ -317,7 +303,7 @@ class BinaryTraceWriter:
         if self._fault_hook is not None:
             self._fault_hook("close", self.chunks_written)
         self._flush_chunk()
-        self._fh.write(b"TEND")
+        self._fh.write(_END_TAG)
         self._fh.write(_U64.pack(self.events_written))
         self._fh.close()
         if not self._live:
@@ -353,70 +339,12 @@ class BinaryTraceWriter:
             self.close()
 
 
-class JsonTraceWriter:
-    """Streaming v1 JSON-lines writer (one header line + one line/event).
-
-    Finalization is atomic like the binary writer's: the stream goes to
-    ``<path>.tmp`` and is renamed into place on :meth:`close`; an
-    exceptional ``with``-block exit :meth:`abort`\\ s instead.
-    """
-
-    def __init__(self, path: Union[str, Path], *, nranks: int) -> None:
-        from ..mpi.trace_io import _event_to_dict  # lazy: avoids a cycle
-
-        self._to_dict = _event_to_dict
-        self.path = Path(path)
-        self.nranks = nranks
-        self.events_written = 0
-        self._done = False
-        self._tmp = self.path.with_name(self.path.name + ".tmp")
-        self._fh = self._tmp.open("w")
-        try:
-            json.dump({"format": FORMAT_V1, "nranks": nranks}, self._fh)
-            self._fh.write("\n")
-        except BaseException:
-            self.abort()  # as in BinaryTraceWriter.__init__
-            raise
-
-    def write(self, event: TraceEvent) -> None:
-        json.dump(self._to_dict(event), self._fh, separators=(",", ":"))
-        self._fh.write("\n")
-        self.events_written += 1
-
-    def close(self) -> None:
-        if self._done:
-            return
-        self._fh.close()
-        os.replace(self._tmp, self.path)
-        self._done = True
-
-    def abort(self) -> None:
-        """Discard the recording: close and remove the temp file."""
-        if self._done:
-            return
-        self._done = True
-        self._fh.close()
-        try:
-            self._tmp.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    def __enter__(self) -> "JsonTraceWriter":
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        if exc_type is not None:
-            self.abort()
-        else:
-            self.close()
-
-
 def make_trace_writer(
     path: Union[str, Path], *, nranks: int, format: str = "binary"
 ):
-    """Writer factory keyed by the CLI's ``--format {json,binary}``."""
+    """A :class:`BinaryTraceWriter`; ``format`` names the one format
+    (``"binary"`` or ``"repro-trace-v2"``)."""
     if format in ("binary", FORMAT_V2):
         return BinaryTraceWriter(path, nranks=nranks)
-    if format in ("json", FORMAT_V1):
-        return JsonTraceWriter(path, nranks=nranks)
-    raise ValueError(f"unknown trace format {format!r} (json or binary)")
+    raise ValueError(
+        f"unknown trace format {format!r} (binary / {FORMAT_V2})")

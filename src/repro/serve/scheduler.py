@@ -379,7 +379,7 @@ class Scheduler:
         try:
             new_chain = trace_chain(stored)
         except (TraceFormatError, OSError):
-            return None, 0  # v1/quarantined traces have no chain index
+            return None, 0  # an unreadable trace has no chain index
         if not new_chain.get("chunks"):
             return None, 0
         best_sha, best_common = None, 0
@@ -439,12 +439,7 @@ class Scheduler:
                   flush=True)
         t0 = time.perf_counter()
         try:
-            result = analyze_trace(
-                job.trace_path, detector=job.detector, jobs=1,
-                ckpt_dir=ckpt_dir, ckpt_every=self.ckpt_every,
-                deadline_s=self.deadline_s, max_rss_mb=self.max_rss_mb,
-                resume=True,
-            )
+            result = self._analyze(job, ckpt_dir)
         except _NO_RETRY as exc:
             # deterministic failure: the same bytes would fail the same
             # way on every retry, so fail the job now
@@ -485,6 +480,36 @@ class Scheduler:
                          resumed=list(resumed))
         self._count("serve.jobs.completed")
 
+    def _analyze(self, job: Job, ckpt_dir: Path):
+        """The job's checkpointed analysis, resumed when it can be.
+
+        A checkpoint the run cannot use — one that fails to restore,
+        belongs to another analysis or no longer matches the trace's
+        prefix (:class:`CheckpointError`) — is discarded and the trace
+        analyzed once from the start, whether the checkpoint was seeded
+        from an ancestor or is the job's own.  Trace errors still fail
+        the job, and so does a second :class:`CheckpointError`.
+        """
+        def run():
+            return analyze_trace(
+                job.trace_path, detector=job.detector, jobs=1,
+                ckpt_dir=ckpt_dir, ckpt_every=self.ckpt_every,
+                deadline_s=self.deadline_s, max_rss_mb=self.max_rss_mb,
+                resume=True,
+            )
+
+        resuming = any(ckpt_dir.glob("serial-*.ckpt"))
+        try:
+            return run()
+        except CheckpointError as exc:
+            if not resuming:
+                raise
+            print(f"repro serve: {job.id} discarded its checkpoint "
+                  f"({exc}); analyzing from the start", flush=True)
+        shutil.rmtree(ckpt_dir, ignore_errors=True)
+        self._count("incremental.resume_discarded")
+        return run()
+
     def _seed_ckpt_dir(self, job: Job, ckpt_dir: Path) -> bool:
         """Copy the prefix ancestor's final checkpoint into this job's dir.
 
@@ -515,12 +540,12 @@ class Scheduler:
     def _retain_incremental_state(self, job: Job, ckpt_dir: Path) -> None:
         """After success: index the trace's chain, keep one checkpoint.
 
-        A finished chain-bearing trace becomes a prefix-resume ancestor
-        for future uploads, which needs exactly two artifacts: its chunk
-        chain in the cache sidecar and its newest checkpoint cursor.
-        Everything else (older checkpoint generations) is pruned; traces
-        without a computable chain (v1 format) keep the old behaviour of
-        dropping the whole checkpoint directory.
+        A finished trace becomes a prefix-resume ancestor for future
+        uploads, which needs exactly two artifacts: its chunk chain in
+        the cache sidecar and its newest checkpoint cursor.  Everything
+        else (older checkpoint generations) is pruned; a trace whose
+        chain cannot be computed (empty, or unreadable since the run)
+        drops the whole checkpoint directory.
         """
         try:
             chain = trace_chain(job.trace_path)

@@ -32,8 +32,7 @@ def _record_minivite(tmp_path_factory, size: int):
     from repro.pipeline import record_app
 
     path = tmp_path_factory.mktemp("mv") / f"mv{size}.trace"
-    record_app("minivite", nranks=4, size=size, inject_race=True,
-               out=path, format="binary")
+    record_app("minivite", nranks=4, size=size, inject_race=True, out=path)
     return path
 
 

@@ -96,12 +96,11 @@ class TestMetrics:
 
 
 class TestInputHandling:
-    def test_loaded_trace_source(self, minivite_trace):
-        loaded = load_trace(minivite_trace)
-        result = analyze_trace(loaded, detector="our", jobs=1)
-        assert result.dispatch == "serial"
-        assert _pipeline_verdicts(result) == \
-            _serial_verdicts(minivite_trace, "our")
+    def test_in_memory_trace_refused(self, minivite_trace):
+        """Analysis reads trace files only; replay_trace is the
+        in-memory route."""
+        with pytest.raises(TypeError, match="LoadedTrace"):
+            analyze_trace(load_trace(minivite_trace))
 
     def test_jobs_clamped_to_nranks(self, minivite_trace):
         result = analyze_trace(minivite_trace, detector="our", jobs=64)
@@ -118,8 +117,3 @@ class TestInputHandling:
     def test_bad_batch_size_rejected(self, minivite_trace):
         with pytest.raises(ValueError, match="batch_size"):
             analyze_trace(minivite_trace, batch_size=0)
-
-    def test_file_dispatch_needs_path(self, minivite_trace):
-        loaded = load_trace(minivite_trace)
-        with pytest.raises(ValueError, match="path"):
-            analyze_trace(loaded, jobs=2, dispatch="file")

@@ -11,7 +11,7 @@ prefix.  These tests pin the properties everything upstream relies on:
 * ``open_append`` producing byte-for-byte append-only extensions (and
   refusing corrupt or rewritten inputs),
 * stored-digest verification (:class:`TraceChainMismatch` on a spliced
-  prefix) and its absence in chainless legacy files,
+  prefix), in strict reads and :func:`trace_chain` alike,
 * tail-mode reader classification of in-progress vs complete files.
 """
 
@@ -40,9 +40,9 @@ def _event(seq, *, rank=0, line=1):
     return LocalEvent(seq, rank, access, RegionInfo(RegionKind.HEAP, True))
 
 
-def _write(path, n, *, per_chunk=10, chain=True):
-    with BinaryTraceWriter(path, nranks=4, events_per_chunk=per_chunk,
-                           chain=chain) as writer:
+def _write(path, n, *, per_chunk=10):
+    with BinaryTraceWriter(path, nranks=4,
+                           events_per_chunk=per_chunk) as writer:
         for seq in range(1, n + 1):
             writer.write(_event(seq))
     return path
@@ -66,7 +66,7 @@ class TestTraceChain:
         assert a == b
         assert a["algo"] == "sha256"
         assert len(a["chunks"]) == 4  # 35 events / 10 per chunk
-        assert a["complete"] and a["stored_mismatch"] is None
+        assert a["complete"]
         assert a["events"][-1] == 35
 
     def test_matches_reference_formula(self, tmp_path):
@@ -88,17 +88,6 @@ class TestTraceChain:
             pos += nbytes
         assert raw[pos:pos + 4] == b"TEND" and len(expect) == 4
         assert trace_chain(path)["chunks"] == expect
-
-    def test_computed_without_stored_digests(self, tmp_path):
-        plain = _write(tmp_path / "plain.trace", 30, chain=False)
-        got = trace_chain(plain)  # derivable for any v2 file
-        assert len(got["chunks"]) == 3
-        assert got["complete"] and got["stored_mismatch"] is None
-        # the seed hashes the header bytes, so a chainless file can
-        # never masquerade as a prefix of a chain-flagged one (their
-        # headers differ) — deliberate: file identity includes header
-        stored = _write(tmp_path / "stored.trace", 30, chain=True)
-        assert got["chunks"][0] != trace_chain(stored)["chunks"][0]
 
     def test_upto_prefix(self, tmp_path):
         path = _write(tmp_path / "t.trace", 50)
@@ -227,13 +216,11 @@ class TestStoredChainVerification:
     def test_trace_chain_reports_stored_mismatch(self, tmp_path):
         path = _write(tmp_path / "t.trace", 30)
         self._smash_digest(path, 3)
-        got = trace_chain(path)
-        assert got["stored_mismatch"] == 3
-        assert len(got["chunks"]) == 3  # values are still computable
-
-    def test_chainless_files_skip_verification(self, tmp_path):
-        path = _write(tmp_path / "t.trace", 30, chain=False)
-        assert [e.seq for e in TraceReader(path)] == list(range(1, 31))
+        with pytest.raises(TraceChainMismatch) as exc:
+            trace_chain(path)
+        assert exc.value.chunk == 3
+        # the chunks before the smashed digest still walk cleanly
+        assert len(trace_chain(path, upto=2)["chunks"]) == 2
 
 
 class TestTailMode:

@@ -57,8 +57,7 @@ class TestRecordAnalyzeEndToEnd:
 
     def test_analyze_json_output(self, tmp_path, capsys):
         trace = tmp_path / "hist.trace"
-        main(["record", "histogram", "--size", "32", "-o", str(trace),
-              "--format", "json"])
+        main(["record", "histogram", "--size", "32", "-o", str(trace)])
         capsys.readouterr()
         assert main(["analyze", str(trace), "--jobs", "2", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)

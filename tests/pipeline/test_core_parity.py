@@ -10,13 +10,15 @@ the e2e benchmark's ``Oracle`` feeds it: every recorded event through
 ``dispatch_event``, the timeline through ``record_event_fanout``, then
 ``finalize()`` and ``publish_obs()``.
 
-Rows (:data:`ROWS`), each on the miniVite (race injected, v2 binary)
-and CFD-Proxy (v1 JSON) fixtures, plus the seed-7 scenario corpus:
+Rows (:data:`ROWS`), each on the miniVite (race injected) and CFD-Proxy
+fixtures — both recorded ``repro-trace-v2`` files, the one trace
+format — plus the seed-7 scenario corpus:
 
 * ``live`` — ``run_app`` through ``detector_factory("Our
   Contribution")``; its node counts and simulated time (the Fig. 10-12
   and Table 4 quantities) must also equal a live run of the oracle;
-* ``serial`` — ``analyze_trace`` (the wire path on v2);
+* ``serial`` — ``analyze_trace``, which must take the wire path: every
+  event reaches the flat core through ``ingest_wire``;
 * ``jobs2`` — ``analyze_trace(jobs=2)``, verdicts and forensics;
 * the corpus, live, scenario by scenario.
 
@@ -141,7 +143,15 @@ def _live(app, path):
 
 
 def _analyzed(path, jobs):
-    with obs.scope() as reg:
+    wired = []
+    real = FlatDetector.ingest_wire
+
+    def spy(self, *args, **kwargs):
+        wired.append(args[2])  # the chunk's event count
+        return real(self, *args, **kwargs)
+
+    with obs.scope() as reg, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FlatDetector, "ingest_wire", spy)
         res = analyze_trace(path, jobs=jobs)
         out = {"verdicts": res.verdicts, "forensics": res.forensics,
                "events": res.events_total}
@@ -149,6 +159,7 @@ def _analyzed(path, jobs):
             s = res.shard_stats[0]
             out["shards"] = [(s.events, s.races, s.peak_nodes, s.processed)]
             out["registry"] = _registry(reg)
+            out["wire_events"] = sum(wired)
         return out
 
 
@@ -193,6 +204,10 @@ class TestRecordedWorkloads:
     def test_serial_byte_identical(self, workload, observed):
         _assert_row(workload, observed, "serial",
                     ("verdicts", "forensics", "events", "shards"))
+
+    def test_serial_row_takes_the_wire_path(self, observed):
+        serial = observed["serial"]
+        assert serial["wire_events"] == serial["events"] > 0
 
     def test_sharded_byte_identical(self, workload, observed):
         _assert_row(workload, observed, "jobs2",

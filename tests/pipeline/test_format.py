@@ -1,6 +1,7 @@
 """Round-trip and robustness tests for the repro-trace-v2 binary format."""
 
 import json
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,14 +11,7 @@ from repro.intervals import AccessType, DebugInfo, Interval, MemoryAccess
 from repro.mpi import TraceFormatError, load_trace, save_trace
 from repro.mpi.memory import RegionInfo, RegionKind
 from repro.mpi.trace import LocalEvent, RmaEvent, SyncEvent, SyncKind, TraceLog
-from repro.pipeline import (
-    FORMAT_V1,
-    FORMAT_V2,
-    BinaryTraceWriter,
-    JsonTraceWriter,
-    TraceReader,
-    make_trace_writer,
-)
+from repro.pipeline import BinaryTraceWriter, TraceReader, make_trace_writer
 
 
 def _access(type, *, accum=None, excl=None, file="./a.c", line=7, origin=1):
@@ -69,7 +63,6 @@ class TestBinaryRoundtrip:
         events = exhaustive_events()
         path = _write(tmp_path / "t.bin", events, nranks=5)
         reader = TraceReader(path)
-        assert reader.format == FORMAT_V2
         assert reader.nranks == 5
         assert list(reader) == events
 
@@ -93,22 +86,12 @@ class TestBinaryRoundtrip:
         log = TraceLog()
         log.events = exhaustive_events()
         path = tmp_path / "t.bin"
-        save_trace(log, path, nranks=4, format="binary")
+        save_trace(log, path, nranks=4)
         loaded = load_trace(path)
         assert loaded.log.events == log.events
         assert loaded.nranks == 4
 
-    def test_binary_smaller_than_json(self, tmp_path):
-        log = TraceLog()
-        log.events = exhaustive_events()
-        save_trace(log, tmp_path / "t.bin", nranks=4, format="binary")
-        save_trace(log, tmp_path / "t.json", nranks=4, format="json")
-        assert (tmp_path / "t.bin").stat().st_size < \
-            (tmp_path / "t.json").stat().st_size
-
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_trace(TraceLog(), tmp_path / "t", nranks=1, format="xml")
         with pytest.raises(ValueError):
             make_trace_writer(tmp_path / "t", nranks=1, format="xml")
 
@@ -164,7 +147,38 @@ class TestPropertyRoundtrip:
         cut.unlink()
 
 
+def _drop_header_key(path, key):
+    """Rewrite a trace's JSON header without ``key`` (length fixed up)."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12:12 + hlen])
+    del header[key]
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                     + raw[12 + hlen:])
+
+
 class TestCorruptInput:
+    def test_json_lines_refused(self, tmp_path):
+        """The retired v1 JSON-lines format is not a trace any more."""
+        path = tmp_path / "t.json"
+        path.write_text(
+            json.dumps({"format": "repro-trace-v1", "nranks": 2}) + "\n"
+            + json.dumps({"ev": "sync", "seq": 1, "rank": -1,
+                          "kind": "barrier", "wid": -1}) + "\n")
+        with pytest.raises(TraceFormatError) as err:
+            TraceReader(path)
+        assert "repro-trace-v2" in str(err.value)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("key", ["chunk_crc32", "chunk_chain"])
+    def test_header_without_frame_field_refused(self, tmp_path, key):
+        path = _write(tmp_path / "t.bin", exhaustive_events()[:5])
+        _drop_header_key(path, key)
+        with pytest.raises(TraceFormatError) as err:
+            TraceReader(path)
+        assert key in str(err.value)
+
     def test_not_a_trace(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"\x7fELF not a trace at all")
@@ -215,49 +229,3 @@ class TestCorruptInput:
         with pytest.raises(TraceFormatError) as err:
             list(TraceReader(path))
         assert "mismatch" in str(err.value)
-
-
-class TestV1Robustness:
-    def _v1(self, tmp_path, lines):
-        path = tmp_path / "t.json"
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
-    def test_v1_roundtrip_via_streaming_writer(self, tmp_path):
-        events = exhaustive_events()
-        path = tmp_path / "t.json"
-        with JsonTraceWriter(path, nranks=3) as writer:
-            for event in events:
-                writer.write(event)
-        reader = TraceReader(path)
-        assert reader.format == FORMAT_V1
-        assert reader.nranks == 3
-        assert list(reader) == events
-
-    def test_truncated_json_line_names_file_and_line(self, tmp_path):
-        header = json.dumps({"format": "repro-trace-v1", "nranks": 2})
-        good = json.dumps({"ev": "sync", "seq": 1, "rank": -1,
-                           "kind": "barrier", "wid": -1})
-        path = self._v1(tmp_path, [header, good, '{"ev": "sync", "se'])
-        with pytest.raises(TraceFormatError) as err:
-            list(TraceReader(path))
-        assert err.value.line == 3
-        assert f"{path}:3" in str(err.value)
-
-    def test_missing_key_names_line(self, tmp_path):
-        header = json.dumps({"format": "repro-trace-v1", "nranks": 2})
-        bad = json.dumps({"ev": "sync", "seq": 1})  # no kind/rank
-        path = self._v1(tmp_path, [header, bad])
-        with pytest.raises(TraceFormatError) as err:
-            list(TraceReader(path))
-        assert err.value.line == 2
-
-    def test_corrupt_header(self, tmp_path):
-        path = self._v1(tmp_path, ['{"format": "repro-trace-v1"'])
-        with pytest.raises(TraceFormatError):
-            TraceReader(path)
-
-    def test_header_missing_nranks(self, tmp_path):
-        path = self._v1(tmp_path, ['{"format": "repro-trace-v1"}'])
-        with pytest.raises(TraceFormatError):
-            TraceReader(path)

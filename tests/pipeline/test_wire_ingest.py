@@ -1,11 +1,11 @@
 """One ingest path: the flat core reads v2 wire records in every mode.
 
-Serial analysis of a strict v2 trace feeds the flat core raw chunk
+Serial analysis with a strict reader feeds the flat core raw chunk
 records — plain, checkpointed, resumed and followed alike, with the
 event timeline on (the default).  The contract is byte identity with
-the decoded-event path the same detector takes for in-memory traces:
-verdicts, forensics bundles, timeline lanes, shard statistics and the
-obs registry (timings aside).
+the decoded-event path the same detector takes when the reader has no
+wire stream to offer (salvage reads): verdicts, forensics bundles,
+timeline lanes, shard statistics and the obs registry (timings aside).
 """
 
 import json
@@ -17,7 +17,8 @@ import pytest
 from repro import obs
 from repro.mpi.errors import TraceFormatError
 from repro.mpi.trace_io import load_trace
-from repro.pipeline import BinaryTraceWriter, analyze_trace, record_app
+from repro.pipeline import (BinaryTraceWriter, TraceReader, analyze_trace,
+                            record_app)
 from repro.pipeline import format as fmt
 
 #: registry-snapshot keys that legitimately differ run to run
@@ -86,9 +87,12 @@ def test_default_analysis_takes_the_wire_path(v2_trace, monkeypatch):
     assert sum(calls) == res.events_total > 0
 
 
-def test_wire_matches_decoded_events(v2_trace):
+def test_wire_matches_decoded_events(v2_trace, monkeypatch):
     wire = analyze_trace(v2_trace)
-    decoded = analyze_trace(load_trace(v2_trace))
+    # withhold the wire stream: the same reader then decodes events
+    monkeypatch.setattr(TraceReader, "wire_stream",
+                        lambda self, start=None: None)
+    decoded = analyze_trace(v2_trace)
     assert _key(wire) == _key(decoded)
 
 
@@ -136,16 +140,18 @@ def test_timeline_records_do_not_pin_chunks(v2_trace):
 
 
 def _corrupt_first_access_type(path):
-    """Give the first local access an out-of-range type id, re-framed.
+    """Give the one chunk's first local access an out-of-range type id,
+    then repair the frame's checksum and stored chain digest.
 
     Checksum and chain stay valid, so only record decoding can object.
     """
     raw = bytearray(path.read_bytes())
-    reader_header_end = len(fmt.MAGIC_V2) + 4 + struct.unpack_from(
-        "<I", raw, len(fmt.MAGIC_V2))[0]
-    frame = reader_header_end + 4  # past b"CHNK"
-    nbytes, _nevents, _crc = struct.unpack_from("<III", raw, frame)
-    start = frame + 12  # no stored chain digests in this file
+    hlen_at = len(fmt.MAGIC_V2)
+    header_end = hlen_at + 4 + struct.unpack_from("<I", raw, hlen_at)[0]
+    frame = header_end + len(fmt._CHUNK_TAG)
+    nbytes, nevents, _crc, _chain = fmt._FRAME.unpack_from(raw, frame)
+    start = frame + fmt._FRAME.size
+    assert raw[start + nbytes:][:4] == fmt._END_TAG  # a single chunk
     payload = bytearray(raw[start:start + nbytes])
     (nstrings,) = struct.unpack_from("<I", payload, 0)
     off = 4
@@ -158,7 +164,11 @@ def _corrupt_first_access_type(path):
     tid = off + 1 + fmt._LOCAL.size + 1 + 16  # tag, seq+rank, flags, lo, hi
     payload[tid] = 200
     raw[start:start + nbytes] = payload
-    struct.pack_into("<I", raw, frame + 8, zlib.crc32(bytes(payload)))
+    seed = fmt._chain_seed(bytes(raw[hlen_at:hlen_at + 4]),
+                           bytes(raw[hlen_at + 4:header_end]))
+    fmt._FRAME.pack_into(raw, frame, nbytes, nevents,
+                         zlib.crc32(bytes(payload)),
+                         fmt._chain_next(seed, bytes(payload)))
     path.write_bytes(bytes(raw))
 
 
@@ -170,7 +180,7 @@ def test_malformed_record_is_a_format_error(tmp_path):
     path = tmp_path / "bad.trace"
     access = MemoryAccess(Interval(0, 8), AccessType.LOCAL_WRITE,
                           DebugInfo("a.c", 3), 0, 0, 0)
-    with BinaryTraceWriter(path, nranks=1, chain=False) as writer:
+    with BinaryTraceWriter(path, nranks=1) as writer:
         writer.write(SyncEvent(1, -1, SyncKind.WIN_CREATE, 0))
         writer.write(SyncEvent(2, 0, SyncKind.LOCK_ALL, 0))
         writer.write(LocalEvent(3, 0, access,

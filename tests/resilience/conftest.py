@@ -46,18 +46,17 @@ def hang_guard(request):
 
 @pytest.fixture(scope="session")
 def mv_trace(tmp_path_factory):
-    """A racy miniVite run in the v2 binary format (session-scoped)."""
+    """A racy miniVite run (session-scoped)."""
     path = tmp_path_factory.mktemp("chaos") / "mv.trace"
-    record_app("minivite", nranks=4, size=256, inject_race=True,
-               out=path, format="binary")
+    record_app("minivite", nranks=4, size=256, inject_race=True, out=path)
     return path
 
 
 @pytest.fixture(scope="session")
-def cfd_json_trace(tmp_path_factory):
-    """A CFD-Proxy run in the v1 JSON-lines format (session-scoped)."""
+def cfd_trace(tmp_path_factory):
+    """A CFD-Proxy run (session-scoped)."""
     path = tmp_path_factory.mktemp("chaos") / "cfd.trace"
-    record_app("cfd", nranks=4, size=4, out=path, format="json")
+    record_app("cfd", nranks=4, size=4, out=path)
     return path
 
 

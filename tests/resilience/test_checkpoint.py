@@ -444,20 +444,6 @@ def test_serial_hard_kill_then_resume(chunked_trace, tmp_path,
     assert_parity(r, baseline_serial)
 
 
-def test_serial_v1_json_trace_resume(cfd_json_trace, tmp_path):
-    """Checkpoint cursors work for the v1 JSON-lines format too."""
-    baseline = analyze_trace(cfd_json_trace, detector="our", jobs=1)
-    ck = tmp_path / "ck"
-    partial = analyze_trace(cfd_json_trace, detector="our", jobs=1,
-                            ckpt_dir=ck, ckpt_every=1, deadline_s=1e-6)
-    assert partial.partial
-    r = analyze_trace(cfd_json_trace, detector="our", jobs=1,
-                      ckpt_dir=ck, resume=True)
-    assert not r.partial
-    assert r.checkpoint["resumed"][0]["events_skipped"] > 0
-    assert_parity(r, baseline)
-
-
 # -- salvage accounting through resume ---------------------------------------
 
 

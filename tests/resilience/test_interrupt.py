@@ -114,7 +114,7 @@ def test_sigterm_mid_analysis_leaves_no_orphans(mv_trace, tmp_path):
         proc.stdout.close()
 
 
-@pytest.mark.parametrize("fmt", ["binary", "json"])
+@pytest.mark.parametrize("fmt", ["binary", "repro-trace-v2"])
 def test_writer_interrupted_while_starting_leaves_no_temp(tmp_path,
                                                           monkeypatch, fmt):
     """SIGTERM landing while a writer writes its header — after it has

@@ -1,8 +1,8 @@
 """Trace salvage: damaged files are quarantined precisely, never papered over.
 
 Strict mode (the default) must keep failing loudly — same exception,
-file (and line, for v1) named.  Salvage mode must recover every intact
-chunk and account the loss exactly: recovered + lost == recorded.
+file and chunk named.  Salvage mode must recover every intact chunk and
+account the loss exactly: recovered + lost == recorded.
 """
 
 import json
@@ -126,37 +126,6 @@ def test_salvage_resyncs_past_a_smashed_tag(rechunk, mv_trace):
     assert recovered >= 1
 
 
-# -- v1 JSON lines ------------------------------------------------------------
-
-
-def _mangle_line(path, lineno, junk="certainly not json\n"):
-    lines = path.read_text().splitlines(keepends=True)
-    lines[lineno - 1] = junk
-    path.write_text("".join(lines))
-
-
-def test_v1_strict_raises_with_line_number(cfd_json_trace, tmp_path):
-    path = tmp_path / "cfd.trace"
-    path.write_text(cfd_json_trace.read_text())
-    _mangle_line(path, lineno=10)
-    with pytest.raises(TraceFormatError) as excinfo:
-        _count(path)
-    assert "cfd.trace:10:" in str(excinfo.value)  # file:line prefix
-
-
-def test_v1_salvage_skips_exactly_the_bad_line(cfd_json_trace, tmp_path):
-    path = tmp_path / "cfd.trace"
-    path.write_text(cfd_json_trace.read_text())
-    total = _count(path)
-    _mangle_line(path, lineno=10)
-
-    reader = TraceReader(path, strict=False)
-    recovered = sum(1 for _ in reader)
-    assert recovered == total - 1
-    assert reader.quarantined_chunks == [10]
-    assert reader.events_lost == 1
-
-
 # -- clean traces and old files -----------------------------------------------
 
 
@@ -194,9 +163,14 @@ def _strip_crc(src, dst):
 
 
 def test_pre_checksum_files_still_read(mv_trace, tmp_path):
+    """No longer: every frame carries its checksum, so a file from
+    before the flag is refused, strict or salvaging, by an error naming
+    the missing header field."""
     old = tmp_path / "old.trace"
     _strip_crc(mv_trace, old)
-    assert _count(old) == _count(mv_trace)
+    for strict in (True, False):
+        with pytest.raises(TraceFormatError, match="chunk_crc32"):
+            TraceReader(old, strict=strict)
 
 
 # -- end to end through the engine --------------------------------------------

@@ -95,12 +95,14 @@ def test_recover_false_raises_naming_the_worker(mv_trace):
     assert excinfo.value.exitcode == 17
 
 
-def test_v1_trace_supervised_retry(cfd_json_trace):
-    """Supervision is format-agnostic: file dispatch over a v1 trace."""
-    baseline = analyze_trace(cfd_json_trace, jobs=1).verdicts
+def test_v1_trace_supervised_retry(cfd_trace):
+    """Supervision is path-agnostic: a file-dispatch worker that decodes
+    events is retried too.  The baseline detector has no wire ingestion,
+    which keeps the worker on the decoded path that v1 traces took."""
+    baseline = analyze_trace(cfd_trace, detector="mc", jobs=1).verdicts
     plan = FaultPlan((KillWorker(worker=0, after_batches=20),))
-    result = analyze_trace(cfd_json_trace, jobs=2, dispatch="file",
-                           fault_plan=plan)
+    result = analyze_trace(cfd_trace, detector="mc", jobs=2,
+                           dispatch="file", fault_plan=plan)
     assert _same_verdicts(result.verdicts, baseline)
     assert result.retries == 1
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.faultinject import SimulatedWriterCrash, WriterCrash
 from repro.mpi.errors import TraceFormatError
-from repro.pipeline import BinaryTraceWriter, JsonTraceWriter, TraceReader
+from repro.pipeline import BinaryTraceWriter, TraceReader
 
 
 @pytest.fixture(scope="module")
@@ -81,17 +81,6 @@ def test_injected_crash_during_finalize(tmp_path, events):
             for event in events[:200]:
                 writer.write(event)
     assert not path.exists()
-
-
-def test_json_writer_exception_aborts(tmp_path, events):
-    path = tmp_path / "out.trace"
-    with pytest.raises(RuntimeError):
-        with JsonTraceWriter(path, nranks=4) as writer:
-            for event in events[:50]:
-                writer.write(event)
-            raise RuntimeError("boom")
-    assert not path.exists()
-    assert not _tmp_of(path).exists()
 
 
 def test_aborted_recording_is_unreadable_not_half_readable(tmp_path, events):

@@ -64,7 +64,7 @@ def hang_guard(request):
 def small_trace(tmp_path_factory):
     """A quick race-free histogram run (session-scoped)."""
     path = tmp_path_factory.mktemp("serve") / "hist.trace"
-    record_app("histogram", nranks=4, out=path, format="binary")
+    record_app("histogram", nranks=4, out=path)
     return path
 
 
@@ -80,7 +80,7 @@ def chaos_trace(tmp_path_factory):
     """
     base = tmp_path_factory.mktemp("serve") / "mv_raw.trace"
     record_app("minivite", nranks=4, size=256, inject_race=True,
-               out=base, format="binary")
+               out=base)
     reader = TraceReader(base)
     path = base.with_name("mv_chunked.trace")
     with BinaryTraceWriter(path, nranks=reader.nranks,

@@ -15,7 +15,7 @@ import shutil
 import time
 
 from repro.faultinject import extend_trace, rewrite_prefix
-from repro.pipeline import analyze_trace, trace_chain
+from repro.pipeline import CheckpointStore, analyze_trace, trace_chain
 from repro.serve import Scheduler, poll_job, request, submit_trace
 from repro.serve.scheduler import job_ckpt_dir
 
@@ -151,6 +151,44 @@ def test_rewritten_history_is_not_an_ancestor(make_scheduler, chaos_trace,
     oracle = analyze_trace(work, detector="our", jobs=1).to_dict()
     assert _canon(sched.get_result(job.id)["verdicts"]) == \
         _canon(oracle["verdicts"])
+
+
+def test_unrestorable_ancestor_checkpoint_falls_back_to_full_run(
+        make_scheduler, chaos_trace, tmp_path):
+    """A seeded checkpoint the detector refuses is discarded, not fatal.
+
+    The ancestor's retained checkpoint is rewritten to carry another
+    detector class (what a daemon running the object core left behind).
+    The grown trace's job must drop it and analyze from the start.
+    """
+    work = tmp_path / "grow.trace"
+    shutil.copyfile(chaos_trace, work)
+    sched = make_scheduler(workers=1)
+    sched.start()
+    first = _wait(sched, sched.submit_bytes(work.read_bytes()).id)
+    assert first["state"] == "done"
+
+    store = CheckpointStore(
+        job_ckpt_dir(sched.ckpt_base, first["trace_sha"], "our"), "serial")
+    (old,) = store.dir.glob("serial-*.ckpt")
+    header, state = store.load_latest()
+    state["detector"]["class"] = "OurDetector"
+    old.unlink()
+    store.write(header["meta"], state)
+
+    extend_trace(work, fraction=0.10)
+    job = sched.submit_bytes(work.read_bytes())
+    assert job.resumed_from == first["trace_sha"]
+    done = _wait(sched, job.id)
+    assert done["state"] == "done", done
+    assert done["resumed"] == []
+    assert _counters(sched)["incremental.resume_discarded"] == 1
+
+    oracle = analyze_trace(work, detector="our", jobs=1).to_dict()
+    result = sched.get_result(job.id)
+    assert _canon(result["verdicts"]) == _canon(oracle["verdicts"])
+    assert result["forensics"] == oracle["forensics"]
+    assert result["events_total"] == oracle["events_total"]
 
 
 # -- bounded cache ------------------------------------------------------------

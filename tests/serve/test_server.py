@@ -104,6 +104,20 @@ def test_rejects_garbage_inputs(daemon, small_trace):
     assert status == 404
 
 
+def test_json_lines_upload_is_refused(daemon):
+    """Only repro-trace-v2 is analyzed: a JSON-lines trace (the retired
+    v1 format) gets 400 and never becomes a job."""
+    base, sched, _ = daemon(start_workers=False)
+    v1 = b'{"format": "repro-trace-v1", "nranks": 2}\n' + (
+        b'{"ev": "sync", "seq": 1, "rank": -1, "kind": "barrier", '
+        b'"wid": -1}\n')
+    status, _, body = request(f"{base}/jobs", method="POST", data=v1)
+    assert status == 400 and "repro-trace-v2" in body["error"]
+    status, _, body = request(f"{base}/jobs")
+    assert status == 200 and body["jobs"] == []
+    assert not list(sched.traces_dir.iterdir())
+
+
 def test_result_of_unfinished_job_is_409(daemon, small_trace):
     base, _, _ = daemon(start_workers=False)
     _, _, job = submit_trace(base, small_trace)

@@ -39,3 +39,16 @@ def test_cli_uses_the_contract():
 
     assert main(["list"]) == exitcodes.EX_OK
     assert main(["run", "definitely-not-an-experiment"]) == exitcodes.EX_ERROR
+
+
+def test_json_lines_trace_is_an_error(tmp_path, capsys):
+    """Only repro-trace-v2 files are read: a JSON-lines trace (the
+    retired v1 format) is refused by analyze and explain alike."""
+    from repro.cli import main
+
+    path = tmp_path / "old.trace"
+    path.write_text('{"format": "repro-trace-v1", "nranks": 2}\n')
+    assert main(["analyze", str(path)]) == exitcodes.EX_ERROR
+    assert "repro-trace-v2" in capsys.readouterr().err
+    assert main(["explain", str(path)]) == exitcodes.EX_ERROR
+    assert "repro-trace-v2" in capsys.readouterr().err

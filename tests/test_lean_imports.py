@@ -76,8 +76,10 @@ NOT_IN_SERVE = NOT_IN_SERVE_JOB + ("repro.serve.client", "urllib.request")
 
 #: source bytes of the ``repro`` modules a zero-event ``repro analyze
 #: --json`` loads: 449,027 with the object core, the multi-process
-#: engine and the checkpoint code loaded eagerly; 309,318 without them
-ANALYZE_SOURCE_BUDGET = 315_000
+#: engine and the checkpoint code loaded eagerly; 309,318 without them;
+#: 298,987 once the reader reads only repro-trace-v2 (budget: that plus
+#: 4,254 B of headroom)
+ANALYZE_SOURCE_BUDGET = 303_241
 
 #: the only modules whose classes a checkpoint payload pickles by name
 #: (``ReplayWindow`` is the window a trace replay registers)
