@@ -76,7 +76,7 @@ def _timed_run(trace: Path, core: str):
     with obs.scope(Registry(enabled=False), merge=False):
         t0 = time.perf_counter()
         if core == "flat":
-            verdicts = analyze_trace(trace, detector="our", jobs=1).verdicts
+            verdicts = analyze_trace(trace, detector="our").verdicts
         else:
             verdicts = _object_replay(trace)
         wall = time.perf_counter() - t0

@@ -187,7 +187,7 @@ def _timed_analyze(path: str) -> float:
     obs.reset(enabled=True)
     gc.collect()
     t0 = time.process_time()
-    analyze_trace(path, detector="our", jobs=1)
+    analyze_trace(path, detector="our")
     return time.process_time() - t0
 
 

@@ -149,7 +149,7 @@ def run_serve_bench(out: Path = OUT, *, size: int = 512) -> dict:
                          inject_race=True, out=trace)
 
         t0 = time.perf_counter()
-        direct = analyze_trace(trace, detector="our", jobs=1)
+        direct = analyze_trace(trace, detector="our")
         direct_s = time.perf_counter() - t0
 
         state = Path(tmp) / "svc"

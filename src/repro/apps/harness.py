@@ -84,7 +84,7 @@ def run_app(
                     obs.metric_key(metric, {"tool": name}), 0)
 
             total_max = _c("bst.nodes_peak")
-            # read the gauge's peak: values sum across merged worker
+            # read the gauge's peak: values sum across merged
             # registries, peaks max — and "one rank" is a max by nature
             max_one = gauges.get(
                 obs.metric_key("bst.nodes_peak_one_rank", {"tool": name}),

@@ -7,7 +7,7 @@ Subcommands::
     repro all                  # every experiment, in paper order
     repro suite                # microbenchmark suite summary
     repro record <app>         # record an application trace to disk
-    repro analyze <trace>      # (sharded) post-mortem race analysis
+    repro analyze <trace>      # post-mortem race analysis
     repro explain <trace>      # annotated race forensics for a trace
     repro serve                # crash-safe analysis daemon (HTTP)
     repro submit <trace>       # submit a trace to a running daemon
@@ -18,9 +18,9 @@ Examples::
     repro run table3
     repro run fig10 fig11
     repro record minivite --ranks 8 -o mv.trace
-    repro analyze mv.trace --detector our --jobs 4
+    repro analyze mv.trace --detector our
     repro analyze mv.trace --trace-out mv.chrome.json --report-html mv.html
-    repro explain mv.trace --jobs 4
+    repro explain mv.trace --context 4
     repro serve --state /tmp/svc --port 8787
     repro submit mv.trace --server http://127.0.0.1:8787 --wait
 
@@ -123,35 +123,22 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser(
         "analyze", help="post-mortem race analysis of a recorded trace",
         description="Stream a recorded repro-trace-v2 trace through a "
-                    "detector; --jobs shards the analysis by rank over a "
-                    "multiprocessing pool.",
+                    "detector, in this process.",
     )
     an.add_argument("trace", help="trace file written by 'repro record'")
     an.add_argument("--detector", choices=detectors, default="our",
                     help="detector to replay under (default: our)")
-    an.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="worker processes (default 1 = serial replay)")
-    an.add_argument("--dispatch", choices=("queue", "file"),
-                    default="queue",
-                    help="parallel fan-out: batched bounded queues "
-                         "(default) or per-worker file re-reads")
-    an.add_argument("--batch-size", type=int, default=512, metavar="B",
-                    help="events per queue batch (default 512)")
-    an.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                    help="seconds without a worker heartbeat before it "
-                         "counts as stalled and is replaced (default: "
-                         "crash detection only)")
-    an.add_argument("--retries", type=int, default=2, metavar="R",
-                    help="re-runs of a dead worker's shard-group before "
-                         "degrading to serial replay (default 2; file "
-                         "dispatch only)")
+    # parsed and ignored (one stderr line says so): the e2e benchmark's
+    # traced run still passes them; analysis always runs in one process
+    an.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
+    an.add_argument("--dispatch", help=argparse.SUPPRESS)
     an.add_argument("--salvage", action="store_true",
                     help="best-effort read of damaged traces: quarantine "
                          "corrupt/truncated chunks instead of aborting, "
                          "and report the loss")
     an.add_argument("--ckpt-dir", default=None, metavar="DIR",
                     help="write repro-ckpt-v1 checkpoints of in-flight "
-                         "analysis state to DIR; worker retries resume "
+                         "analysis state to DIR; --resume picks up "
                          "mid-trace instead of replaying from byte 0")
     an.add_argument("--ckpt-every", type=int, default=None, metavar="N",
                     help="pin the checkpoint cadence to every N trace "
@@ -163,10 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "verdict (exit code 4, resumable with --resume; "
                          "needs --ckpt-dir)")
     an.add_argument("--max-rss-mb", type=int, default=None, metavar="MB",
-                    help="per-worker memory budget: a worker whose "
-                         "current RSS exceeds it checkpoints and is "
-                         "recycled (serial: stops like --deadline-s; "
-                         "needs --ckpt-dir)")
+                    help="memory budget: current RSS above it at a "
+                         "chunk boundary checkpoints and stops like "
+                         "--deadline-s (needs --ckpt-dir)")
     an.add_argument("--follow", action="store_true",
                     help="tail a live-growing trace: at end-of-file wait "
                          "for more chunks instead of finishing; requires "
@@ -199,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("trace", help="trace file written by 'repro record'")
     ex.add_argument("--detector", choices=detectors, default="our",
                     help="detector to replay under (default: our)")
-    ex.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="worker processes (default 1 = serial replay)")
     ex.add_argument("--context", type=int, default=8, metavar="K",
                     help="surrounding timeline events shown per rank "
                          "(default 8)")
@@ -428,11 +412,10 @@ def _run_one(exp_id: str, *, as_json: bool = False) -> int:
 def _graceful_sigterm() -> None:
     """Turn SIGTERM into ``SystemExit(143)`` so cleanup actually runs.
 
-    ``record`` and ``analyze`` hold resources a hard kill would leak:
-    pooled worker processes (reaped in the engine's ``finally``) and
-    ``<out>.tmp`` recorder files (removed by the writer's ``abort``).
+    ``record`` holds a resource a hard kill would leak: the
+    ``<out>.tmp`` recorder file (removed by the writer's ``abort``).
     Python's default SIGTERM disposition ends the process without
-    unwinding either, so the CLI converts the signal into an exception.
+    unwinding, so the CLI converts the signal into an exception.
     Only the default handler is replaced — an embedder's own handler
     (or pytest's) stays untouched unless it is SIG_DFL.
     """
@@ -579,10 +562,12 @@ def _analyze(args) -> int:
         CheckpointError,
         TraceDivergedError,
         TraceFormatError,
-        WorkerCrashedError,
     )
     from .pipeline import analyze_trace
 
+    if args.jobs is not None or args.dispatch is not None:
+        print("repro analyze: --jobs/--dispatch are ignored; analysis "
+              "runs in one process", file=sys.stderr)
     ckpt_dir = args.ckpt_dir
     resume = False
     if args.resume is not None:
@@ -594,10 +579,7 @@ def _analyze(args) -> int:
         resume = True
     try:
         result = analyze_trace(
-            args.trace, detector=args.detector, jobs=args.jobs,
-            dispatch=args.dispatch, batch_size=args.batch_size,
-            timeout=args.timeout, retries=args.retries,
-            salvage=args.salvage,
+            args.trace, detector=args.detector, salvage=args.salvage,
             ckpt_dir=ckpt_dir, ckpt_every=args.ckpt_every,
             deadline_s=args.deadline_s, max_rss_mb=args.max_rss_mb,
             resume=resume, follow=args.follow,
@@ -609,8 +591,7 @@ def _analyze(args) -> int:
         # a dedicated exit code so wrappers re-record instead of re-run
         print(f"repro analyze: DIVERGED: {exc}", file=sys.stderr)
         return EX_DIVERGED
-    except (TraceFormatError, WorkerCrashedError, CheckpointError, OSError,
-            ValueError) as exc:
+    except (TraceFormatError, CheckpointError, OSError, ValueError) as exc:
         print(f"repro analyze: {exc}", file=sys.stderr)
         return EX_ERROR
 
@@ -650,27 +631,8 @@ def _analyze(args) -> int:
     name = detector_class(args.detector).name
     print(f"{args.trace}: {result.events_total} events, "
           f"{result.nranks} ranks")
-    print(f"detector {name!r}, jobs={result.jobs} "
-          f"({result.dispatch} dispatch): "
-          f"{result.events_per_sec:,.0f} events/s "
+    print(f"detector {name!r}: {result.events_per_sec:,.0f} events/s "
           f"in {result.wall_seconds:.2f}s")
-    if result.jobs > 1:
-        for stats in result.shard_stats:
-            print(f"  shard {stats.shard}: {stats.events} events, "
-                  f"peak {stats.peak_nodes} BST nodes, "
-                  f"{stats.races} race(s)")
-        if any(result.queue_peak):
-            print(f"  queue depth peaks: {result.queue_peak}")
-    if result.failed_workers:
-        for failure in result.failed_workers:
-            print(f"  worker {failure['worker']} {failure['reason']} "
-                  f"(attempt {failure['attempt']}, "
-                  f"shards {failure['shards']})")
-        if result.retries:
-            print(f"  recovered via {result.retries} worker retr"
-                  f"{'y' if result.retries == 1 else 'ies'}")
-        if result.degraded:
-            print("  DEGRADED: missing shard-groups replayed serially")
     if result.salvage and (result.salvage["quarantined_chunks"]
                            or result.salvage["truncated"]):
         s = result.salvage
@@ -681,11 +643,8 @@ def _analyze(args) -> int:
     if ck:
         cadence = ("amortized" if ck["every"] is None
                    else f"every {ck['every']} chunk(s)")
-        line = (f"  checkpoints: {ck['written']} written -> {ck['dir']} "
-                f"({cadence})")
-        if ck["recycles"]:
-            line += f", {ck['recycles']} memory-guard recycle(s)"
-        print(line)
+        print(f"  checkpoints: {ck['written']} written -> {ck['dir']} "
+              f"({cadence})")
         for rec in ck["resumed"]:
             print(f"  resumed lane {rec['lane']} from checkpoint "
                   f"#{rec['from_seq']}: {rec['events_skipped']} event(s) "
@@ -713,22 +672,24 @@ def _analyze(args) -> int:
 def _explain(args) -> int:
     from .core.forensics import render_explain_all
     from .detectors.base import Detector
-    from .mpi.errors import TraceFormatError, WorkerCrashedError
+    from .mpi.errors import TraceFormatError
     from .pipeline import analyze_trace
 
     if args.context < 1:
         print("repro explain: --context must be positive", file=sys.stderr)
         return EX_ERROR
-    # the bundle is captured at detection time inside the (possibly
-    # forked) workers, so the context width is set before analysis
+    # the bundle is captured at detection time, so the context width is
+    # set for this analysis only and restored for whatever runs next in
+    # this process
+    default_context = Detector.FORENSICS_CONTEXT
     Detector.FORENSICS_CONTEXT = args.context
     try:
-        result = analyze_trace(args.trace, detector=args.detector,
-                               jobs=args.jobs)
-    except (TraceFormatError, WorkerCrashedError, OSError,
-            ValueError) as exc:
+        result = analyze_trace(args.trace, detector=args.detector)
+    except (TraceFormatError, OSError, ValueError) as exc:
         print(f"repro explain: {exc}", file=sys.stderr)
         return EX_ERROR
+    finally:
+        Detector.FORENSICS_CONTEXT = default_context
 
     if args.json:
         import json

@@ -78,8 +78,7 @@ class FlatDetector(OurDetectorBase):
 
     # -- batch ingestion -------------------------------------------------------
 
-    def ingest_batch(self, events, nranks: int, *, timeline=None,
-                     lane=None) -> int:
+    def ingest_batch(self, events, nranks: int, *, timeline=None) -> int:
         """Feed one chunk of trace events, hoisting per-event overhead.
 
         Same event→hook mapping as
@@ -94,12 +93,7 @@ class FlatDetector(OurDetectorBase):
         except TypeError:
             events = list(events)
             n = len(events)
-        feed_fanout = feed_lane = None
-        if timeline is not None:
-            if lane is None:
-                feed_fanout = timeline.record_event_fanout
-            else:
-                feed_lane = timeline.record_event
+        feed = timeline.record_event_fanout if timeline is not None else None
         reg = obs.active()
         ingest = self._ingest
         filt = self.filter
@@ -127,10 +121,8 @@ class FlatDetector(OurDetectorBase):
         local_cls = LocalEvent
         rma_cls = RmaEvent
         for event in events:
-            if feed_fanout is not None:
-                feed_fanout(event, nranks)
-            elif feed_lane is not None:
-                feed_lane(lane, event)
+            if feed is not None:
+                feed(event, nranks)
             cls = event.__class__
             if cls is local_cls:
                 seen += 1
@@ -169,7 +161,7 @@ class FlatDetector(OurDetectorBase):
         return n
 
     def ingest_wire(self, payload, off: int, nevents: int, ctx,
-                    nranks: int, *, timeline=None, lane=None) -> int:
+                    nranks: int, *, timeline=None) -> int:
         """Algorithm 1 straight off a v2 chunk payload (no event objects).
 
         ``ctx`` is the :class:`~repro.pipeline.format.WireStream` the
@@ -192,12 +184,7 @@ class FlatDetector(OurDetectorBase):
         ``(seq, kind, rank, wid, ctx, record bytes)`` tuples that
         ``ctx`` formats lazily, sync events as plain sync tuples.  The
         record bytes are copied out, so a ring never pins a chunk.
-
-        ``lane`` makes this a shard's detector (sharded file dispatch):
-        only the events :func:`~repro.pipeline.shard.shards_of` routes
-        to that memory rank are analyzed and recorded into that one
-        timeline lane; the others are skipped by their rank fields
-        before any decoding.  Returns the number of events analyzed.
+        Returns the number of events analyzed.
         """
         from ..pipeline import format as _fmt
         from ..pipeline.shard import dispatch_event
@@ -275,11 +262,10 @@ class FlatDetector(OurDetectorBase):
                 for k in region_table for rma in (0, 1))
         rings: dict = {}
         ring_of = timeline.ring if timeline is not None else None
-        # a local's rank is read before the filter when a timeline or a
-        # lane needs it (filtered locals are recorded, foreign skipped)
-        eager = ring_of is not None or lane is not None
-        sync_lanes = range(nranks) if lane is None else (lane,)
-        skipped = 0
+        # a local's rank is read before the filter when the timeline
+        # needs it (filtered locals are recorded too)
+        eager = ring_of is not None
+        sync_lanes = range(nranks)
         by_rank: dict = {}
         for r, w in self._open_epochs:
             by_rank.setdefault(r, []).append(w)
@@ -297,16 +283,11 @@ class FlatDetector(OurDetectorBase):
                     end = rpos + 2
                     if eager:
                         seq, rank = local_at(payload, off)
-                        if lane is not None and rank != lane:
-                            skipped += 1
-                            off = end
-                            continue
-                        if ring_of is not None:
-                            ring = rings.get(rank)
-                            if ring is None:
-                                ring = rings[rank] = ring_of(rank)
-                            ring.append((seq, "local", rank, -1, ctx,
-                                         payload[off:end]))
+                        ring = rings.get(rank)
+                        if ring is None:
+                            ring = rings[rank] = ring_of(rank)
+                        ring.append((seq, "local", rank, -1, ctx,
+                                     payload[off:end]))
                     seen += 1
                     if droptab[payload[rpos] * 2 + payload[rpos + 1]]:
                         off = end
@@ -343,18 +324,12 @@ class FlatDetector(OurDetectorBase):
                 elif tag == tag_rma:
                     seq, rank, target, wid = rma_at(payload, off)
                     pos = off + nrma + 12  # skip the op-string id + nbytes
-                    if lane is not None and lane != rank and lane != target:
-                        skipped += 1
-                        pos += 1 + skiptab[payload[pos] & 3]
-                        off = pos + 1 + skiptab[payload[pos] & 3] + 4
-                        continue
                     orec, pos = access_rec(pos)
                     trec, pos = access_rec(pos)
                     end = pos + 4  # past the two region byte pairs
                     if ring_of is not None:
                         rec = (seq, "rma", rank, wid, ctx, payload[off:end])
-                        for side in ((lane,) if lane is not None
-                                     else (rank,) if target == rank
+                        for side in ((rank,) if target == rank
                                      else (rank, target)):
                             ring = rings.get(side)
                             if ring is None:
@@ -393,7 +368,7 @@ class FlatDetector(OurDetectorBase):
                 path=ctx.path)
         filt.seen += seen
         filt.kept += kept
-        return nevents - skipped
+        return nevents
 
     def on_local(self, rank, access, region) -> None:
         if not self.filter.instrument(region):

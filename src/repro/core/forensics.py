@@ -19,11 +19,11 @@ moment a detector files a :class:`~repro.core.report.RaceReport`:
   the memory rank that detected the race.
 
 The bundle is a plain dict (schema ``repro-forensics-v1``), JSON-stable,
-and deterministic across the sharded pipeline: the timeline lane it
-reads is fed by the same :func:`repro.pipeline.shard.shards_of`
-projection the pipeline routes by, so a worker that owns the reporting
-shard holds byte-for-byte the lane a serial replay holds at the same
-point in the event stream.
+and deterministic across analysis paths: every timeline feed projects
+events onto rank lanes by the same rule, so the lane it reads holds the
+same events at the same point in the event stream whether the trace
+was replayed live, decoded, read as wire records or resumed from a
+checkpoint.
 
 ``render_explain`` turns one bundle into the annotated text diagnostic
 behind ``repro explain``.

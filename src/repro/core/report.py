@@ -33,7 +33,7 @@ class RaceReport:
     captured at detection time (see :mod:`repro.core.forensics`).  It is
     excluded from equality/hash so two reports of the same race pair
     compare equal regardless of surrounding timeline context — verdict
-    dedup and serial/sharded parity depend on that.
+    dedup and cross-path parity depend on that.
     """
 
     rank: int

@@ -45,12 +45,6 @@ class NodeStats:
     max_nodes_per_rank: Dict[int, int] = field(default_factory=dict)
     accesses_processed: int = 0
     accesses_filtered: int = 0
-    #: per-memory-rank breakdowns (summed over windows) — filled by
-    #: detectors that key state by rank; the sharded pipeline needs them
-    #: to publish only a shard's *canonical* (own-rank) state, since a
-    #: shard's detector also holds private replicas of other ranks
-    current_nodes_per_rank: Dict[int, int] = field(default_factory=dict)
-    peak_nodes_sum_per_rank: Dict[int, int] = field(default_factory=dict)
 
     @property
     def max_nodes_one_rank(self) -> int:
@@ -263,23 +257,14 @@ class Detector:
         """Size of the analysis state; subclasses override."""
         return NodeStats()
 
-    def publish_obs(self, own_rank: Optional[int] = None) -> None:
+    def publish_obs(self) -> None:
         """Publish this instance's final statistics into the registry.
 
-        Called by every stats consumer (``run_app``, the pipeline's
-        shard-group finish, the serial replay path) *after*
-        :meth:`finalize`; idempotent per instance, so the counters sum
-        correctly when a worker owns several shard detectors.  These
-        registry values are the single source of truth the CLI metrics
-        table, ``--metrics-json`` and the Table-4 driver all read.
-
-        ``own_rank`` restricts the node-state publication to one memory
-        rank's stores: a sharded worker's detector also holds private
-        replicas of other ranks (RMA events fan out to both sides), and
-        publishing those too would overcount the merged ``bst.nodes*``
-        values relative to serial replay.  Detectors without per-rank
-        breakdowns in :meth:`node_stats` fall back to their full
-        (replica-inclusive) state.
+        Called by every stats consumer (``run_app``, the analysis
+        engine) *after* :meth:`finalize`; idempotent per instance.
+        These registry values are the single source of truth the CLI
+        metrics table, ``--metrics-json`` and the Table-4 driver all
+        read.
         """
         if self._obs_published:
             return
@@ -289,18 +274,10 @@ class Detector:
             return
         tool = self.name
         stats = self.node_stats()
-        if own_rank is not None and (stats.peak_nodes_sum_per_rank
-                                     or stats.current_nodes_per_rank):
-            nodes_cur = stats.current_nodes_per_rank.get(own_rank, 0)
-            nodes_peak = stats.peak_nodes_sum_per_rank.get(own_rank, 0)
-            peak_one = stats.max_nodes_per_rank.get(own_rank, 0)
-        else:
-            nodes_cur = stats.total_current_nodes
-            nodes_peak = stats.total_max_nodes
-            peak_one = stats.max_nodes_one_rank
-        reg.gauge("bst.nodes", tool=tool).set(nodes_cur)
-        reg.counter("bst.nodes_peak", tool=tool).add(nodes_peak)
-        reg.gauge("bst.nodes_peak_one_rank", tool=tool).set(peak_one)
+        reg.gauge("bst.nodes", tool=tool).set(stats.total_current_nodes)
+        reg.counter("bst.nodes_peak", tool=tool).add(stats.total_max_nodes)
+        reg.gauge("bst.nodes_peak_one_rank", tool=tool).set(
+            stats.max_nodes_one_rank)
         reg.counter("detector.processed", tool=tool).add(
             stats.accesses_processed)
         reg.counter("detector.filtered", tool=tool).add(

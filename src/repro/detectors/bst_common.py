@@ -210,12 +210,7 @@ class BstDetector(Detector):
             stats.total_max_nodes += peak
             cur = stats.max_nodes_per_rank.get(rank, 0)
             stats.max_nodes_per_rank[rank] = max(cur, peak)
-            stats.peak_nodes_sum_per_rank[rank] = (
-                stats.peak_nodes_sum_per_rank.get(rank, 0) + peak)
         stats.total_current_nodes = sum(len(b) for b in self._stores.values())
-        for (rank, wid), bst in self._stores.items():
-            stats.current_nodes_per_rank[rank] = (
-                stats.current_nodes_per_rank.get(rank, 0) + len(bst))
         stats.accesses_processed = self._processed
         stats.accesses_filtered = self.filter.filtered
         return stats

@@ -5,8 +5,7 @@ one) would report: usage errors are programming bugs in the *simulated
 application*, not in the simulator itself, and carry enough context to
 point at the offending rank and call.  The trace-analysis errors the
 CLI and the daemon catch live here too, so catching them never imports
-the code that raises them (the checkpoint module, the multi-process
-engine).
+the code that raises them (the checkpoint module).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "DeadlockError",
     "TraceFormatError",
     "TraceChainMismatch",
-    "WorkerCrashedError",
     "CheckpointError",
     "TraceDivergedError",
 ]
@@ -83,37 +81,6 @@ class TraceChainMismatch(TraceFormatError):
     def __init__(self, message: str, *, path=None, chunk=None) -> None:
         super().__init__(message, path=path)
         self.chunk = chunk
-
-
-class WorkerCrashedError(MpiSimError):
-    """An analysis worker process died (or wedged) before reporting.
-
-    Raised by the pipeline's collector instead of blocking forever on
-    the result queue; carries the ``worker`` id, the ``shards`` (memory
-    ranks) it owned, the failure ``reason`` (``"crashed"``, ``"stalled"``
-    or ``"exited without result"``) and the OS ``exitcode`` where known.
-    The supervisor layer catches this to retry or degrade; it reaches
-    user code only when recovery is disabled or impossible.
-    """
-
-    def __init__(
-        self,
-        worker: int,
-        shards,
-        *,
-        reason: str = "crashed",
-        exitcode=None,
-    ) -> None:
-        shard_list = list(shards)
-        detail = f" (exitcode {exitcode})" if exitcode is not None else ""
-        super().__init__(
-            f"analysis worker {worker} {reason}{detail} "
-            f"while owning shards {shard_list}"
-        )
-        self.worker = worker
-        self.shards = shard_list
-        self.reason = reason
-        self.exitcode = exitcode
 
 
 class CheckpointError(Exception):

@@ -79,8 +79,8 @@ def replay_trace(
     Events are dispatched exactly like the live interposition layer
     does; the detector's verdicts and statistics afterwards match a live
     run over the same execution.  The event→hook mapping is shared with
-    the sharded pipeline workers (:mod:`repro.pipeline.shard`), so
-    serial replay is also the pipeline's verdict-parity baseline.
+    the analysis engine (:mod:`repro.pipeline.shard`), so replay is
+    also the engine's verdict-parity baseline.
     """
     from ..pipeline.shard import dispatch_event
 

@@ -7,7 +7,7 @@ usual patterns::
 
     from repro import obs
 
-    obs.add("pipeline.retries")                  # cold-path counter
+    obs.add("serve.jobs.retried")                # cold-path counter
     events = obs.counter("detector.events")      # hot-path handle
     events.inc()
 
@@ -128,7 +128,7 @@ def set_registry(reg: Registry) -> Registry:
 
 
 def reset(*, enabled: Optional[bool] = None) -> Registry:
-    """Fresh active registry (pipeline workers call this after fork)."""
+    """Fresh active registry."""
     set_registry(Registry(enabled=enabled))
     return active()
 

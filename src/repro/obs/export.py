@@ -3,7 +3,7 @@
 ``render_metrics`` is what ``repro analyze --metrics`` / ``repro run
 --metrics`` print; ``snapshot_to_json`` backs ``--metrics-json PATH``.
 Both operate on the plain snapshot dict (not the live registry), so the
-same code renders a merged pipeline snapshot shipped from workers.
+same code renders a snapshot read back from a result or a checkpoint.
 """
 
 from __future__ import annotations

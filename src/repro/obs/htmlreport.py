@@ -239,8 +239,7 @@ def render_html_report(report: dict, *,
     parts.append(f"<h1>{_esc(title)}</h1>")
     parts.append("<table class='meta'>")
     for label, key in (("detector", "detector"), ("ranks", "nranks"),
-                       ("events", "events_total"), ("jobs", "jobs"),
-                       ("dispatch", "dispatch")):
+                       ("events", "events_total")):
         if key in report:
             parts.append(f"<tr><td>{label}</td>"
                          f"<td><b>{_esc(report[key])}</b></td></tr>")

@@ -5,9 +5,8 @@ Design constraints (see DESIGN.md §"Observability"):
 * **Cheap enough to stay on by default.**  An instrument is a tiny
   ``__slots__`` object the instrumented code holds directly (or reaches
   through one dict lookup); recording is an attribute add.  There are
-  no locks — registries are strictly per-process (the pipeline merges
-  worker snapshots at aggregation, it never shares a registry across
-  processes).
+  no locks — a registry belongs to one thread of one process (serve's
+  worker threads each run under their own scope).
 * **A hard off switch.**  With ``REPRO_OBS=off`` every accessor returns
   a shared null instrument whose record methods are no-ops, and
   :meth:`Registry.span` returns a shared no-op context manager — the
@@ -16,9 +15,8 @@ Design constraints (see DESIGN.md §"Observability"):
 * **Mergeable snapshots.**  :meth:`Registry.snapshot` produces a plain
   JSON-able dict; :meth:`Registry.merge` folds such a snapshot back in
   (counters sum, gauge values sum / peaks max, histogram buckets sum,
-  span trees add node-wise).  This is how per-worker registries flow
-  back over the pipeline's result queue and come out as one merged
-  per-stage view plus per-worker breakdowns.
+  span trees add node-wise).  This is how a checkpoint's registry
+  folds back into a resumed analysis, and a scope's into its caller's.
 
 Metric naming: dotted lowercase paths (``core.insert.fragments``),
 optionally labelled — ``counter("detector.events", tool="MUST-RMA")``
@@ -85,8 +83,8 @@ class Counter:
 class Gauge:
     """Last-set value with a high-water mark.
 
-    Merge semantics: ``value`` sums (per-process registries describe
-    disjoint state, e.g. BST nodes per shard), ``peak`` maxes.
+    Merge semantics: ``value`` sums (merged registries describe
+    disjoint state), ``peak`` maxes.
     """
 
     __slots__ = ("value", "peak")

@@ -1,8 +1,7 @@
 """Bounded per-rank event timelines — the forensics half of ``repro.obs``.
 
 A :class:`Timeline` keeps one fixed-size ring buffer ("lane") per
-*memory rank*, fed with the same projection the sharded pipeline uses
-for routing (:func:`repro.pipeline.shard.shards_of`):
+*memory rank*, fed by one projection:
 
 * a local access of rank ``r`` lands in lane ``r``;
 * an RMA operation lands in the lanes of **both** its origin and its
@@ -11,11 +10,9 @@ for routing (:func:`repro.pipeline.shard.shards_of`):
 * synchronization events (epochs, fences, flushes, barriers, window
   create/free) order everything and are replicated into every lane.
 
-Feeding by that rule is what makes forensics deterministic across the
-sharded pipeline: a worker that owns shard ``r`` sees exactly the
-events whose projection includes ``r``, in global trace order, so its
-lane ``r`` is byte-for-byte the lane a serial replay builds — the
-property the forensics parity tests pin down.
+Every feed (live, replayed event, wire record) applies that rule, so
+lane ``r`` holds the same events in global trace order whichever path
+analyzed the trace — the property the forensics parity tests pin down.
 
 Design constraints mirror the registry's:
 
@@ -120,7 +117,7 @@ def _fmt(rec, lane: int) -> dict:
     tuples whose formatter's ``timeline_event(rec, lane)`` decodes the
     record bytes, replayed trace-event objects held by reference (see
     :meth:`Timeline.record_event`), or already-formatted dicts (merged
-    from a worker snapshot).  ``lane`` picks the RMA side a
+    from a checkpoint's snapshot).  ``lane`` picks the RMA side a
     replayed event shows: the target access on the target rank's lane,
     the origin access elsewhere.  Payloads and accesses duck-type
     :class:`~repro.intervals.MemoryAccess`.
@@ -274,11 +271,10 @@ class Timeline:
     def record_event_fanout(self, event, nranks: int) -> None:
         """Append one replayed event to every lane its projection hits.
 
-        The single-call serial-path twin of calling
-        :meth:`record_event` once per ``shards_of(event)`` shard: a
-        local access lands in its rank's lane, an RMA op in both sides'
-        lanes, a sync event in all ``nranks`` lanes — byte-for-byte the
-        lanes the sharded workers build.
+        The single-call twin of calling :meth:`record_event` once per
+        lane the event concerns: a local access lands in its rank's
+        lane, an RMA op in both sides' lanes, a sync event in all
+        ``nranks`` lanes.
         """
         kind = _EVENT_KIND.get(event.__class__)
         if kind is None:
@@ -363,8 +359,8 @@ class Timeline:
         """Fold a :meth:`snapshot` dict into this timeline.
 
         Lanes concatenate, re-sort by sequence number, and trim back to
-        the ring capacity — in the sharded pipeline each lane is
-        produced by exactly one worker, so this is a plain union.
+        the ring capacity — how a resumed analysis restores the lanes
+        its checkpoint carried.
         """
         if not snap:
             return

@@ -1,26 +1,20 @@
-"""Sharded parallel trace-analysis pipeline.
+"""Post-mortem trace-analysis pipeline.
 
 The paper's detector is on-the-fly and per-window: every access is
-checked against one window's BST.  Analysis of a *recorded* execution is
-therefore embarrassingly parallel across per-rank shards, which this
-subsystem exploits end to end:
+checked against one window's BST.  This subsystem replays a *recorded*
+execution through the same detector, one process, one chunk loop:
 
 * :mod:`repro.pipeline.format` — the streaming reader of
   ``repro-trace-v2``, the chunked binary format and the one input every
   analysis reads; :mod:`repro.pipeline.writer` holds the writer,
-* :mod:`repro.pipeline.shard` — event routing by memory rank, with sync
-  events replicated so every shard sees the full ordering skeleton,
+* :mod:`repro.pipeline.shard` — the trace-event → detector-hook
+  mapping, per event and per chunk,
 * :mod:`repro.pipeline.engine` — ``analyze_trace``: the serial chunk
-  loop every default analysis runs, and the deterministic aggregator,
-* :mod:`repro.pipeline.multiproc` — the multi-process engine behind
-  ``jobs>1`` (batched queue or file dispatch, bounded queues, worker
-  recycling), loaded only when asked for,
-* :mod:`repro.pipeline.resilience` — worker supervision: heartbeats,
-  stall timeouts, crash detection, and the retry/degrade machinery
-  that keeps a crashed or wedged worker from sinking the analysis,
+  loop every analysis runs, and the canonical verdict order,
 * :mod:`repro.pipeline.checkpoint` — crash-consistent ``repro-ckpt-v1``
-  checkpoints of in-flight detector state, so retries resume mid-trace
-  and the deadline/memory guards leave resumable partial runs,
+  checkpoints of in-flight detector state, so the deadline, drain and
+  memory guards leave resumable partial runs and a crashed run resumes
+  mid-trace,
 * :mod:`repro.pipeline.record` — ``repro record``: run an app with a
   constant-memory streaming recorder attached.
 
@@ -29,17 +23,15 @@ Quickstart::
     from repro.pipeline import analyze_trace, record_app
 
     record_app("minivite", nranks=8, out="mv.trace")
-    result = analyze_trace("mv.trace", detector="our", jobs=4)
+    result = analyze_trace("mv.trace", detector="our")
     print(result.races, round(result.events_per_sec), "events/s")
 
 Any existing :class:`~repro.mpi.interposition.DetectorProtocol` detector
-runs unchanged — the pipeline instantiates one per shard and merges
-verdicts afterwards.
+runs unchanged.
 
-Exports resolve lazily (:mod:`repro._lazy`): a serial analysis loads
-the engine, the reader and the flat core, never the multi-process
-engine, the supervision layer, the checkpoint module (unless asked
-to checkpoint), the writer or the recorder.
+Exports resolve lazily (:mod:`repro._lazy`): an analysis loads the
+engine, the reader and the flat core, never the checkpoint module
+(unless asked to checkpoint), the writer or the recorder.
 """
 
 from .._lazy import lazy_exports
@@ -66,15 +58,8 @@ _EXPORTS = {
     "RECORDABLE_APPS": ".record",
     "RecordResult": ".record",
     "record_app": ".record",
-    "HEARTBEAT_INTERVAL": ".resilience",
-    "CollectOutcome": ".resilience",
-    "WorkerFailure": ".resilience",
-    "backoff_delay": ".resilience",
-    "collect_results": ".resilience",
     "ReplayWindow": ".shard",
     "dispatch_event": ".shard",
-    "own_reports": ".shard",
-    "shards_of": ".shard",
     "BinaryTraceWriter": ".writer",
     "make_trace_writer": ".writer",
 }

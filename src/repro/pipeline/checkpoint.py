@@ -1,8 +1,8 @@
 """Crash-consistent checkpoints of in-flight analysis state.
 
 The paper's detector state (the per-window BST) grows with dynamic
-accesses; on a long trace, losing a worker to a crash — or the whole run
-to a deadline or an OOM kill — costs re-analysis *from byte zero*.  This
+accesses; on a long trace, losing the run to a crash, a deadline or an
+OOM kill costs re-analysis *from byte zero*.  This
 module bounds that cost: at chunk boundaries the analysis serializes its
 detector state (structure-preserving tree snapshots, see
 :meth:`repro.detectors.base.Detector.snapshot`), its obs registry and
@@ -29,8 +29,8 @@ and crc32 counted on the way and patched in before the fsync, so a
 write never holds the whole payload in memory; the bytes are those of
 ``pickle.dumps(state, 4)``.
 
-A :class:`CheckpointStore` manages one *lane* (``serial``, or ``w3`` for
-worker 3) inside the checkpoint directory: monotonically numbered files,
+A :class:`CheckpointStore` manages one *lane* (an analysis writes
+``serial``) inside the checkpoint directory: monotonically numbered files,
 newest-first recovery with corrupt files renamed to ``*.bad`` (and
 reported — falling back silently would make "resumed" claims a lie), and
 pruning of superseded generations.
@@ -66,7 +66,6 @@ __all__ = [
     "install_drain_event",
     "remove_write_hook",
     "restore_registry",
-    "resume_expect",
     "run_meta",
     "run_state",
     "snapshot_cost",
@@ -84,7 +83,7 @@ _PICKLE_PROTO = 4
 
 # -- placement ----------------------------------------------------------------
 #
-# Where a lane checkpoints is decided by one amortized rule, in units of
+# Where an analysis checkpoints is decided by one amortized rule, in units of
 # analysis work: at a chunk boundary, checkpoint once the events applied
 # since the last checkpoint reach CKPT_AMORTIZE times the modelled cost
 # of the next snapshot.  Each placed snapshot is then paid for by at
@@ -119,14 +118,12 @@ def checkpoint_due(events_since: int, rows: int) -> bool:
 
 @dataclass(frozen=True)
 class CheckpointPlan:
-    """Everything a worker needs to checkpoint and guard itself.
+    """Everything the chunk loop needs to checkpoint and guard itself.
 
-    Crosses the fork into worker processes, so it stays a frozen bag of
-    primitives.  ``every`` pins a fixed cadence of that many chunks;
-    ``None`` places checkpoints by :func:`checkpoint_due`.
-    ``deadline_at`` is an *absolute* ``time.time()`` value computed
-    once by the parent — forked workers share the clock, so every lane
-    observes the same deadline regardless of spawn jitter.
+    ``every`` pins a fixed cadence of that many chunks; ``None`` places
+    checkpoints by :func:`checkpoint_due`.  ``deadline_at`` is an
+    *absolute* ``time.time()`` value, computed once when the analysis
+    starts.
     """
 
     dir: str
@@ -418,11 +415,11 @@ class CheckpointStore:
 
 # -- engine plumbing ----------------------------------------------------------
 #
-# What the serial chunk loop and the file-dispatch workers write into,
-# and check against, a checkpoint of an analysis run.
+# What the chunk loop writes into, and checks against, a checkpoint of
+# an analysis run.
 
 
-def run_meta(detector: str, nranks: int, path, shards, cursor: dict) -> dict:
+def run_meta(detector: str, nranks: int, path, cursor: dict) -> dict:
     """JSON header metadata pinning what this checkpoint belongs to."""
     try:
         trace_bytes = os.path.getsize(path)
@@ -433,25 +430,11 @@ def run_meta(detector: str, nranks: int, path, shards, cursor: dict) -> dict:
         "nranks": nranks,
         "trace": str(path),
         "trace_bytes": trace_bytes,
-        "shards": list(shards),
+        "shards": list(range(nranks)),  # the one lane covers every rank
         "events_applied": cursor["events_applied"],
         "chunk": cursor.get("chunk"),
         "chain": cursor.get("chain"),
     }
-
-
-def resume_expect(detector: str, nranks: int, path) -> dict:
-    """Header fields a checkpoint must match to be resumed here.
-
-    Trace identity is pinned by size, not path, so a trace copied or
-    moved next to its checkpoint directory still resumes.
-    """
-    expect = {"detector": detector, "nranks": nranks}
-    try:
-        expect["trace_bytes"] = os.path.getsize(path)
-    except OSError:
-        pass
-    return expect
 
 
 def verify_resume_trace(meta: dict, path) -> None:
@@ -503,12 +486,12 @@ def verify_resume_trace(meta: dict, path) -> None:
                 f"analysis ({got_bytes!r})")
 
 
-def run_state(body: dict, cursor: dict, ticks: int) -> dict:
+def run_state(body: dict, cursor: dict) -> dict:
     """Payload for one checkpoint: analysis state + registry deltas."""
     reg = obs.active()
     state = dict(body)
     state["cursor"] = cursor
-    state["ticks"] = ticks
+    state["ticks"] = cursor["events_applied"]
     state["obs"] = reg.snapshot() if reg.enabled else None
     state["timeline"] = (reg.timeline.snapshot()
                          if reg.timeline.enabled else None)

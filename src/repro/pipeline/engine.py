@@ -2,32 +2,25 @@
 
 ``analyze_trace`` is the one entry point, and its one input is a
 ``repro-trace-v2`` file (a path, or a :class:`TraceReader` over one).
-With ``jobs=1`` — the CLI default and every ``repro serve`` job — it
-replays the trace through a single detector in-process: :func:`_serial`
-runs one chunk loop over :func:`_feed_chunks`, the flat core reading a
-strict reader's wire records directly (salvage reads and the baseline
-detectors are decoded to trace events).  That loop is optionally
-checkpointed, follows a growing trace, and stops at the
-deadline/drain/memory guards; the checkpoint code
-(:mod:`repro.pipeline.checkpoint`) is imported only when a checkpoint
-directory is in play.
-
-With ``jobs>1`` the trace goes to the multi-process engine
-(:mod:`repro.pipeline.multiproc`): sharded workers, queue or file
-dispatch, supervision, retry, degrade-to-serial and memory-guard
-recycling.  It is imported only then, so a serial analysis never loads
-it, :mod:`repro.pipeline.resilience` or :mod:`multiprocessing`.
+It replays the trace through a single detector in this process — the
+CLI and every ``repro serve`` job alike: :func:`_serial` runs one chunk
+loop over :func:`_feed_chunks`, the flat core reading a strict reader's
+wire records directly (salvage reads and the baseline detectors are
+decoded to trace events).  That loop is optionally checkpointed,
+follows a growing trace, and stops at the deadline/drain/memory guards;
+the checkpoint code (:mod:`repro.pipeline.checkpoint`) is imported only
+when a checkpoint directory is in play.
 
 Under ``PYTHONDONTWRITEBYTECODE=1`` nothing is cached as bytecode and
 every process compiles all the source it imports, so the default path
 keeps its imports to the code it runs.
 
-Verdict parity: for every modelled detector the merged verdict set is
+Verdict parity: for every modelled detector the verdict set is
 byte-identical (after canonical ordering) to a serial
 :func:`~repro.mpi.trace_io.replay_trace` over the same trace — the
 property the tier-1 parity tests pin down on the miniVite and CFD-Proxy
 traces, and that the chaos suite (``tests/resilience/``) re-asserts
-under injected worker kills and stalls.
+across checkpoint, resume, follow and salvage runs.
 """
 
 from __future__ import annotations
@@ -76,9 +69,9 @@ def _verdict_dict(report: RaceReport) -> dict:
 def canonical_verdicts(reports: Iterable[RaceReport]) -> List[dict]:
     """Deduplicated race verdicts in one deterministic order.
 
-    Serial replay reports races in discovery order; the pipeline merges
-    per-shard lists.  Canonicalizing both through this function makes
-    'same verdicts' a byte-for-byte comparison of the JSON dumps.
+    Detectors report races in discovery order, and a resumed run holds
+    the reports of two processes.  Canonicalizing through this function
+    makes 'same verdicts' a byte-for-byte comparison of the JSON dumps.
     """
     unique = {}
     for report in reports:
@@ -92,9 +85,7 @@ def canonical_forensics(reports: Iterable[RaceReport]) -> List[dict]:
 
     Forensics travel *outside* the verdict dicts (verdict parity with
     plain serial replay stays byte-exact), deduplicated by the same
-    verdict key.  The first occurrence per key wins: a race pair's rank
-    maps to exactly one shard, which sees the same event subsequence as
-    serial replay, so first-occurrence bundles are identical either way.
+    verdict key; the first occurrence per key wins.
     """
     unique: Dict[str, dict] = {}
     for report in reports:
@@ -111,14 +102,14 @@ def canonical_forensics(reports: Iterable[RaceReport]) -> List[dict]:
 
 @dataclass
 class ShardStats:
-    """Per-shard tail of the pipeline: what one detector instance saw."""
+    """What the run's detector saw: its one row is ``shard`` -1."""
 
     shard: int
     events: int = 0
     races: int = 0
     peak_nodes: int = 0
     processed: int = 0
-    #: canonical (own-rank) reports — carried for aggregation, not shown
+    #: the detector's reports — carried, not shown
     reports: List[RaceReport] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
@@ -137,23 +128,13 @@ class PipelineResult:
 
     detector: str
     nranks: int
-    jobs: int
-    dispatch: str
     events_total: int
     wall_seconds: float
     verdicts: List[dict]
     shard_stats: List[ShardStats]
-    queue_peak: List[int] = field(default_factory=list)
-    #: worker respawns the supervisor performed (file-dispatch retries)
-    retries: int = 0
-    #: True when some shard-groups fell back to serial in-process replay
-    degraded: bool = False
-    #: every worker attempt that crashed/stalled, as plain dicts
-    failed_workers: List[dict] = field(default_factory=list)
     #: salvage accounting when the trace was read with ``strict=False``
     salvage: Optional[dict] = None
-    #: True when a resource guard (deadline / memory, serial mode)
-    #: stopped the analysis early; the verdicts cover only
+    #: True when a resource guard (deadline / drain / memory) stopped the analysis early; the verdicts cover only
     #: ``analyzed_fraction`` of the trace and the run is resumable from
     #: its checkpoint directory
     partial: bool = False
@@ -161,8 +142,9 @@ class PipelineResult:
     #: checkpointed run, None when unknowable or checkpointing was off)
     analyzed_fraction: Optional[float] = None
     #: checkpoint/resume accounting: dir, cadence, files written,
-    #: per-lane ``resumed`` records (from_seq, events_skipped),
-    #: quarantined checkpoint files, recycles.  None with no --ckpt-dir
+    #: ``resumed`` records (from_seq, events_skipped), quarantined
+    #: checkpoint files, the guard that stopped the run.  None with no
+    #: --ckpt-dir
     checkpoint: Optional[dict] = None
     #: merged observability snapshot of this run (schema repro-obs-v1);
     #: None when metrics are disabled (REPRO_OBS=off)
@@ -208,18 +190,12 @@ class PipelineResult:
         return {
             "detector": self.detector,
             "nranks": self.nranks,
-            "jobs": self.jobs,
-            "dispatch": self.dispatch,
             "events_total": self.events_total,
             "wall_seconds": round(self.wall_seconds, 6),
             "events_per_sec": round(self.events_per_sec, 1),
             "races": self.races,
             "verdicts": self.verdicts,
             "shards": [s.to_dict() for s in self.shard_stats],
-            "queue_peak": self.queue_peak,
-            "retries": self.retries,
-            "degraded": self.degraded,
-            "failed_workers": list(self.failed_workers),
             "salvage": self.salvage,
             "partial": self.partial,
             "analyzed_fraction": self.analyzed_fraction,
@@ -256,9 +232,6 @@ def _feed_chunks(det, reader, timeline, start):
             yield count, wire.cursor()
         return
     for chunk, cursor in reader.iter_chunks(start=start):
-        # the timeline's lane projection (fed before each dispatch)
-        # matches the sharded pipeline's routing, so lanes stay
-        # byte-identical
         dispatch_batch(det, chunk, nranks, timeline=timeline)
         yield len(chunk), cursor
 
@@ -343,9 +316,8 @@ def _serial(reader, detector_name, plan=None, follow=False,
     def _write(cur):
         nonlocal written, chunks_since, events_since
         store.write(
-            _ckpt.run_meta(detector_name, nranks, path, range(nranks), cur),
-            _ckpt.run_state({"detector": det.snapshot()}, cur,
-                            cur["events_applied"]))
+            _ckpt.run_meta(detector_name, nranks, path, cur),
+            _ckpt.run_state({"detector": det.snapshot()}, cur))
         written += 1
         chunks_since = events_since = 0
 
@@ -357,9 +329,9 @@ def _serial(reader, detector_name, plan=None, follow=False,
             # like a deadline — checkpointed, partial, resumable
             return "drain"
         if plan.max_rss_mb is not None:
-            # serial mode cannot recycle itself; the memory guard
-            # stops like the deadline does, leaving a resumable run.
-            # An unavailable RSS probe (None) disables the guard.
+            # the memory guard stops like the deadline does, leaving a
+            # resumable run.  An unavailable RSS probe (None) disables
+            # the guard.
             rss = _ckpt.current_rss_mb()
             if rss is not None and rss > plan.max_rss_mb:
                 return "memory"
@@ -439,8 +411,7 @@ def _serial(reader, detector_name, plan=None, follow=False,
     stats = det.node_stats()
     peak = max(stats.max_nodes_per_rank.values(), default=0)
     result = PipelineResult(
-        detector=detector_name, nranks=nranks, jobs=1, dispatch="serial",
-        events_total=n, wall_seconds=wall,
+        detector=detector_name, nranks=nranks, events_total=n, wall_seconds=wall,
         verdicts=canonical_verdicts(det.reports),
         shard_stats=[ShardStats(
             shard=-1, events=n, races=len(det.reports), peak_nodes=peak,
@@ -463,7 +434,6 @@ def _serial(reader, detector_name, plan=None, follow=False,
         "written": written,
         "resumed": resumed,
         "quarantined": list(store.quarantined),
-        "recycles": 0,
         "stopped": stop,
     }
     return result
@@ -473,17 +443,7 @@ def analyze_trace(
     source: Union[str, Path, TraceReader],
     *,
     detector: str = "our",
-    jobs: int = 1,
-    dispatch: str = "queue",
-    batch_size: int = 512,
-    queue_depth: int = 8,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    backoff_base: float = 0.1,
-    backoff_max: float = 2.0,
     salvage: bool = False,
-    recover: bool = True,
-    fault_plan=None,
     ckpt_dir: Optional[Union[str, Path]] = None,
     ckpt_every: Optional[int] = None,
     deadline_s: Optional[float] = None,
@@ -492,93 +452,28 @@ def analyze_trace(
     follow: bool = False,
     follow_timeout_s: Optional[float] = None,
 ) -> PipelineResult:
-    """Analyze a recorded trace, optionally sharded over ``jobs`` processes.
-
-    Runs under a fresh :mod:`repro.obs` scope: per-stage spans, pipeline
-    counters and the workers' merged registries land in
-    ``PipelineResult.obs`` (and fold into the caller's registry on
-    exit).  See :func:`_analyze_impl` for the full parameter reference.
-    """
-    with obs.scope() as reg:
-        with reg.span("pipeline.analyze"):
-            result = _analyze_impl(
-                source, detector=detector, jobs=jobs, dispatch=dispatch,
-                batch_size=batch_size, queue_depth=queue_depth,
-                timeout=timeout, retries=retries,
-                backoff_base=backoff_base, backoff_max=backoff_max,
-                salvage=salvage, recover=recover, fault_plan=fault_plan,
-                ckpt_dir=ckpt_dir, ckpt_every=ckpt_every,
-                deadline_s=deadline_s, max_rss_mb=max_rss_mb, resume=resume,
-                follow=follow, follow_timeout_s=follow_timeout_s,
-            )
-        if reg.enabled:
-            if result.salvage is not None:
-                reg.counter("pipeline.salvage.events_lost").add(
-                    result.salvage.get("events_lost", 0))
-                reg.counter("pipeline.salvage.chunks_quarantined").add(
-                    len(result.salvage.get("quarantined_chunks", ())))
-            result.obs = reg.snapshot()
-            if reg.timeline.enabled:
-                result._timeline_live = reg.timeline
-        return result
-
-
-def _analyze_impl(
-    source: Union[str, Path, TraceReader],
-    *,
-    detector: str = "our",
-    jobs: int = 1,
-    dispatch: str = "queue",
-    batch_size: int = 512,
-    queue_depth: int = 8,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    backoff_base: float = 0.1,
-    backoff_max: float = 2.0,
-    salvage: bool = False,
-    recover: bool = True,
-    fault_plan=None,
-    ckpt_dir: Optional[Union[str, Path]] = None,
-    ckpt_every: Optional[int] = None,
-    deadline_s: Optional[float] = None,
-    max_rss_mb: Optional[int] = None,
-    resume: bool = False,
-    follow: bool = False,
-    follow_timeout_s: Optional[float] = None,
-) -> PipelineResult:
-    """Analyze a recorded trace, optionally sharded over ``jobs`` processes.
+    """Analyze a recorded trace in this process.
 
     ``source`` is the path of a ``repro-trace-v2`` file or an open
     :class:`TraceReader`; anything else raises :class:`TypeError`.
+    ``salvage`` reads a damaged trace best-effort, quarantining corrupt
+    chunks (``PipelineResult.salvage`` accounts the loss).
 
-    Resilience knobs:
-
-    * ``timeout`` — seconds without a heartbeat before a worker counts
-      as stalled and is terminated (``None``: crash detection only);
-    * ``retries`` — how many times a dead worker's shard-group may be
-      re-run (file dispatch) before degrading to serial replay;
-    * ``backoff_base`` / ``backoff_max`` — capped exponential delay
-      between retry rounds;
-    * ``salvage`` — read damaged traces best-effort, quarantining
-      corrupt chunks (``PipelineResult.salvage`` accounts the loss);
-    * ``recover=False`` — raise
-      :class:`~repro.mpi.errors.WorkerCrashedError` on the first worker
-      failure instead of retrying/degrading;
-    * ``fault_plan`` — a :class:`~repro.faultinject.FaultPlan` forwarded
-      to the workers (chaos testing only).
+    Runs under a fresh :mod:`repro.obs` scope: per-stage spans and
+    pipeline counters land in ``PipelineResult.obs`` (and fold into the
+    caller's registry on exit).
 
     Checkpoint knobs (see :mod:`repro.pipeline.checkpoint`):
 
     * ``ckpt_dir`` — directory for ``repro-ckpt-v1`` files; enables
-      checkpointing, retry-resume, and the resource guards;
+      checkpointing and the resource guards;
     * ``ckpt_every`` — pin a cadence of that many trace chunks between
       checkpoints; ``None`` (default) places them by the amortized rule
       (:func:`~repro.pipeline.checkpoint.checkpoint_due`);
     * ``deadline_s`` — wall-clock budget: past it the analysis
       checkpoints and returns a *partial*, resumable result;
-    * ``max_rss_mb`` — per-worker memory budget: a worker whose
-      current RSS exceeds it at a chunk boundary checkpoints and is
-      recycled (serial: stops like deadline);
+    * ``max_rss_mb`` — memory budget: current RSS above it at a chunk
+      boundary stops the run like the deadline does;
     * ``resume`` — start from the newest valid checkpoint in
       ``ckpt_dir`` instead of from byte 0.
 
@@ -586,20 +481,12 @@ def _analyze_impl(
 
     * ``follow`` — tail a live-appended trace: analyze chunks as they
       land, checkpoint at chunk boundaries, finish when the recorder
-      writes the trailer.  Requires ``ckpt_dir``, ``jobs=1`` and a
-      strict reader; a rewritten prefix aborts with
+      writes the trailer.  Requires ``ckpt_dir`` and a strict reader;
+      a rewritten prefix aborts with
       :class:`~repro.mpi.errors.TraceDivergedError`;
     * ``follow_timeout_s`` — stop a follow that has seen no new chunk
       for this many seconds, as a partial, resumable result.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    if dispatch not in ("queue", "file"):
-        raise ValueError(f"unknown dispatch mode {dispatch!r}")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive")
     if ckpt_dir is None and (deadline_s is not None or max_rss_mb is not None
                              or resume):
         raise ValueError(
@@ -615,8 +502,6 @@ def _analyze_impl(
     if follow:
         if ckpt_dir is None:
             raise ValueError("follow needs a checkpoint directory")
-        if jobs != 1:
-            raise ValueError("follow requires jobs=1 (serial analysis)")
         if salvage:
             raise ValueError(
                 "follow and salvage are incompatible — a quarantined chunk "
@@ -631,25 +516,24 @@ def _analyze_impl(
                          if deadline_s is not None else None),
             max_rss_mb=max_rss_mb, resume=resume,
         )
-    if isinstance(source, (str, Path)):
-        reader = TraceReader(source, strict=not salvage)
-    elif isinstance(source, TraceReader):
-        reader = source
-    else:
+    if not isinstance(source, (str, Path, TraceReader)):
         raise TypeError(f"cannot analyze {type(source).__name__}")
-    if not reader.strict:
-        salvage = True  # honor an already-open salvage reader
-        if follow:
-            raise ValueError("follow requires a strict reader")
-    jobs = max(1, min(jobs, reader.nranks))
-    if jobs == 1:
-        return _serial(reader, detector, plan, follow=follow,
-                       follow_timeout_s=follow_timeout_s)
-    from .multiproc import analyze_sharded
-
-    return analyze_sharded(
-        reader, detector=detector, jobs=jobs,
-        dispatch=dispatch, batch_size=batch_size, queue_depth=queue_depth,
-        timeout=timeout, retries=retries, backoff_base=backoff_base,
-        backoff_max=backoff_max, salvage=salvage, recover=recover,
-        fault_plan=fault_plan, plan=plan)
+    with obs.scope() as reg:
+        with reg.span("pipeline.analyze"):
+            reader = source
+            if not isinstance(reader, TraceReader):
+                reader = TraceReader(source, strict=not salvage)
+            if follow and not reader.strict:
+                raise ValueError("follow requires a strict reader")
+            result = _serial(reader, detector, plan, follow=follow,
+                             follow_timeout_s=follow_timeout_s)
+        if reg.enabled:
+            if result.salvage is not None:
+                reg.counter("pipeline.salvage.events_lost").add(
+                    result.salvage.get("events_lost", 0))
+                reg.counter("pipeline.salvage.chunks_quarantined").add(
+                    len(result.salvage.get("quarantined_chunks", ())))
+            result.obs = reg.snapshot()
+            if reg.timeline.enabled:
+                result._timeline_live = reg.timeline
+        return result

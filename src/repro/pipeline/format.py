@@ -141,8 +141,7 @@ class TraceReader:
     """Streaming reader of a ``repro-trace-v2`` file.
 
     Iterating a reader opens the file anew each time, so one reader can
-    drive several passes (and several worker processes can each hold
-    their own iterator over the same path).  Memory use is bounded by
+    drive several passes.  Memory use is bounded by
     one chunk.  Any other file — JSON lines included — raises
     :class:`~repro.mpi.errors.TraceFormatError` here.
 

@@ -1,40 +1,22 @@
-"""Event routing: which shard(s) must see which trace event.
-
-The pipeline shards the analysis **by memory rank** — exactly the axis
-along which every modelled detector keys its canonical state:
-
-* the BST detectors keep one interval tree per ``(rank, window)``
-  (:class:`~repro.detectors.bst_common.BstDetector`),
-* MUST-RMA's shadow memory cells live per ``(rank, granule)``,
-* MC-CChecker buckets its recorded accesses per ``(memory_rank,
-  granule)``.
-
-A rank's whole state therefore evolves from a *projection* of the event
-stream, and the projections are:
-
-* a local access of rank ``r`` concerns only ``r``'s memory → shard ``r``;
-* an RMA op touches the origin's buffer **and** the target's window →
-  shards ``origin`` and ``target`` (each shard's detector re-derives
-  both sides, but only the side stored under the shard's own rank is
-  canonical — the other is a private replica whose verdicts the
-  aggregator drops, see :func:`own_reports`);
-* synchronization (fence/barrier/flush/epoch/window events) orders
-  *everything* — it is replicated to every shard, which is also what
-  keeps clock-based detectors sound: all happens-before edges between
-  any two retained events survive the projection.
-
-Within one shard, events arrive in global trace order, so a shard's
-detector makes byte-for-byte the decisions the serial replay makes for
-that rank's stores.
+"""Event dispatch: one recorded trace event -> the detector hook it drives.
 
 :func:`dispatch_event` is the single trace-event → detector-hook mapping
-shared by serial replay (:func:`repro.mpi.trace_io.replay_trace`) and
-the pipeline workers.
+shared by serial replay (:func:`repro.mpi.trace_io.replay_trace`), the
+decoded path of :func:`repro.pipeline.analyze_trace` and the flat
+core's sync events; :func:`dispatch_batch` feeds a whole chunk.
+
+Every modelled detector keys its canonical state by memory rank (the
+BST detectors per ``(rank, window)``, MUST-RMA's shadow cells per
+``(rank, granule)``, MC-CChecker per ``(memory_rank, granule)``), and
+the event timeline keeps one lane per rank by the same projection
+(:meth:`~repro.obs.timeline.Timeline.record_event_fanout`): a local
+access belongs to its rank, an RMA op to its origin and target, and a
+synchronization event to every rank.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING
 
 from ..mpi.trace import LocalEvent, RmaEvent, SyncEvent, SyncKind, TraceEvent
 
@@ -45,8 +27,6 @@ __all__ = [
     "ReplayWindow",
     "dispatch_batch",
     "dispatch_event",
-    "own_reports",
-    "shards_of",
 ]
 
 
@@ -57,18 +37,6 @@ class ReplayWindow:
         self.wid = wid
         self.name = f"replay-{wid}"
         self.regions = [None] * nranks
-
-
-def shards_of(event: TraceEvent, nranks: int) -> Tuple[int, ...]:
-    """The shard ids (memory ranks) that must process ``event``."""
-    if isinstance(event, LocalEvent):
-        return (event.rank,)
-    if isinstance(event, RmaEvent):
-        if event.rank == event.target:
-            return (event.rank,)
-        return (event.rank, event.target)
-    # sync events order everything: replicate
-    return tuple(range(nranks))
 
 
 def dispatch_event(
@@ -107,7 +75,6 @@ def dispatch_batch(
     nranks: int,
     *,
     timeline=None,
-    lane=None,
 ) -> int:
     """Feed a whole chunk of events to one detector; returns the count.
 
@@ -116,38 +83,20 @@ def dispatch_batch(
     indirection, timeline lookup) is paid once per chunk.  Everything
     else gets the per-event loop with identical semantics.
 
-    ``timeline``/``lane`` preserve the callers' forensics feed ordering:
-    each event is recorded *before* it is analyzed (``lane=None`` uses
-    fanout recording as serial replay does; an int ``lane`` records into
-    that shard's ring as the worker loop does).
+    ``timeline`` gets each event *before* it is analyzed, fanned out to
+    the lanes of the ranks it concerns, as serial replay records it.
     """
     ingest = getattr(detector, "ingest_batch", None)
     if ingest is not None:
-        return ingest(events, nranks, timeline=timeline, lane=lane)
+        return ingest(events, nranks, timeline=timeline)
     n = 0
     if timeline is None:
         for event in events:
             dispatch_event(detector, event, nranks)
             n += 1
-    elif lane is None:
+    else:
         for event in events:
             timeline.record_event_fanout(event, nranks)
             dispatch_event(detector, event, nranks)
             n += 1
-    else:
-        for event in events:
-            timeline.record_event(lane, event)
-            dispatch_event(detector, event, nranks)
-            n += 1
     return n
-
-
-def own_reports(detector: DetectorProtocol, shard: int) -> List:
-    """The shard's canonical verdicts: races stored under its own rank.
-
-    A shard's detector also maintains replica stores for the *other*
-    side of RMA ops involving this rank; races those replicas find are
-    found canonically (from the full projection) by the owning shard,
-    so they are dropped here to keep the merged verdict set exact.
-    """
-    return [r for r in getattr(detector, "reports", []) if r.rank == shard]

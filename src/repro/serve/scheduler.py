@@ -47,7 +47,8 @@ from ..pipeline.format import compare_chain, trace_chain
 from .cache import VerdictCache, trace_sha256
 from .journal import JobJournal
 
-__all__ = ["AdmissionError", "Job", "Scheduler", "job_ckpt_dir"]
+__all__ = ["AdmissionError", "Job", "Scheduler", "backoff_delay",
+           "job_ckpt_dir"]
 
 #: job states.  queued/running are *live*; the rest are terminal.
 LIVE_STATES = ("queued", "running")
@@ -56,6 +57,11 @@ TERMINAL_STATES = ("done", "failed", "quarantined")
 #: exception types whose failure is deterministic — retrying the same
 #: trace bytes can only fail the same way, so the job fails immediately
 _NO_RETRY = (TraceFormatError, CheckpointError, ValueError)
+
+
+def backoff_delay(attempt: int, *, base: float, cap: float) -> float:
+    """Capped exponential backoff before retry ``attempt`` (>= 1)."""
+    return min(base * (2 ** (attempt - 1)), cap)
 
 
 class AdmissionError(Exception):
@@ -492,7 +498,7 @@ class Scheduler:
         """
         def run():
             return analyze_trace(
-                job.trace_path, detector=job.detector, jobs=1,
+                job.trace_path, detector=job.detector,
                 ckpt_dir=ckpt_dir, ckpt_every=self.ckpt_every,
                 deadline_s=self.deadline_s, max_rss_mb=self.max_rss_mb,
                 resume=True,
@@ -566,10 +572,6 @@ class Scheduler:
             self._count("serve.jobs.quarantined")
             return
         self._count("serve.jobs.retried")
-        # a failing job is the cold path: the supervision module loads
-        # on the first retry, not with every daemon
-        from ..pipeline.resilience import backoff_delay
-
         delay = backoff_delay(job.attempts, base=self.backoff_base,
                               cap=self.backoff_max)
         self._transition(job, "queued", reason=f"retry: {why}")

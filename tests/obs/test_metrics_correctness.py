@@ -5,8 +5,7 @@ The observability layer is only useful if its numbers are *right*:
 * the ``bst.nodes`` gauge must equal an O(n) walk over the detector's
   live trees,
 * the pipeline's ``events.analyzed`` counter must match what the trace
-  reader actually decoded (serial) or the shard-routing fan-out
-  (parallel),
+  reader actually decoded,
 * in the span time-tree, children can never sum to more than their
   parent's wall time.
 """
@@ -19,7 +18,6 @@ from repro import obs
 from repro.core import OurDetector
 from repro.pipeline import analyze_trace, record_app
 from repro.pipeline.format import TraceReader
-from repro.pipeline.shard import shards_of
 
 
 @pytest.fixture(autouse=True)
@@ -82,24 +80,11 @@ def test_query_fanout_histogram_matches_tree_stats(make_acc):
 
 def test_serial_events_analyzed_matches_reader(trace_path):
     reader_count = sum(1 for _ in TraceReader(trace_path))
-    result = analyze_trace(trace_path, jobs=1)
+    result = analyze_trace(trace_path)
     counters = result.obs["counters"]
     assert result.events_total == reader_count
     assert counters["pipeline.events.read"] == reader_count
     assert counters["pipeline.events.analyzed"] == reader_count
-
-
-@pytest.mark.parametrize("dispatch", ["queue", "file"])
-def test_parallel_events_analyzed_matches_shard_routing(trace_path,
-                                                        dispatch):
-    reader = TraceReader(trace_path)
-    expected = sum(
-        len(shards_of(event, reader.nranks)) for event in reader
-    )
-    result = analyze_trace(trace_path, jobs=2, dispatch=dispatch)
-    counters = result.obs["counters"]
-    assert counters["pipeline.events.read"] == result.events_total
-    assert counters["pipeline.events.analyzed"] == expected
 
 
 def _assert_children_bounded(node, path):
@@ -112,56 +97,15 @@ def _assert_children_bounded(node, path):
 
 
 def test_span_tree_children_sum_within_parent(trace_path):
-    result = analyze_trace(trace_path, jobs=1)
+    result = analyze_trace(trace_path)
     spans = result.obs["spans"]
     for name, child in spans["children"].items():
         _assert_children_bounded(child, name)
 
 
-def test_pipeline_spans_present_parallel(trace_path):
-    result = analyze_trace(trace_path, jobs=2)
-    top = result.obs["spans"]["children"]
-    analyze = top["pipeline.analyze"]
-    assert analyze["count"] == 1
-    assert "pipeline.produce" in analyze["children"]
-    assert "pipeline.collect" in analyze["children"]
-    assert "pipeline.aggregate" in analyze["children"]
-    # worker time merges in at the root: it ran in *parallel* with the
-    # producer, so nesting it under pipeline.analyze would break the
-    # children-sum-within-parent property
-    assert "worker.analyze" in top
-    for name, child in top.items():
-        _assert_children_bounded(child, name)
-
-
-def test_queue_peak_comes_from_depth_gauges(trace_path):
-    result = analyze_trace(trace_path, jobs=2, dispatch="queue")
-    gauges = result.obs["gauges"]
-    for worker in range(2):
-        key = obs.metric_key("pipeline.queue_depth",
-                             {"worker": str(worker)})
-        assert result.queue_peak[worker] == gauges[key]["peak"]
-
-
-def test_parallel_node_peaks_match_serial(trace_path):
-    # sharded workers hold private replicas of other ranks' stores
-    # (RMA events fan out to origin AND target shards); publish_obs
-    # must publish only the canonical own-rank state or the merged
-    # Table-4 quantities overcount relative to serial replay
-    key = obs.metric_key("bst.nodes_peak", {"tool": "Our Contribution"})
-    key1 = obs.metric_key("bst.nodes_peak_one_rank",
-                          {"tool": "Our Contribution"})
-    serial = analyze_trace(trace_path, jobs=1)
-    obs.reset(enabled=True)
-    parallel = analyze_trace(trace_path, jobs=2)
-    assert (parallel.obs["counters"][key]
-            == serial.obs["counters"][key])
-    assert (parallel.obs["gauges"][key1]["peak"]
-            == serial.obs["gauges"][key1]["peak"])
-
-
 def test_detector_counters_flow_back_from_workers(trace_path):
-    result = analyze_trace(trace_path, jobs=2)
+    """The detector's published counters land in the result's snapshot."""
+    result = analyze_trace(trace_path)
     counters = result.obs["counters"]
     key = obs.metric_key("detector.processed", {"tool": "Our Contribution"})
     total = sum(s.processed for s in result.shard_stats)
@@ -170,6 +114,6 @@ def test_detector_counters_flow_back_from_workers(trace_path):
 
 def test_disabled_run_has_no_snapshot(trace_path):
     obs.reset(enabled=False)
-    result = analyze_trace(trace_path, jobs=1)
+    result = analyze_trace(trace_path)
     assert result.obs is None
     assert result.races == 0  # verdicts unaffected by the switch

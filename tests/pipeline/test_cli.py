@@ -48,20 +48,18 @@ class TestRecordAnalyzeEndToEnd:
         assert "recorded histogram on 3 ranks" in out
         assert trace.exists()
 
-        assert main(["analyze", str(trace), "--detector", "our",
-                     "--jobs", "3"]) == 0
+        assert main(["analyze", str(trace), "--detector", "our"]) == 0
         out = capsys.readouterr().out
         assert "3 ranks" in out
-        assert "jobs=3" in out
+        assert "events/s" in out
         assert "races:" in out
 
     def test_analyze_json_output(self, tmp_path, capsys):
         trace = tmp_path / "hist.trace"
         main(["record", "histogram", "--size", "32", "-o", str(trace)])
         capsys.readouterr()
-        assert main(["analyze", str(trace), "--jobs", "2", "--json"]) == 0
+        assert main(["analyze", str(trace), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["jobs"] == 2
         assert report["detector"] == "our"
         assert report["events_total"] > 0
         assert isinstance(report["verdicts"], list)
@@ -72,6 +70,25 @@ class TestRecordAnalyzeEndToEnd:
         text = capsys.readouterr().out
         assert json.loads(text)["forensics"]
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    @pytest.mark.parametrize("dispatch", ["queue", "file"])
+    def test_jobs_and_dispatch_are_parsed_and_ignored(self, minivite_trace,
+                                                      capsys, dispatch):
+        """The hidden ``--jobs``/``--dispatch`` flags change nothing but
+        one stderr line: analysis runs in one process."""
+        assert main(["analyze", str(minivite_trace), "--json"]) == 0
+        plain = capsys.readouterr()
+        assert "ignored" not in plain.err
+        assert main(["analyze", str(minivite_trace), "--json", "--jobs", "2",
+                     "--dispatch", dispatch]) == 0
+        shim = capsys.readouterr()
+        assert shim.err.strip().splitlines() == [
+            "repro analyze: --jobs/--dispatch are ignored; analysis runs "
+            "in one process"]
+        got, want = json.loads(shim.out), json.loads(plain.out)
+        for key in ("verdicts", "forensics", "events_total"):
+            assert got[key] == want[key], key
+        assert want["verdicts"] and want["forensics"]
 
     def test_inject_race_rejected_for_non_minivite(self, tmp_path, capsys):
         assert main(["record", "cfd", "--inject-race",

@@ -1,9 +1,9 @@
 """One parity matrix: every entry point of the shipped core vs the oracle.
 
 The flat core (``src/repro/core/flatcore.py``) is the only "ours" the
-product builds: the live simulator behind the paper experiments,
-serial ``repro analyze`` and sharded ``--jobs`` runs all get it from
-:data:`repro.detectors.DETECTORS`.  The object core
+product builds: the live simulator behind the paper experiments and
+every ``repro analyze`` run (plain or checkpointed and resumed) get it
+from :data:`repro.detectors.DETECTORS`.  The object core
 (:class:`~repro.core.OurDetector`, Algorithm 1 over the node-linked
 interval tree) is the reference oracle, built directly and fed the way
 the e2e benchmark's ``Oracle`` feeds it: every recorded event through
@@ -19,7 +19,10 @@ format — plus the seed-7 scenario corpus:
   and Table 4 quantities) must also equal a live run of the oracle;
 * ``serial`` — ``analyze_trace``, which must take the wire path: every
   event reaches the flat core through ``ingest_wire``;
-* ``jobs2`` — ``analyze_trace(jobs=2)``, verdicts and forensics;
+* ``ckpt_resume`` — ``analyze_trace`` checkpointing every chunk and
+  stopped by the deadline guard after its first chunk, then a second
+  process-local run resuming from that mid-trace checkpoint: the
+  resumed run's verdicts, forensics and event count;
 * the corpus, live, scenario by scenario.
 
 Each row runs once per workload (the ``observed`` fixture).  Compared
@@ -27,11 +30,12 @@ byte for byte: canonical verdicts and forensics, event counts and shard
 statistics, and (``test_obs_snapshot_identical``, live and serial rows)
 every registry value under ``bst.*``, ``core.*``, ``detector.*`` and
 ``filter.*`` once wall-clock keys are zeroed.  Anything short of
-identity is a flat-core bug.  Checkpoint + resume, ``--follow`` and
-serve are certified against serial by their own suites.
+identity is a flat-core bug.  ``--follow`` and serve are certified
+against serial by their own suites.
 """
 
 import json
+import tempfile
 
 import pytest
 
@@ -142,7 +146,7 @@ def _live(app, path):
                 "app": _app_stats(run)}
 
 
-def _analyzed(path, jobs):
+def _analyzed(path):
     wired = []
     real = FlatDetector.ingest_wire
 
@@ -152,22 +156,33 @@ def _analyzed(path, jobs):
 
     with obs.scope() as reg, pytest.MonkeyPatch.context() as mp:
         mp.setattr(FlatDetector, "ingest_wire", spy)
-        res = analyze_trace(path, jobs=jobs)
-        out = {"verdicts": res.verdicts, "forensics": res.forensics,
-               "events": res.events_total}
-        if jobs == 1:
-            s = res.shard_stats[0]
-            out["shards"] = [(s.events, s.races, s.peak_nodes, s.processed)]
-            out["registry"] = _registry(reg)
-            out["wire_events"] = sum(wired)
-        return out
+        res = analyze_trace(path)
+        s = res.shard_stats[0]
+        return {"verdicts": res.verdicts, "forensics": res.forensics,
+                "events": res.events_total,
+                "shards": [(s.events, s.races, s.peak_nodes, s.processed)],
+                "registry": _registry(reg), "wire_events": sum(wired)}
+
+
+def _resumed(path):
+    """A run stopped after chunk 1 by the deadline, then resumed."""
+    with tempfile.TemporaryDirectory() as ckpt_dir:
+        first = analyze_trace(path, ckpt_dir=ckpt_dir, ckpt_every=1,
+                              deadline_s=1e-9)
+        assert first.partial and first.checkpoint["written"] == 1
+        res = analyze_trace(path, ckpt_dir=ckpt_dir, resume=True)
+    assert not res.partial
+    (resumed,) = res.checkpoint["resumed"]
+    return {"verdicts": res.verdicts, "forensics": res.forensics,
+            "events": res.events_total,
+            "chunks_skipped": resumed["chunks_skipped"]}
 
 
 #: the matrix: row -> run of the shipped core on one recorded input
 ROWS = {
     "live": _live,
-    "serial": lambda app, path: _analyzed(path, jobs=1),
-    "jobs2": lambda app, path: _analyzed(path, jobs=2),
+    "serial": lambda app, path: _analyzed(path),
+    "ckpt_resume": lambda app, path: _resumed(path),
 }
 
 
@@ -209,8 +224,10 @@ class TestRecordedWorkloads:
         serial = observed["serial"]
         assert serial["wire_events"] == serial["events"] > 0
 
-    def test_sharded_byte_identical(self, workload, observed):
-        _assert_row(workload, observed, "jobs2",
+    def test_ckpt_resume_byte_identical(self, workload, observed):
+        """Resumed from a pinned mid-trace checkpoint: still the oracle."""
+        assert observed["ckpt_resume"]["chunks_skipped"] == 1
+        _assert_row(workload, observed, "ckpt_resume",
                     ("verdicts", "forensics", "events"))
 
     def test_obs_snapshot_identical(self, workload, observed):

@@ -1,5 +1,5 @@
 """Forensics surfaces end to end: explain, --trace-out, --report-html,
-and serial-vs-sharded determinism of the captured bundles."""
+and determinism of the captured bundles across a checkpoint resume."""
 
 from __future__ import annotations
 
@@ -30,20 +30,29 @@ def _fresh_registry(monkeypatch):
     obs.set_registry(prev)
 
 
-# -- determinism across the sharded pipeline ---------------------------------
+# -- determinism across a checkpoint resume ----------------------------------
 
 
-def test_forensics_and_timeline_identical_serial_vs_sharded(minivite_trace):
+def test_forensics_and_timeline_identical_serial_vs_sharded(minivite_trace,
+                                                            tmp_path):
+    """One uninterrupted run vs one stopped after its first chunk and
+    resumed from the checkpoint: identical bundles and lanes."""
     obs.reset(enabled=True)
-    serial = analyze_trace(minivite_trace, detector="our", jobs=1)
+    serial = analyze_trace(minivite_trace, detector="our")
+    ck = tmp_path / "ck"
     obs.reset(enabled=True)
-    sharded = analyze_trace(minivite_trace, detector="our", jobs=4)
+    assert analyze_trace(minivite_trace, detector="our", ckpt_dir=ck,
+                         ckpt_every=1, deadline_s=1e-9).partial
+    obs.reset(enabled=True)
+    resumed = analyze_trace(minivite_trace, detector="our", ckpt_dir=ck,
+                            resume=True)
+    assert resumed.checkpoint["resumed"][0]["chunks_skipped"] == 1
 
     assert serial.forensics, "the racy trace must produce forensics"
     assert json.dumps(serial.forensics, sort_keys=True) == json.dumps(
-        sharded.forensics, sort_keys=True)
+        resumed.forensics, sort_keys=True)
     assert json.dumps(serial.timeline, sort_keys=True) == json.dumps(
-        sharded.timeline, sort_keys=True)
+        resumed.timeline, sort_keys=True)
     # one bundle per verdict, in the same canonical order
     assert len(serial.forensics) == len(serial.verdicts)
     for bundle, verdict in zip(serial.forensics, serial.verdicts):
@@ -52,7 +61,7 @@ def test_forensics_and_timeline_identical_serial_vs_sharded(minivite_trace):
 
 
 def test_forensics_bundles_carry_the_race_context(minivite_trace):
-    result = analyze_trace(minivite_trace, detector="our", jobs=1)
+    result = analyze_trace(minivite_trace, detector="our")
     bundle = result.forensics[0]
     assert bundle["schema"] == "repro-forensics-v1"
     assert bundle["phase"] == "data_race_detection"
@@ -68,7 +77,7 @@ def test_obs_off_disables_forensics_and_timeline(minivite_trace,
                                                  monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "off")
     obs.reset()
-    result = analyze_trace(minivite_trace, detector="our", jobs=1)
+    result = analyze_trace(minivite_trace, detector="our")
     assert result.verdicts, "detection itself must still work"
     assert result.forensics == []
     assert result.timeline is None and result.obs is None
@@ -78,7 +87,7 @@ def test_timeline_off_keeps_metrics_but_no_forensics(minivite_trace,
                                                      monkeypatch):
     monkeypatch.setenv("REPRO_OBS_TIMELINE", "off")
     obs.reset(enabled=True)
-    result = analyze_trace(minivite_trace, detector="our", jobs=1)
+    result = analyze_trace(minivite_trace, detector="our")
     assert result.verdicts and result.obs is not None
     assert result.timeline is None
     # bundles are still captured (metrics are on) but hold no events
@@ -99,12 +108,19 @@ def test_explain_prints_the_fig9b_diagnostic(minivite_trace, capsys):
     assert "racing access" in out
 
 
-def test_explain_sharded_matches_serial(minivite_trace, capsys):
-    assert main(["explain", str(minivite_trace)]) == 0
-    serial_out = capsys.readouterr().out
-    assert main(["explain", str(minivite_trace), "--jobs", "4"]) == 0
-    sharded_out = capsys.readouterr().out
-    assert serial_out == sharded_out
+def test_explain_context_does_not_leak_into_later_analyses(minivite_trace,
+                                                          capsys):
+    """``--context K`` widens only that explain run's bundles: the next
+    analysis in the same process captures the default 8 events again."""
+    from repro.detectors.base import Detector
+
+    before = analyze_trace(minivite_trace).forensics
+    assert main(["explain", str(minivite_trace), "--context", "2",
+                 "--json"]) == 0
+    narrow = json.loads(capsys.readouterr().out)["forensics"]
+    assert narrow != before
+    assert Detector.FORENSICS_CONTEXT == 8
+    assert analyze_trace(minivite_trace).forensics == before
 
 
 def test_explain_on_race_free_trace(tmp_path, capsys):

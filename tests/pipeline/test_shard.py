@@ -1,10 +1,11 @@
-"""Event routing and dispatch-mapping invariants of repro.pipeline.shard."""
+"""Dispatch-mapping invariants of repro.pipeline.shard, and the rank
+projection every timeline feed applies."""
 
-from repro.core.report import RaceReport
 from repro.intervals import AccessType, DebugInfo, Interval, MemoryAccess
 from repro.mpi.memory import RegionInfo, RegionKind
 from repro.mpi.trace import LocalEvent, RmaEvent, SyncEvent, SyncKind
-from repro.pipeline import TraceReader, dispatch_event, own_reports, shards_of
+from repro.obs.timeline import Timeline
+from repro.pipeline import TraceReader, dispatch_event
 
 NRANKS = 4
 REGION = RegionInfo(RegionKind.WINDOW, True)
@@ -26,7 +27,16 @@ def _rma(origin, target):
                     REGION, REGION, 8)
 
 
+def shards_of(event, nranks):
+    """The rank lanes a replayed event lands in, ascending."""
+    timeline = Timeline()
+    timeline.record_event_fanout(event, nranks)
+    return tuple(timeline.lanes())
+
+
 class TestShardsOf:
+    """The projection forensics rely on: which ranks an event concerns."""
+
     def test_local_goes_to_own_rank(self):
         for rank in range(NRANKS):
             assert shards_of(_local(rank), NRANKS) == (rank,)
@@ -110,20 +120,3 @@ class TestDispatchEvent:
         det = _Recorder()
         dispatch_event(det, SyncEvent(1, -1, SyncKind.FENCE, wid=2), NRANKS)
         assert det.calls == [("on_fence", (2, NRANKS))]
-
-
-class TestOwnReports:
-    def test_filters_replica_side_reports(self):
-        class Det:
-            reports = [
-                RaceReport(0, 0, _access(), _access(), "d"),
-                RaceReport(1, 0, _access(), _access(), "d"),
-                RaceReport(0, 1, _access(), _access(), "d"),
-            ]
-
-        assert len(own_reports(Det(), 0)) == 2
-        assert len(own_reports(Det(), 1)) == 1
-        assert own_reports(Det(), 3) == []
-
-    def test_detector_without_reports(self):
-        assert own_reports(object(), 0) == []

@@ -1,11 +1,12 @@
 """Chaos-suite fixtures: recorded traces, re-chunked copies, a hang guard.
 
 Every test in this package injects faults into the analysis runtime —
-worker kills, stalls, on-disk corruption — so the one failure mode the
-suite must never exhibit itself is *hanging*.  CI runs with
-``pytest-timeout``; when the plugin is not installed (plain local runs),
-the autouse :func:`hang_guard` fixture arms a SIGALRM fallback so a
-regressed supervisor still fails the test instead of wedging pytest.
+hard kills, deadline and memory stops, a growing or rewritten trace,
+on-disk corruption — so the one failure mode the suite must never
+exhibit itself is *hanging*.  CI runs with ``pytest-timeout``; when the
+plugin is not installed (plain local runs), the autouse
+:func:`hang_guard` fixture arms a SIGALRM fallback so a regressed
+follow loop still fails the test instead of wedging pytest.
 """
 
 import importlib.util
@@ -16,7 +17,7 @@ import pytest
 from repro.pipeline import BinaryTraceWriter, TraceReader, record_app
 
 #: hard per-test wall-clock ceiling (seconds) — generous: the slowest
-#: chaos test is a stall + timeout + retry round, well under a minute
+#: chaos test is a follow timeout, well under a minute
 HANG_LIMIT = 120
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
@@ -62,10 +63,10 @@ def cfd_trace(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def serial_verdicts(mv_trace):
-    """Canonical verdicts of an unfaulted serial replay — the parity oracle."""
+    """Canonical verdicts of an unfaulted analysis — the parity oracle."""
     from repro.pipeline import analyze_trace
 
-    return analyze_trace(mv_trace, detector="our", jobs=1).verdicts
+    return analyze_trace(mv_trace, detector="our").verdicts
 
 
 @pytest.fixture

@@ -1,19 +1,16 @@
 """Checkpoint/resume chaos matrix and unit coverage.
 
 The contract under test: with ``ckpt_dir`` set, any interruption —
-worker kill, stall, hard process death, deadline, memory guard — leaves
-``repro-ckpt-v1`` files from which the analysis resumes *mid-trace*
-(never a full shard-group re-run) and finishes with verdicts, forensics
-and merged metrics byte-identical to a fault-free run.  Corrupt or
-truncated checkpoints are quarantined and recovery falls back to the
-previous generation, reported in the result — never a silent restart
-from scratch.
+hard process death, deadline, memory guard — leaves ``repro-ckpt-v1``
+files from which the analysis resumes *mid-trace* (never a re-run from
+byte 0) and finishes with verdicts, forensics and merged metrics
+byte-identical to a fault-free run.  Corrupt or truncated checkpoints
+are quarantined and recovery falls back to the previous generation,
+reported in the result — never a silent restart from scratch.
 
-Metric parity deliberately excludes wall-clock spans and the
-resilience bookkeeping counters (``pipeline.retries``,
-``pipeline.worker_failures``, ``pipeline.degraded``,
-``pipeline.ckpt.*``) — those *should* differ under injected faults;
-everything else must not.
+Metric parity deliberately excludes wall-clock spans and the resume
+bookkeeping counters (``incremental.*``) — those *should* differ
+between a resumed and an uninterrupted run; everything else must not.
 """
 
 import json
@@ -27,13 +24,7 @@ import zlib
 import pytest
 
 from repro.detectors import detector_class, detector_names
-from repro.faultinject import (
-    FaultPlan,
-    KillWorker,
-    StallWorker,
-    corrupt_checkpoint,
-    flip_bytes,
-)
+from repro.faultinject import corrupt_checkpoint, flip_bytes
 from repro.mpi.epoch import EpochTracker
 from repro.pipeline import (
     BinaryTraceWriter,
@@ -45,10 +36,9 @@ from repro.pipeline import (
 from repro.pipeline.checkpoint import CKPT_MAGIC, CKPT_SCHEMA
 from repro.pipeline.shard import dispatch_event
 
-#: counters whose values legitimately differ between faulted and
-#: fault-free runs — everything else must match exactly
-_BOOKKEEPING = ("pipeline.retries", "pipeline.worker_failures",
-                "pipeline.degraded", "pipeline.ckpt.", "incremental.")
+#: counters whose values legitimately differ between resumed and
+#: uninterrupted runs — everything else must match exactly
+_BOOKKEEPING = ("incremental.",)
 
 
 def _strip(snapshot):
@@ -87,13 +77,7 @@ def chunked_trace(tmp_path_factory, mv_trace):
 
 @pytest.fixture(scope="module")
 def baseline_serial(chunked_trace):
-    return analyze_trace(chunked_trace, detector="our", jobs=1)
-
-
-@pytest.fixture(scope="module")
-def baseline_jobs4(chunked_trace):
-    return analyze_trace(chunked_trace, detector="our", jobs=4,
-                         dispatch="file")
+    return analyze_trace(chunked_trace, detector="our")
 
 
 # -- unit: state snapshots ----------------------------------------------------
@@ -177,26 +161,26 @@ def test_store_write_load_prune(tmp_path):
 
 @pytest.mark.parametrize("mode", ["flip", "truncate"])
 def test_store_quarantines_corrupt_and_falls_back(tmp_path, mode):
-    store = CheckpointStore(tmp_path, "w0")
+    store = CheckpointStore(tmp_path, "serial")
     store.write({"n": 1}, {"state": 1})
     store.write({"n": 2}, {"state": 2})
-    corrupt_checkpoint(tmp_path / "w0-00000002.ckpt", mode=mode)
+    corrupt_checkpoint(tmp_path / "serial-00000002.ckpt", mode=mode)
 
     header, state = store.load_latest()
     assert header["seq"] == 1 and state == {"state": 1}
-    assert store.quarantined == ["w0-00000002.ckpt.bad"]
-    assert (tmp_path / "w0-00000002.ckpt.bad").exists()
-    assert not (tmp_path / "w0-00000002.ckpt").exists()
+    assert store.quarantined == ["serial-00000002.ckpt.bad"]
+    assert (tmp_path / "serial-00000002.ckpt.bad").exists()
+    assert not (tmp_path / "serial-00000002.ckpt").exists()
 
 
 def test_store_empty_lane_and_all_corrupt(tmp_path):
-    store = CheckpointStore(tmp_path, "w1")
+    store = CheckpointStore(tmp_path, "serial")
     assert store.load_latest() is None
     store.write({}, {"s": 1})
-    corrupt_checkpoint(tmp_path / "w1-00000001.ckpt", mode="truncate",
+    corrupt_checkpoint(tmp_path / "serial-00000001.ckpt", mode="truncate",
                        keep_fraction=0.0)
     assert store.load_latest() is None
-    assert store.quarantined == ["w1-00000001.ckpt.bad"]
+    assert store.quarantined == ["serial-00000001.ckpt.bad"]
 
 
 def test_store_expect_mismatch_is_hard_error(tmp_path):
@@ -217,7 +201,7 @@ def _one_shot_ckpt(lane, seq, meta, state):
 
 
 def test_store_streams_the_one_shot_layout(chunked_trace, tmp_path):
-    analyze_trace(chunked_trace, detector="our", jobs=1,
+    analyze_trace(chunked_trace, detector="our",
                   ckpt_dir=tmp_path / "run", ckpt_every=1)
     header, real = CheckpointStore(tmp_path / "run", "serial").load_latest()
     # a real analysis state, many pickle frames, and one object large
@@ -247,125 +231,19 @@ def test_store_write_failure_leaves_no_tmp(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-# -- chaos matrix: jobs=4 -----------------------------------------------------
-
-
-def _fault(kind, worker=1, tick=150):
-    if kind == "kill":
-        return FaultPlan(actions=(KillWorker(worker=worker,
-                                             after_batches=tick, attempt=0),))
-    return FaultPlan(actions=(StallWorker(worker=worker, after_batches=tick,
-                                          attempt=0, seconds=30.0),))
-
-
-@pytest.mark.parametrize("kind", ["kill", "stall"])
-def test_jobs4_fault_resumes_from_checkpoint(kind, chunked_trace, tmp_path,
-                                             baseline_jobs4):
-    r = analyze_trace(
-        chunked_trace, detector="our", jobs=4, dispatch="file",
-        fault_plan=_fault(kind), timeout=2.0 if kind == "stall" else None,
-        ckpt_dir=tmp_path / "ck", ckpt_every=1,
-    )
-    assert not r.degraded and not r.partial
-    assert r.retries == 1
-    # the retried lane resumed mid-trace — no full shard-group re-run
-    resumed = [rec for rec in r.checkpoint["resumed"] if rec["lane"] == "w1"]
-    assert resumed and resumed[0]["events_skipped"] > 0
-    assert r.checkpoint["quarantined"] == []
-    assert_parity(r, baseline_jobs4)
-
-
-@pytest.mark.parametrize("kind", ["kill", "stall"])
-def test_jobs4_fault_without_checkpoints_still_recovers(kind, chunked_trace,
-                                                        baseline_jobs4):
-    """Satellite regression: a retried shard group must not double-count
-    obs counters or timeline events — metrics equal the fault-free run."""
-    r = analyze_trace(
-        chunked_trace, detector="our", jobs=4, dispatch="file",
-        fault_plan=_fault(kind), timeout=2.0 if kind == "stall" else None,
-    )
-    assert not r.degraded and r.retries == 1
-    assert r.checkpoint is None
-    assert_parity(r, baseline_jobs4)
-
-
-def test_jobs4_corrupt_checkpoint_falls_back_one_generation(
-        chunked_trace, tmp_path, baseline_jobs4):
-    ck = tmp_path / "ck"
-    partial = analyze_trace(chunked_trace, detector="our", jobs=4,
-                            dispatch="file", ckpt_dir=ck, ckpt_every=1,
-                            deadline_s=1e-6)
-    assert partial.partial
-    # a second deadline-bounded leg advances one more chunk per lane,
-    # leaving two checkpoint generations on disk (keep=2)
-    again = analyze_trace(chunked_trace, detector="our", jobs=4,
-                          dispatch="file", ckpt_dir=ck, ckpt_every=1,
-                          deadline_s=1e-6, resume=True)
-    assert again.partial
-    lanes = sorted(ck.glob("w1-*.ckpt"))
-    assert len(lanes) >= 2  # keep=2 generations per lane
-    corrupt_checkpoint(lanes[-1], mode="flip")
-
-    r = analyze_trace(chunked_trace, detector="our", jobs=4,
-                      dispatch="file", ckpt_dir=ck, ckpt_every=1,
-                      resume=True)
-    assert not r.partial
-    assert lanes[-1].name + ".bad" in r.checkpoint["quarantined"]
-    resumed = {rec["lane"]: rec for rec in r.checkpoint["resumed"]}
-    # w1 fell back to the generation before the corrupt one
-    assert resumed["w1"]["from_seq"] == int(lanes[-2].stem.split("-")[1])
-    assert_parity(r, baseline_jobs4)
-
-
-def test_jobs4_deadline_partial_then_resume(chunked_trace, tmp_path,
-                                            baseline_jobs4):
-    ck = tmp_path / "ck"
-    partial = analyze_trace(chunked_trace, detector="our", jobs=4,
-                            dispatch="file", ckpt_dir=ck, ckpt_every=1,
-                            deadline_s=1e-6)
-    assert partial.partial
-    assert partial.checkpoint["stopped"] == "deadline"
-    assert 0 < partial.analyzed_fraction < 1
-    assert partial.checkpoint["written"] >= 4  # every lane checkpointed
-
-    r = analyze_trace(chunked_trace, detector="our", jobs=4,
-                      dispatch="file", ckpt_dir=ck, resume=True)
-    assert not r.partial and r.analyzed_fraction == 1.0
-    assert len(r.checkpoint["resumed"]) == 4
-    assert all(rec["events_skipped"] > 0 for rec in r.checkpoint["resumed"])
-    assert_parity(r, baseline_jobs4)
-
-
-def test_jobs4_memory_guard_recycles_workers(mv_trace):
-    """max_rss_mb below the interpreter baseline: every worker recycles
-    at each chunk boundary, resumes in a fresh process, and the run
-    still completes with full parity — no degrade, no retry budget."""
-    baseline = analyze_trace(mv_trace, detector="our", jobs=4,
-                             dispatch="file")
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as ck:
-        r = analyze_trace(mv_trace, detector="our", jobs=4, dispatch="file",
-                          ckpt_dir=ck, ckpt_every=1, max_rss_mb=1)
-    assert r.checkpoint["recycles"] >= 4
-    assert not r.degraded and not r.partial and r.retries == 0
-    assert r.failed_workers == []
-    assert_parity(r, baseline)
-
-
 # -- chaos matrix: serial -----------------------------------------------------
 
 
 def test_serial_deadline_partial_then_resume(chunked_trace, tmp_path,
                                              baseline_serial):
     ck = tmp_path / "ck"
-    partial = analyze_trace(chunked_trace, detector="our", jobs=1,
+    partial = analyze_trace(chunked_trace, detector="our",
                             ckpt_dir=ck, ckpt_every=1, deadline_s=1e-6)
     assert partial.partial
     assert partial.checkpoint["stopped"] == "deadline"
     assert 0 < partial.analyzed_fraction < 1
 
-    r = analyze_trace(chunked_trace, detector="our", jobs=1,
+    r = analyze_trace(chunked_trace, detector="our",
                       ckpt_dir=ck, resume=True)
     assert not r.partial and r.analyzed_fraction == 1.0
     assert r.checkpoint["resumed"][0]["events_skipped"] > 0
@@ -375,12 +253,12 @@ def test_serial_deadline_partial_then_resume(chunked_trace, tmp_path,
 def test_serial_memory_guard_stops_resumably(chunked_trace, tmp_path,
                                              baseline_serial):
     ck = tmp_path / "ck"
-    partial = analyze_trace(chunked_trace, detector="our", jobs=1,
+    partial = analyze_trace(chunked_trace, detector="our",
                             ckpt_dir=ck, ckpt_every=1, max_rss_mb=1)
     assert partial.partial
     assert partial.checkpoint["stopped"] == "memory"
 
-    r = analyze_trace(chunked_trace, detector="our", jobs=1,
+    r = analyze_trace(chunked_trace, detector="our",
                       ckpt_dir=ck, resume=True)
     assert not r.partial
     assert_parity(r, baseline_serial)
@@ -390,15 +268,15 @@ def test_serial_memory_guard_stops_resumably(chunked_trace, tmp_path,
 def test_serial_corrupt_checkpoint_falls_back(mode, chunked_trace, tmp_path,
                                               baseline_serial):
     ck = tmp_path / "ck"
-    analyze_trace(chunked_trace, detector="our", jobs=1,
+    analyze_trace(chunked_trace, detector="our",
                   ckpt_dir=ck, ckpt_every=1, deadline_s=1e-6)
-    analyze_trace(chunked_trace, detector="our", jobs=1,
+    analyze_trace(chunked_trace, detector="our",
                   ckpt_dir=ck, ckpt_every=1, deadline_s=1e-6, resume=True)
     lanes = sorted(ck.glob("serial-*.ckpt"))
     assert len(lanes) >= 2
     corrupt_checkpoint(lanes[-1], mode=mode)
 
-    r = analyze_trace(chunked_trace, detector="our", jobs=1,
+    r = analyze_trace(chunked_trace, detector="our",
                       ckpt_dir=ck, resume=True)
     assert not r.partial
     assert lanes[-1].name + ".bad" in r.checkpoint["quarantined"]
@@ -425,7 +303,7 @@ def test_serial_hard_kill_then_resume(chunked_trace, tmp_path,
         "        os._exit(117)  # no cleanup, no atexit: a hard death\n"
         "    return path\n"
         "ckpt_mod.CheckpointStore.write = dying_write\n"
-        f"analyze_trace({str(chunked_trace)!r}, detector='our', jobs=1,\n"
+        f"analyze_trace({str(chunked_trace)!r}, detector='our',\n"
         f"              ckpt_dir={str(ck)!r}, ckpt_every=1)\n"
     )
     env = dict(os.environ)
@@ -437,7 +315,7 @@ def test_serial_hard_kill_then_resume(chunked_trace, tmp_path,
     assert proc.returncode != 0  # it died mid-run, by design
     assert sorted(ck.glob("serial-*.ckpt"))  # state survived the death
 
-    r = analyze_trace(chunked_trace, detector="our", jobs=1,
+    r = analyze_trace(chunked_trace, detector="our",
                       ckpt_dir=ck, resume=True)
     assert not r.partial
     assert r.checkpoint["resumed"][0]["from_seq"] >= 2
@@ -454,15 +332,15 @@ def test_salvage_loss_accounting_survives_resume(chunked_trace, tmp_path):
     damaged.write_bytes(chunked_trace.read_bytes())
     flip_bytes(damaged, chunk=5, seed=3)
 
-    oneshot = analyze_trace(damaged, detector="our", jobs=1, salvage=True)
+    oneshot = analyze_trace(damaged, detector="our", salvage=True)
     assert oneshot.salvage["quarantined_chunks"] == [5]
     assert oneshot.salvage["events_lost"] > 0
 
     ck = tmp_path / "ck"
-    partial = analyze_trace(damaged, detector="our", jobs=1, salvage=True,
+    partial = analyze_trace(damaged, detector="our", salvage=True,
                             ckpt_dir=ck, ckpt_every=1, deadline_s=1e-6)
     assert partial.partial
-    resumed = analyze_trace(damaged, detector="our", jobs=1, salvage=True,
+    resumed = analyze_trace(damaged, detector="our", salvage=True,
                             ckpt_dir=ck, resume=True)
     assert not resumed.partial
     assert resumed.salvage == oneshot.salvage
@@ -479,16 +357,16 @@ def test_salvage_loss_before_checkpoint_still_counted(chunked_trace,
     damaged.write_bytes(chunked_trace.read_bytes())
     flip_bytes(damaged, chunk=2, seed=7)
 
-    oneshot = analyze_trace(damaged, detector="our", jobs=1, salvage=True)
+    oneshot = analyze_trace(damaged, detector="our", salvage=True)
     ck = tmp_path / "ck"
     # leg 1 stops after chunk 1; leg 2 resumes, quarantines chunk 2 and
     # checkpoints past it; the final leg starts beyond the damage
     for _ in range(2):
-        partial = analyze_trace(damaged, detector="our", jobs=1,
+        partial = analyze_trace(damaged, detector="our",
                                 salvage=True, ckpt_dir=ck, ckpt_every=1,
                                 deadline_s=1e-6, resume=ck.exists())
         assert partial.partial
-    resumed = analyze_trace(damaged, detector="our", jobs=1, salvage=True,
+    resumed = analyze_trace(damaged, detector="our", salvage=True,
                             ckpt_dir=ck, resume=True)
     assert not resumed.partial
     assert resumed.salvage == oneshot.salvage
@@ -506,12 +384,6 @@ def test_guards_require_ckpt_dir(mv_trace):
         analyze_trace(mv_trace, resume=True)
 
 
-def test_queue_dispatch_rejects_checkpointing(mv_trace, tmp_path):
-    with pytest.raises(ValueError, match="dispatch='file'"):
-        analyze_trace(mv_trace, jobs=4, dispatch="queue",
-                      ckpt_dir=tmp_path / "ck")
-
-
 def test_ckpt_every_must_be_positive(mv_trace, tmp_path):
     with pytest.raises(ValueError, match="ckpt_every"):
         analyze_trace(mv_trace, ckpt_dir=tmp_path / "ck", ckpt_every=0)
@@ -519,7 +391,7 @@ def test_ckpt_every_must_be_positive(mv_trace, tmp_path):
 
 def test_resume_with_empty_dir_runs_from_scratch(chunked_trace, tmp_path,
                                                  baseline_serial):
-    r = analyze_trace(chunked_trace, detector="our", jobs=1,
+    r = analyze_trace(chunked_trace, detector="our",
                       ckpt_dir=tmp_path / "empty", resume=True)
     assert not r.partial
     assert r.checkpoint["resumed"] == []
@@ -530,11 +402,11 @@ def test_mismatched_checkpoint_is_rejected(chunked_trace, mv_trace,
                                            tmp_path):
     """A checkpoint from another trace/detector must never be resumed."""
     ck = tmp_path / "ck"
-    analyze_trace(chunked_trace, detector="our", jobs=1,
+    analyze_trace(chunked_trace, detector="our",
                   ckpt_dir=ck, ckpt_every=1, deadline_s=1e-6)
     with pytest.raises(CheckpointError, match="does not match"):
-        analyze_trace(mv_trace, detector="our", jobs=1,
+        analyze_trace(mv_trace, detector="our",
                       ckpt_dir=ck, resume=True)
     with pytest.raises(CheckpointError, match="does not match"):
-        analyze_trace(chunked_trace, detector="mc", jobs=1,
+        analyze_trace(chunked_trace, detector="mc",
                       ckpt_dir=ck, resume=True)

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.core.flatcore import FlatDetector
-from repro.faultinject import FaultPlan, KillWorker
 from repro.pipeline import CheckpointStore, analyze_trace
 from repro.pipeline.checkpoint import (
     CKPT_AMORTIZE,
@@ -193,19 +192,3 @@ def test_guard_stop_at_the_default_resumes_to_parity(mv8192_trace, tmp_path,
     assert not resumed.partial
     assert resumed.checkpoint["resumed"][0]["events_skipped"] > 0
     assert_parity(resumed, plain)
-
-
-def test_sharded_kill_at_the_default_resumes_its_lane(mv8192_trace,
-                                                     tmp_path):
-    """A lane killed late in its shard resumes from the rule's checkpoint."""
-    plain = analyze_trace(mv8192_trace, jobs=4, dispatch="file")
-    lane_events = {s.shard: s.events for s in plain.shard_stats}[1]
-    plan = FaultPlan((KillWorker(worker=1, after_batches=lane_events * 9
-                                 // 10, attempt=0),))
-    r = analyze_trace(mv8192_trace, jobs=4, dispatch="file",
-                      ckpt_dir=tmp_path / "ck", fault_plan=plan,
-                      backoff_base=0.05)
-    assert r.retries == 1 and not r.degraded
-    resumed = [rec for rec in r.checkpoint["resumed"] if rec["lane"] == "w1"]
-    assert resumed and resumed[0]["events_skipped"] > 0
-    assert_parity(r, plain)

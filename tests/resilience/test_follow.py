@@ -73,8 +73,8 @@ def live_trace(mv_trace, rechunk):
 def test_follow_completes_already_finished_trace(mv_trace, rechunk):
     """A trailer on disk ends the follow like any normal analysis."""
     path = rechunk(mv_trace)
-    baseline = analyze_trace(path, detector="our", jobs=1)
-    result = analyze_trace(path, detector="our", jobs=1, follow=True,
+    baseline = analyze_trace(path, detector="our")
+    result = analyze_trace(path, detector="our", follow=True,
                            ckpt_dir=path.parent / "ck", ckpt_every=1)
     assert not result.partial
     assert result.checkpoint["stopped"] is None
@@ -85,8 +85,6 @@ def test_follow_requires_serial_and_ckpt_dir(mv_trace):
     with pytest.raises(ValueError):
         analyze_trace(mv_trace, follow=True)  # no ckpt_dir
     with pytest.raises(ValueError):
-        analyze_trace(mv_trace, follow=True, jobs=4, ckpt_dir="/tmp/x")
-    with pytest.raises(ValueError):
         analyze_trace(mv_trace, follow_timeout_s=5.0)  # needs follow
 
 
@@ -96,32 +94,32 @@ def test_follow_absorbs_live_appends(live_trace):
     # the trailerless EOF and polls before the first new chunk lands
     thread = append_mid_analysis(live_trace, fraction=0.15, delay_s=1.0,
                                  pause_s=0.1, finalize=True)
-    result = analyze_trace(live_trace, detector="our", jobs=1, follow=True,
+    result = analyze_trace(live_trace, detector="our", follow=True,
                            ckpt_dir=live_trace.parent / "ck", ckpt_every=1)
     thread.join(timeout=30)
     assert not thread.is_alive()
     assert not result.partial
     assert result.obs["counters"].get("incremental.tail_retries", 0) > 0
-    baseline = analyze_trace(live_trace, detector="our", jobs=1)
+    baseline = analyze_trace(live_trace, detector="our")
     assert_parity(result, baseline)
 
 
 def test_follow_timeout_leaves_resumable_partial(live_trace):
     """No growth within the budget: stop checkpointed, resume later."""
     ck = live_trace.parent / "ck"
-    result = analyze_trace(live_trace, detector="our", jobs=1, follow=True,
+    result = analyze_trace(live_trace, detector="our", follow=True,
                            ckpt_dir=ck, ckpt_every=1, follow_timeout_s=0.3)
     assert result.partial
     assert result.checkpoint["stopped"] == "follow-timeout"
     assert result.checkpoint["written"] > 0
 
     extend_trace(live_trace, fraction=0.1)
-    resumed = analyze_trace(live_trace, detector="our", jobs=1, follow=True,
+    resumed = analyze_trace(live_trace, detector="our", follow=True,
                             ckpt_dir=ck, ckpt_every=1, resume=True)
     assert not resumed.partial
     rec = resumed.checkpoint["resumed"]
     assert rec and rec[0]["chunks_skipped"] > 0
-    baseline = analyze_trace(live_trace, detector="our", jobs=1)
+    baseline = analyze_trace(live_trace, detector="our")
     assert json.dumps(resumed.verdicts, sort_keys=True) == \
         json.dumps(baseline.verdicts, sort_keys=True)
     assert resumed.forensics == baseline.forensics
@@ -132,11 +130,11 @@ def test_follow_tolerates_torn_tail_then_growth(live_trace):
     truncate_tail_mid_append(live_trace, keep_fraction=0.4)
     thread = append_mid_analysis(live_trace, fraction=0.1, delay_s=0.2,
                                  finalize=True)
-    result = analyze_trace(live_trace, detector="our", jobs=1, follow=True,
+    result = analyze_trace(live_trace, detector="our", follow=True,
                            ckpt_dir=live_trace.parent / "ck", ckpt_every=1)
     thread.join(timeout=30)
     assert not result.partial
-    baseline = analyze_trace(live_trace, detector="our", jobs=1)
+    baseline = analyze_trace(live_trace, detector="our")
     assert_parity(result, baseline)
 
 
@@ -144,12 +142,12 @@ def test_resume_refuses_rewritten_prefix(mv_trace, rechunk):
     """Self-consistently rewritten history diverges — never resumes."""
     path = rechunk(mv_trace)
     ck = path.parent / "ck"
-    analyze_trace(path, detector="our", jobs=1, ckpt_dir=ck, ckpt_every=1)
+    analyze_trace(path, detector="our", ckpt_dir=ck, ckpt_every=1)
     rewrite_prefix(path, chunk=3, seed=7)
     # the file passes its own checksums — only the retained cursor knows
-    analyze_trace(path, detector="our", jobs=1)  # fresh run: fine
+    analyze_trace(path, detector="our")  # fresh run: fine
     with pytest.raises(TraceDivergedError) as exc:
-        analyze_trace(path, detector="our", jobs=1, ckpt_dir=ck,
+        analyze_trace(path, detector="our", ckpt_dir=ck,
                       resume=True)
     # the cursor proves divergence at its own chunk; the rewrite sits
     # at or before it
@@ -159,7 +157,7 @@ def test_resume_refuses_rewritten_prefix(mv_trace, rechunk):
 def test_follow_detects_shrunken_file(live_trace):
     """A file shrinking below the cursor is divergence, not patience."""
     ck = live_trace.parent / "ck"
-    analyze_trace(live_trace, detector="our", jobs=1, follow=True,
+    analyze_trace(live_trace, detector="our", follow=True,
                   ckpt_dir=ck, ckpt_every=1, follow_timeout_s=0.2)
     # chop off everything after chunk 2: shorter than the cursor
     from repro.faultinject import chunk_index
@@ -167,7 +165,7 @@ def test_follow_detects_shrunken_file(live_trace):
     live_trace.write_bytes(
         live_trace.read_bytes()[:chunks[1].payload_pos + chunks[1].nbytes])
     with pytest.raises(TraceDivergedError):
-        analyze_trace(live_trace, detector="our", jobs=1, follow=True,
+        analyze_trace(live_trace, detector="our", follow=True,
                       ckpt_dir=ck, ckpt_every=1, resume=True,
                       follow_timeout_s=0.2)
 
@@ -175,7 +173,7 @@ def test_follow_detects_shrunken_file(live_trace):
 _CHILD = """
 import sys
 from repro.pipeline import analyze_trace
-analyze_trace(sys.argv[1], detector="our", jobs=1, follow=True,
+analyze_trace(sys.argv[1], detector="our", follow=True,
               ckpt_dir=sys.argv[2], ckpt_every=1, resume=True)
 """
 
@@ -205,12 +203,12 @@ def test_kill9_mid_follow_resumes_byte_identical(live_trace, tmp_path):
         child.wait(timeout=30)
 
     extend_trace(live_trace, fraction=0.05)
-    result = analyze_trace(live_trace, detector="our", jobs=1, follow=True,
+    result = analyze_trace(live_trace, detector="our", follow=True,
                            ckpt_dir=ck, ckpt_every=1, resume=True)
     assert not result.partial
     rec = result.checkpoint["resumed"]
     assert rec and rec[0]["chunks_skipped"] > 0
-    baseline = analyze_trace(live_trace, detector="our", jobs=1)
+    baseline = analyze_trace(live_trace, detector="our")
     assert json.dumps(result.verdicts, sort_keys=True) == \
         json.dumps(baseline.verdicts, sort_keys=True)
     assert result.forensics == baseline.forensics

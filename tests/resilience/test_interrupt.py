@@ -1,14 +1,11 @@
-"""Interrupt cleanup: Ctrl-C or SIGTERM must never leak worker processes.
+"""Interrupt cleanup: SIGTERM must never leak processes or temp files.
 
-The engine's ``finally`` reaps every process it ever spawned, with
-bounded waits; the CLI converts SIGTERM into ``SystemExit`` so that
-path also runs when the process is terminated from outside.  These
-tests interrupt the producer at every level — in-process exception,
-signal to a library caller, signal to the CLI — and assert no orphans
-and no leftover temp files.
+The CLI converts SIGTERM into ``SystemExit`` so an interrupted analysis
+or recording unwinds instead of dying where it stands.  These tests
+signal a library caller mid-analysis and the CLI mid-recording, and
+assert no survivors and no leftover temp files.
 """
 
-import multiprocessing as mp
 import os
 import signal
 import subprocess
@@ -18,73 +15,26 @@ from pathlib import Path
 
 import pytest
 
-import repro.pipeline.multiproc as multiproc
-from repro.pipeline import analyze_trace
-
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _no_children_left(deadline=5.0):
-    """True once this process has no live multiprocessing children."""
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        if not mp.active_children():
-            return True
-        time.sleep(0.05)
-    return not mp.active_children()
-
-
-def _interrupt_producer(monkeypatch, exc_type, after=500):
-    """Make the producer loop raise ``exc_type`` after ``after`` events.
-
-    ``shards_of`` is the routing call the producer makes per event; in
-    queue dispatch the workers never call it, so the patched copy only
-    fires in the parent.
-    """
-    real = multiproc.shards_of
-    seen = {"n": 0}
-
-    def exploding(event, nranks):
-        seen["n"] += 1
-        if seen["n"] > after:
-            raise exc_type()
-        return real(event, nranks)
-
-    monkeypatch.setattr(multiproc, "shards_of", exploding)
-
-
-@pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
-def test_producer_interrupt_reaps_all_workers(mv_trace, monkeypatch,
-                                              exc_type):
-    _interrupt_producer(monkeypatch, exc_type)
-    with pytest.raises(exc_type):
-        analyze_trace(mv_trace, jobs=4, dispatch="queue", batch_size=32)
-    assert _no_children_left()
-
-
-def test_generic_producer_error_reaps_all_workers(mv_trace, monkeypatch):
-    _interrupt_producer(monkeypatch, RuntimeError)
-    with pytest.raises(RuntimeError):
-        analyze_trace(mv_trace, jobs=4, dispatch="queue", batch_size=32)
-    assert _no_children_left()
-
-
 def test_sigterm_mid_analysis_leaves_no_orphans(mv_trace, tmp_path):
-    """SIGTERM a supervising parent wedged on a stalled worker.
+    """SIGTERM a library caller wedged mid-analysis.
 
-    The stall guarantees the parent is mid-collection when the signal
-    lands; converting SIGTERM to SystemExit (as the CLI does) must run
-    the engine's cleanup and take the whole process group down — the
-    sleeping worker included.
+    The wedge guarantees the signal lands inside the chunk loop;
+    converting SIGTERM to SystemExit (as the CLI does) must unwind the
+    analysis and take the whole process group down.
     """
     script = (
-        "import signal, sys\n"
+        "import signal, sys, time\n"
+        "from repro.core.flatcore import FlatDetector\n"
         "from repro.pipeline import analyze_trace\n"
-        "from repro.faultinject import FaultPlan, StallWorker\n"
         "signal.signal(signal.SIGTERM, lambda s, f: sys.exit(128 + s))\n"
-        "print('go', flush=True)\n"
-        f"analyze_trace({str(mv_trace)!r}, jobs=2, dispatch='file',\n"
-        "              fault_plan=FaultPlan((StallWorker(0, attempt=None),)))\n"
+        "def wedged(self, *args, **kwargs):\n"
+        "    print('go', flush=True)\n"
+        "    time.sleep(3600)\n"
+        "FlatDetector.ingest_wire = wedged\n"
+        f"analyze_trace({str(mv_trace)!r})\n"
     )
     proc = subprocess.Popen(
         [sys.executable, "-c", script],
@@ -93,10 +43,9 @@ def test_sigterm_mid_analysis_leaves_no_orphans(mv_trace, tmp_path):
     )
     try:
         assert proc.stdout.readline().strip() == b"go"
-        time.sleep(1.0)  # let the workers fork and the stall bite
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 143
-        # the whole session (parent + workers) must be gone
+        # the whole session must be gone
         end = time.monotonic() + 10
         while time.monotonic() < end:
             try:

@@ -59,7 +59,7 @@ def test_probe_without_proc_falls_back_to_the_peak(no_proc):
 def test_memory_guard_disables_instead_of_dying(
         broken_resource, mv_trace, serial_verdicts, tmp_path):
     with pytest.warns(RuntimeWarning, match="memory guard is disabled"):
-        result = analyze_trace(mv_trace, detector="our", jobs=1,
+        result = analyze_trace(mv_trace, detector="our",
                                ckpt_dir=tmp_path / "ck", ckpt_every=1,
                                max_rss_mb=1)
     # an absurdly low watermark would stop every chunk if the guard were

@@ -176,17 +176,20 @@ def test_pre_checksum_files_still_read(mv_trace, tmp_path):
 # -- end to end through the engine --------------------------------------------
 
 
-def test_salvage_parity_across_execution_modes(rechunk, mv_trace):
-    """Serial, queue and file analysis agree on a damaged trace."""
+def test_salvage_parity_across_execution_modes(rechunk, mv_trace,
+                                               tmp_path):
+    """Plain, checkpointed and open-reader salvage runs agree on a
+    damaged trace."""
     path = rechunk(mv_trace)
     last = chunk_index(path)[-1]
     flip_bytes(path, chunk=last.chunk, seed=3)
 
-    serial = analyze_trace(path, jobs=1, salvage=True)
-    queued = analyze_trace(path, jobs=4, dispatch="queue", salvage=True)
-    filed = analyze_trace(path, jobs=4, dispatch="file", salvage=True)
+    serial = analyze_trace(path, salvage=True)
+    ckpt = analyze_trace(path, salvage=True, ckpt_dir=tmp_path / "ck",
+                         ckpt_every=1)
+    reader = analyze_trace(TraceReader(path, strict=False))
 
-    for result in (serial, queued, filed):
+    for result in (serial, ckpt, reader):
         assert result.verdicts == serial.verdicts
         assert result.salvage["quarantined_chunks"] == [last.chunk]
         assert result.salvage["events_lost"] == last.nevents
@@ -197,12 +200,12 @@ def test_strict_engine_still_raises_without_salvage(rechunk, mv_trace):
     path = rechunk(mv_trace)
     flip_bytes(path, chunk=2, seed=3)
     with pytest.raises(TraceFormatError):
-        analyze_trace(path, jobs=2)
+        analyze_trace(path)
 
 
 def test_open_salvage_reader_implies_salvage(rechunk, mv_trace):
     path = rechunk(mv_trace)
     last = chunk_index(path)[-1]
     flip_bytes(path, chunk=last.chunk, seed=3)
-    result = analyze_trace(TraceReader(path, strict=False), jobs=1)
+    result = analyze_trace(TraceReader(path, strict=False))
     assert result.salvage["quarantined_chunks"] == [last.chunk]

@@ -93,7 +93,7 @@ def chaos_trace(tmp_path_factory):
 @pytest.fixture(scope="session")
 def chaos_oracle(chaos_trace):
     """Direct (daemon-free) analysis of the chaos trace — the parity oracle."""
-    return analyze_trace(chaos_trace, detector="our", jobs=1).to_dict()
+    return analyze_trace(chaos_trace, detector="our").to_dict()
 
 
 @pytest.fixture

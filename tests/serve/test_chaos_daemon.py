@@ -121,7 +121,7 @@ def test_sigkill_after_first_amortized_checkpoint_resumes(
     """Die right after the rule's first, mid-trace checkpoint; restart."""
     # the oracle, and where the rule places that checkpoint in-process
     ck = tmp_path / "direct"
-    oracle = analyze_trace(mv8192_trace, detector="our", jobs=1,
+    oracle = analyze_trace(mv8192_trace, detector="our",
                            ckpt_dir=ck).to_dict()
     first = ck / "serial-00000001.ckpt"
     blob = first.read_bytes()

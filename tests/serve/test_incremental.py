@@ -69,7 +69,7 @@ def test_grown_trace_resumes_from_prefix(make_scheduler, chaos_trace,
     assert counters["incremental.chunks_skipped"] >= old_chunks
 
     # byte-identical to a direct, daemon-free analysis of the grown file
-    oracle = analyze_trace(work, detector="our", jobs=1).to_dict()
+    oracle = analyze_trace(work, detector="our").to_dict()
     result = sched.get_result(job.id)
     assert _canon(result["verdicts"]) == _canon(oracle["verdicts"])
     assert result["forensics"] == oracle["forensics"]
@@ -148,7 +148,7 @@ def test_rewritten_history_is_not_an_ancestor(make_scheduler, chaos_trace,
     assert "incremental.prefix_hits" not in counters
 
     # the fresh run is still correct for the file as it now is
-    oracle = analyze_trace(work, detector="our", jobs=1).to_dict()
+    oracle = analyze_trace(work, detector="our").to_dict()
     assert _canon(sched.get_result(job.id)["verdicts"]) == \
         _canon(oracle["verdicts"])
 
@@ -184,7 +184,7 @@ def test_unrestorable_ancestor_checkpoint_falls_back_to_full_run(
     assert done["resumed"] == []
     assert _counters(sched)["incremental.resume_discarded"] == 1
 
-    oracle = analyze_trace(work, detector="our", jobs=1).to_dict()
+    oracle = analyze_trace(work, detector="our").to_dict()
     result = sched.get_result(job.id)
     assert _canon(result["verdicts"]) == _canon(oracle["verdicts"])
     assert result["forensics"] == oracle["forensics"]
@@ -274,7 +274,7 @@ def test_sigkill_mid_incremental_job_recovers_byte_identical(
     assert done["state"] == "done", done
     assert done["resumed"] and done["resumed"][0]["chunks_skipped"] > 0
 
-    oracle = analyze_trace(work, detector="our", jobs=1).to_dict()
+    oracle = analyze_trace(work, detector="our").to_dict()
     status, _, result = request(f"{base3}/jobs/{job2['id']}/result")
     assert status == 200
     assert _canon(result["verdicts"]) == _canon(oracle["verdicts"])

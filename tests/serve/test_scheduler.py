@@ -109,6 +109,12 @@ def test_flaky_analysis_retries_then_succeeds(
     assert _counters(sched)["serve.jobs.retried"] == 1
 
 
+def test_backoff_delay_is_capped_exponential():
+    delays = [scheduler_mod.backoff_delay(a, base=0.1, cap=2.0)
+              for a in (1, 2, 3, 4, 5, 6)]
+    assert delays == [0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
+
+
 def test_poison_job_is_quarantined(make_scheduler, small_trace, monkeypatch):
     monkeypatch.setattr(
         scheduler_mod, "analyze_trace",

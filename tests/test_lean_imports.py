@@ -1,9 +1,9 @@
 """``repro analyze`` and ``repro serve`` load only the code they run.
 
-Trace analysis needs the trace reader, the serial engine, the flat
-detector core and the observability layer — not the simulated MPI
-runtime, numpy, the object core, the multi-process engine, the
-checkpoint and writer code, fault injection or the HTTP client.  Every
+Trace analysis needs the trace reader, the engine, the flat detector
+core and the observability layer — not the simulated MPI runtime,
+numpy, the object core, ``multiprocessing``, the checkpoint and writer
+code, fault injection or the HTTP client.  Every
 process compiles what it imports (nothing is cached as bytecode under
 ``PYTHONDONTWRITEBYTECODE=1``), so each module an entry point loads
 without running is start-up time every analysis pays.  These tests run
@@ -54,8 +54,8 @@ OBJECT_CORE = (
     "repro.intervals.conflict",
 )
 
-#: the multi-process engine and its supervision layer
-MULTIPROC = ("repro.pipeline.multiproc", "repro.pipeline.resilience")
+#: process pools: analysis and the daemon run in one process
+MULTIPROC = ("multiprocessing",)
 
 #: what a default analysis (v2 trace, no checkpoint flags) never runs
 NOT_IN_ANALYZE = FORBIDDEN + OBJECT_CORE + MULTIPROC + (
@@ -77,9 +77,10 @@ NOT_IN_SERVE = NOT_IN_SERVE_JOB + ("repro.serve.client", "urllib.request")
 #: source bytes of the ``repro`` modules a zero-event ``repro analyze
 #: --json`` loads: 449,027 with the object core, the multi-process
 #: engine and the checkpoint code loaded eagerly; 309,318 without them;
-#: 298,987 once the reader reads only repro-trace-v2 (budget: that plus
-#: 4,254 B of headroom)
-ANALYZE_SOURCE_BUDGET = 303_241
+#: 298,987 once the reader reads only repro-trace-v2; 284,369 once the
+#: multi-process engine is gone and the CLI and engine shrink (budget:
+#: that plus 4,254 B of headroom)
+ANALYZE_SOURCE_BUDGET = 288_623
 
 #: the only modules whose classes a checkpoint payload pickles by name
 #: (``ReplayWindow`` is the window a trace replay registers)
@@ -218,16 +219,6 @@ def test_zero_event_analyze_source_budget(tmp_path, empty_trace):
         f"{_loaded(seen, ('repro',))}")
 
 
-@pytest.mark.parametrize("dispatch", ["file", "queue"])
-def test_jobs2_loads_the_multiproc_engine_with_serial_verdicts(
-        tmp_path, trace, analyzed, dispatch):
-    seen = _analyze(tmp_path, trace, "--jobs", 2, "--dispatch", dispatch)
-    assert set(MULTIPROC) <= set(seen["modules"])
-    assert seen["result"]["jobs"] == 2
-    assert seen["result"]["verdicts"] == analyzed["result"]["verdicts"]
-    assert seen["result"]["forensics"] == analyzed["result"]["forensics"]
-
-
 def test_ckpt_dir_and_resume_load_the_checkpoint_module(tmp_path, trace,
                                                          analyzed):
     ck = tmp_path / "ck"
@@ -283,9 +274,7 @@ def _ckpt_payloads(ckpt_dir: Path):
         yield blob[off + 8:off + 8 + nbytes]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_checkpoint_payload_classes_keep_their_import_paths(
-        tmp_path, trace, jobs):
+def test_checkpoint_payload_classes_keep_their_import_paths(tmp_path, trace):
     """A checkpoint resumes only while the classes it names import.
 
     The payload pickles race reports, accesses, intervals, the alias
@@ -295,8 +284,7 @@ def test_checkpoint_payload_classes_keep_their_import_paths(
     one).
     """
     ck = tmp_path / "ck"
-    analyze_trace(trace, jobs=jobs, dispatch="file", ckpt_dir=ck,
-                  ckpt_every=1)
+    analyze_trace(trace, ckpt_dir=ck, ckpt_every=1)
     classes = set()
     payloads = list(_ckpt_payloads(ck))
     assert payloads
