@@ -33,6 +33,7 @@ unavailable, 7 trace diverged from its analyzed prefix, 143 SIGTERM.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional
@@ -346,8 +347,6 @@ def _atomic_write_text(path: str, text: str) -> None:
     mid-write must leave either the old file or the new one on disk,
     never a torn hybrid that parses as a truncated result.
     """
-    import os
-
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -430,6 +429,18 @@ def _graceful_sigterm() -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()  # a reader gone after the last write fails here
+    except BrokenPipeError:
+        # the reader went away (``repro explain t | head -3``): point
+        # stdout at devnull so the exit-time flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_ERROR
+    return status
+
+
+def _main(argv: Optional[List[str]]) -> int:
     _graceful_sigterm()
     args = build_parser().parse_args(argv)
 
@@ -453,9 +464,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 _emit_metrics(snap, show=args.metrics,
                               json_path=args.metrics_json)
             if args.trace_out:
+                tl = reg.timeline
                 _write_chrome(args.trace_out,
-                              timeline=(reg.timeline.snapshot()
-                                        if reg.timeline.enabled else None))
+                              timeline=tl.snapshot() if tl is not None
+                              else None)
         return status
 
     if args.command == "all":

@@ -181,9 +181,10 @@ class FlatDetector(OurDetectorBase):
         ``timeline`` gets every event before it is analyzed, fanned out
         by the same projection as :meth:`Timeline.record_event_fanout
         <repro.obs.timeline.Timeline.record_event_fanout>`: accesses as
-        ``(seq, kind, rank, wid, ctx, record bytes)`` tuples that
-        ``ctx`` formats lazily, sync events as plain sync tuples.  The
-        record bytes are copied out, so a ring never pins a chunk.
+        ``(seq, kind, rank, wid, ctx.timeline_event, record bytes)``
+        records, formatted lazily, sync events as records with no
+        formatter.  The record bytes are copied out, so a ring never
+        pins a chunk.
         Returns the number of events analyzed.
         """
         from ..pipeline import format as _fmt
@@ -262,6 +263,7 @@ class FlatDetector(OurDetectorBase):
                 for k in region_table for rma in (0, 1))
         rings: dict = {}
         ring_of = timeline.ring if timeline is not None else None
+        tl_fmt = ctx.timeline_event  # bound once per chunk
         # a local's rank is read before the filter when the timeline
         # needs it (filtered locals are recorded too)
         eager = ring_of is not None
@@ -286,7 +288,7 @@ class FlatDetector(OurDetectorBase):
                         ring = rings.get(rank)
                         if ring is None:
                             ring = rings[rank] = ring_of(rank)
-                        ring.append((seq, "local", rank, -1, ctx,
+                        ring.append((seq, "local", rank, -1, tl_fmt,
                                      payload[off:end]))
                     seen += 1
                     if droptab[payload[rpos] * 2 + payload[rpos + 1]]:
@@ -328,7 +330,8 @@ class FlatDetector(OurDetectorBase):
                     trec, pos = access_rec(pos)
                     end = pos + 4  # past the two region byte pairs
                     if ring_of is not None:
-                        rec = (seq, "rma", rank, wid, ctx, payload[off:end])
+                        rec = (seq, "rma", rank, wid, tl_fmt,
+                               payload[off:end])
                         for side in ((rank,) if target == rank
                                      else (rank, target)):
                             ring = rings.get(side)

@@ -75,7 +75,7 @@ def _involved_ranks(rank: int, stored_origin, new_origin) -> List[int]:
 
 def capture_forensics(
     detector,
-    timeline: Timeline,
+    timeline: Optional[Timeline],
     rank: int,
     wid: int,
     stored,

@@ -99,7 +99,7 @@ class Interposition:
     def _sync_timeline(self, kind: str, rank: int, wid: int) -> None:
         """Replicate one synchronization event into every rank's lane."""
         tl = obs.active().timeline
-        if tl.enabled:
+        if tl is not None:
             tl.record_sync(kind, rank, wid, range(self.clock.nranks))
 
     # -- internal ------------------------------------------------------------
@@ -194,8 +194,9 @@ class Interposition:
             if reg is not self._obs_reg:
                 self._bind_obs(reg)
             self._c_local.value += 1
-            if self._tl.enabled:
-                self._tl.record(rank, "local", rank, -1, (None, -1, access))
+            tl = self._tl
+            if tl is not None:
+                tl.record(rank, "local", rank, -1, access)
         if self.trace is not None:
             self.trace.append(
                 LocalEvent(self.trace.next_seq(), rank, access, region.info)
@@ -223,9 +224,10 @@ class Interposition:
             if reg is not self._obs_reg:
                 self._bind_obs(reg)
             self._c_rma.value += 1
-            if self._tl.enabled:
-                self._tl.record_rma(op, rank, target, wid,
-                                    origin_access, target_access)
+            tl = self._tl
+            if tl is not None:
+                tl.record_rma(op, rank, target, wid, origin_access,
+                              target_access)
         if self.trace is not None:
             self.trace.append(
                 RmaEvent(

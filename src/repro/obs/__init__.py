@@ -48,18 +48,10 @@ from .registry import (
     env_enabled,
     metric_key,
 )
-from .timeline import (
-    NULL_TIMELINE,
-    NullTimeline,
-    Timeline,
-    record_trace_event,
-    timeline_context,
-)
+from .timeline import Timeline, timeline_context
 
 __all__ = [
     "BUCKET_BOUNDS",
-    "NULL_TIMELINE",
-    "NullTimeline",
     "Counter",
     "Gauge",
     "Histogram",
@@ -73,7 +65,6 @@ __all__ = [
     "gauge",
     "histogram",
     "metric_key",
-    "record_trace_event",
     "render_metrics",
     "reset",
     "scope",
@@ -150,7 +141,7 @@ def scope(reg: Optional[Registry] = None, *,
         set_registry(outer)
         if merge and outer.enabled and inner.enabled:
             outer.merge(inner.snapshot())
-            if inner.timeline.enabled:
+            if outer.timeline is not None and inner.timeline is not None:
                 outer.timeline.absorb(inner.timeline)
 
 
@@ -177,8 +168,8 @@ def span(name: str):
     return active().span(name)
 
 
-def timeline() -> Timeline:
-    """The active registry's event timeline (null when disabled)."""
+def timeline() -> Optional[Timeline]:
+    """The active registry's event timeline (None when disabled)."""
     return active().timeline
 
 

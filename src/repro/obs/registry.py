@@ -268,8 +268,8 @@ class Registry:
     def __init__(self, *, enabled: Optional[bool] = None) -> None:
         #: hot-path guard — instrumented code may skip clock reads on it
         self.enabled: bool = env_enabled() if enabled is None else enabled
-        #: bounded per-rank event history feeding race forensics; the
-        #: shared null timeline when obs or REPRO_OBS_TIMELINE is off
+        #: bounded per-rank event history feeding race forensics; None
+        #: when obs or REPRO_OBS_TIMELINE is off
         self.timeline = make_timeline(enabled=self.enabled)
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -358,7 +358,8 @@ class Registry:
         self._tick = 0
         self.root = SpanNode("")
         self._stack = [self.root]
-        self.timeline.clear()
+        if self.timeline is not None:
+            self.timeline.clear()
 
     # -- snapshot / merge ---------------------------------------------------
 

@@ -5,34 +5,49 @@ A :class:`Timeline` keeps one fixed-size ring buffer ("lane") per
 
 * a local access of rank ``r`` lands in lane ``r``;
 * an RMA operation lands in the lanes of **both** its origin and its
-  target (each lane records the access that concerns *that* rank's
-  memory side);
+  target (each lane shows the access on *that* rank's memory side);
 * synchronization events (epochs, fences, flushes, barriers, window
   create/free) order everything and are replicated into every lane.
 
-Every feed (live, replayed event, wire record) applies that rule, so
-lane ``r`` holds the same events in global trace order whichever path
-analyzed the trace — the property the forensics parity tests pin down.
+Every feed applies that rule, so lane ``r`` holds the same events in
+global trace order whichever path analyzed the trace — the property
+the forensics parity tests pin down.
+
+Every ring record is one tuple, ``(seq, kind, rank, wid, fmt,
+payload)``, formatted on read by ``fmt(rec, lane)`` into a stable
+JSON-able dict; ``fmt`` is ``None`` for a sync event, whose dict is the
+first four fields.  ``lane`` picks an RMA op's side: the target access
+on the target rank's lane, the origin access elsewhere.  The feeds
+differ only in the payload they hold by reference:
+
+* live (:meth:`Timeline.record`, :meth:`~Timeline.record_rma`,
+  :meth:`~Timeline.record_sync`): a local's ``MemoryAccess``, or an RMA
+  op's ``(op, target, origin access, target access)``;
+* replayed trace events (:meth:`Timeline.record_event`,
+  :meth:`~Timeline.record_event_fanout`): the local event's access, or
+  the RMA event itself;
+* the flat core's wire records (appended through
+  :meth:`Timeline.ring`): the event's record bytes, with ``fmt`` the
+  chunk's :meth:`~repro.pipeline.format.WireStream.timeline_event`;
+* a checkpoint's snapshot (:meth:`Timeline.merge`): the snapshot's own
+  event dict, which ``fmt`` hands back as is.
 
 Design constraints mirror the registry's:
 
-* **Cheap.**  The replay feed (:meth:`Timeline.record_event`) appends
-  the trace-event object itself — zero per-event allocation; the live
-  feed (:meth:`Timeline.record`) is one tuple construction and a
-  ``deque.append``; the wire feed (the flat core reading v2 records,
-  through :meth:`Timeline.ring`) appends ``(seq, kind, rank, wid,
-  formatter, body)`` tuples holding the event's raw record bytes.
-  Payloads are held by reference and only formatted at
-  :meth:`snapshot`/:meth:`lane_events` time, never on the hot path.
-* **Bounded.**  Each lane is a ``deque(maxlen=cap)``; an arbitrarily
-  long run costs ``O(ranks * cap)`` memory, nothing more.
+* **Cheap.**  One record per event, shared by every lane it lands in;
+  payloads are only formatted at :meth:`~Timeline.snapshot`,
+  :meth:`~Timeline.lane_events` and forensics time, never on the hot
+  path.
+* **Bounded.**  Each lane is a ``deque(maxlen=cap)`` of
+  :data:`DEFAULT_CAP` events; an arbitrarily long run costs
+  ``O(ranks * cap)`` memory, nothing more.
 * **A hard off switch.**  ``REPRO_OBS_TIMELINE=off`` (or
-  ``REPRO_OBS=off``) swaps in the shared :data:`NULL_TIMELINE` whose
-  ``record`` is a no-op; ``REPRO_OBS_TIMELINE=<n>`` resizes the ring.
+  ``REPRO_OBS=off``) leaves a registry's timeline ``None``; every
+  feeder tests for that once.
 
 This module deliberately imports nothing from the rest of ``repro`` —
-the registry embeds a timeline per process, and the event adapters
-below duck-type the trace-event classes instead of importing them.
+the registry embeds a timeline per process, and the replay feed
+duck-types the trace-event classes instead of importing them.
 """
 
 from __future__ import annotations
@@ -40,23 +55,20 @@ from __future__ import annotations
 import os
 import warnings
 from collections import deque
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "DEFAULT_CAP",
-    "NULL_TIMELINE",
-    "NullTimeline",
     "Timeline",
     "TIMELINE_SCHEMA",
-    "record_trace_event",
-    "record_trace_event_fanout",
     "timeline_cap_from_env",
     "timeline_context",
 ]
 
 TIMELINE_SCHEMA = "repro-timeline-v1"
 
-#: default events retained per lane when ``REPRO_OBS_TIMELINE`` is unset
+#: events retained per lane
 DEFAULT_CAP = 128
 
 #: event kinds that open (or re-open) an access epoch — the "enclosing
@@ -67,112 +79,132 @@ _EPOCH_KINDS = ("lock_all", "fence")
 _warned_values: set = set()
 
 
-def timeline_cap_from_env(default: int = DEFAULT_CAP) -> int:
-    """Ring capacity from ``REPRO_OBS_TIMELINE``: off -> 0, on/int -> cap.
+def timeline_cap_from_env() -> int:
+    """Ring capacity per ``REPRO_OBS_TIMELINE``: 0 when off, else 128.
 
-    Invalid values warn once per distinct value and fall back to the
-    default rather than failing the run.
+    Any value other than on/off warns once per distinct value and
+    leaves the timeline on rather than failing the run.
     """
     raw = os.environ.get("REPRO_OBS_TIMELINE")
     if raw is None:
-        return default
+        return DEFAULT_CAP
     text = raw.strip().lower()
     if text in ("off", "0", "false", "no", "disabled"):
         return 0
-    if text in ("", "on", "true", "yes", "enabled", "default"):
-        return default
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = -1
-    if cap < 1:
-        if raw not in _warned_values:  # pragma: no branch
-            _warned_values.add(raw)
-            warnings.warn(
-                f"REPRO_OBS_TIMELINE={raw!r} is neither on/off nor a "
-                f"positive ring size; using {default}",
-                RuntimeWarning, stacklevel=2,
-            )
-        return default
-    return cap
+    if text not in ("", "on", "true", "yes", "enabled", "default") \
+            and raw not in _warned_values:
+        _warned_values.add(raw)
+        warnings.warn(
+            f"REPRO_OBS_TIMELINE={raw!r} is neither on nor off; keeping "
+            f"the {DEFAULT_CAP}-event timeline on",
+            RuntimeWarning, stacklevel=2,
+        )
+    return DEFAULT_CAP
 
 
-def make_timeline(*, enabled: bool = True,
-                  cap: Optional[int] = None) -> "Timeline":
-    """The timeline for one registry: null when obs or the knob is off."""
-    if not enabled:
-        return NULL_TIMELINE
-    if cap is None:
-        cap = timeline_cap_from_env()
-    if cap <= 0:
-        return NULL_TIMELINE
-    return Timeline(cap)
+def make_timeline(*, enabled: bool = True) -> Optional["Timeline"]:
+    """The timeline for one registry: None when obs or the knob is off."""
+    return Timeline() if enabled and timeline_cap_from_env() else None
 
 
-def _fmt(rec, lane: int) -> dict:
-    """One ring record -> a stable JSON-able event dict.
+# -- record formatters --------------------------------------------------------
 
-    Ring records are ``(seq, kind, rank, wid, payload)`` tuples
-    (recorded live), ``(seq, kind, rank, wid, formatter, body)`` wire
-    tuples whose formatter's ``timeline_event(rec, lane)`` decodes the
-    record bytes, replayed trace-event objects held by reference (see
-    :meth:`Timeline.record_event`), or already-formatted dicts (merged
-    from a checkpoint's snapshot).  ``lane`` picks the RMA side a
-    replayed event shows: the target access on the target rank's lane,
-    the origin access elsewhere.  Payloads and accesses duck-type
-    :class:`~repro.intervals.MemoryAccess`.
-    """
-    if isinstance(rec, dict):
-        return rec
-    if isinstance(rec, tuple):
-        if len(rec) == 6:
-            return rec[4].timeline_event(rec, lane)
-        seq, kind, rank, wid, payload = rec
-        if payload is None:
-            return {"seq": seq, "kind": kind, "rank": rank, "wid": wid}
-        op, target, acc = payload
-        interval, debug = acc.interval, acc.debug
-        event = {"seq": seq, "kind": kind, "rank": rank, "wid": wid}
-        if op is not None:
-            event["op"] = op
-            event["target"] = target
-        event["lo"] = interval.lo
-        event["hi"] = interval.hi
-        event["type"] = acc.type.name
-        event["file"] = debug.filename
-        event["line"] = debug.line
-        event["origin"] = acc.origin
-        return event
-    kind = _classify(rec)
-    if kind == "sync":
-        sync = getattr(rec.kind, "value", None) or str(rec.kind)
-        return {"seq": rec.seq, "kind": sync, "rank": rec.rank,
-                "wid": rec.wid}
-    if kind == "rma":
-        acc = (rec.target_access if lane == rec.target
-               else rec.origin_access)
-        head = {"seq": rec.seq, "kind": "rma", "rank": rec.rank,
-                "wid": rec.wid, "op": rec.op, "target": rec.target}
-    else:
-        acc = rec.access
-        head = {"seq": rec.seq, "kind": "local", "rank": rec.rank,
-                "wid": -1}
+
+def _with_access(event: dict, acc) -> dict:
+    """``event`` plus one access's fields (duck-types ``MemoryAccess``)."""
     interval, debug = acc.interval, acc.debug
-    head["lo"] = interval.lo
-    head["hi"] = interval.hi
-    head["type"] = acc.type.name
-    head["file"] = debug.filename
-    head["line"] = debug.line
-    head["origin"] = acc.origin
-    return head
+    event["lo"] = interval.lo
+    event["hi"] = interval.hi
+    event["type"] = acc.type.name
+    event["file"] = debug.filename
+    event["line"] = debug.line
+    event["origin"] = acc.origin
+    return event
 
 
-def _seq_of(rec) -> int:
-    if isinstance(rec, dict):
-        return rec["seq"]
-    if isinstance(rec, tuple):
-        return rec[0]
-    return rec.seq
+def _fmt_access(rec: tuple, lane: int) -> dict:
+    """A local access; the payload is its ``MemoryAccess``."""
+    seq, kind, rank, wid, _, acc = rec
+    return _with_access(
+        {"seq": seq, "kind": kind, "rank": rank, "wid": wid}, acc)
+
+
+def _fmt_rma(rec: tuple, lane: int) -> dict:
+    """A live RMA op; the payload is ``(op, target, origin, window)``."""
+    seq, kind, rank, wid, _, (op, target, origin, window) = rec
+    return _with_access(
+        {"seq": seq, "kind": kind, "rank": rank, "wid": wid, "op": op,
+         "target": target},
+        window if lane == target else origin)
+
+
+def _fmt_rma_event(rec: tuple, lane: int) -> dict:
+    """A replayed RMA op; the payload is the ``RmaEvent``."""
+    seq, kind, rank, wid, _, event = rec
+    target = event.target
+    return _with_access(
+        {"seq": seq, "kind": kind, "rank": rank, "wid": wid,
+         "op": event.op, "target": target},
+        event.target_access if lane == target else event.origin_access)
+
+
+def _fmt_restored(rec: tuple, lane: int) -> dict:
+    """A record restored from a snapshot: its event dict, the very
+    object, so a resumed run's next checkpoint pickles the same bytes."""
+    return rec[5]
+
+
+def _fmt(rec: tuple, lane: int) -> dict:
+    """One ring record -> its stable JSON-able event dict."""
+    fmt = rec[4]
+    if fmt is None:
+        return {"seq": rec[0], "kind": rec[1], "rank": rec[2], "wid": rec[3]}
+    return fmt(rec, lane)
+
+
+#: event class -> "rma" | "local" | "sync"; attribute probing costs an
+#: internal AttributeError per miss, so classify each event class once
+_EVENT_KIND: Dict[type, str] = {}
+
+
+def _event_record(event) -> tuple:
+    """The ring record of one replayed trace event.
+
+    ``op`` marks an RMA event, ``access`` a local one, anything else a
+    sync event — the :mod:`repro.mpi.trace` shapes, probed once per
+    class without importing them.
+    """
+    cls = event.__class__
+    kind = _EVENT_KIND.get(cls)
+    if kind is None:
+        kind = _EVENT_KIND[cls] = (
+            "rma" if hasattr(event, "op")
+            else "local" if hasattr(event, "access") else "sync")
+    if kind == "local":
+        return (event.seq, "local", event.rank, -1, _fmt_access,
+                event.access)
+    if kind == "rma":
+        return (event.seq, "rma", event.rank, event.wid, _fmt_rma_event,
+                event)
+    return (event.seq, event.kind.value, event.rank, event.wid, None, None)
+
+
+_seq = itemgetter(0)
+
+
+class _Lanes(dict):
+    """lane -> ring; indexing creates a missing lane's ring (``get``
+    does not), so every feed appends with one lookup."""
+
+    __slots__ = ("cap",)
+
+    def __init__(self, cap: int) -> None:
+        super().__init__()
+        self.cap = cap
+
+    def __missing__(self, lane: int) -> deque:
+        ring = self[lane] = deque(maxlen=self.cap)
+        return ring
 
 
 class Timeline:
@@ -180,131 +212,84 @@ class Timeline:
 
     __slots__ = ("cap", "_lanes", "_autoseq")
 
-    #: hot-path guard, mirroring ``Registry.enabled``
-    enabled = True
-
     def __init__(self, cap: int = DEFAULT_CAP) -> None:
         if cap < 1:
             raise ValueError("timeline cap must be positive")
         self.cap = cap
-        self._lanes: Dict[int, deque] = {}
+        self._lanes = _Lanes(cap)
         self._autoseq = 0
+
+    def ring(self, lane: int) -> deque:
+        """The lane's ring, created on first use (bulk feeders append)."""
+        return self._lanes[lane]
+
+    def _next_seq(self, seq: Optional[int]) -> int:
+        """``seq`` when replaying a trace; live feeders leave it ``None``
+        and get a timeline-local monotonic sequence instead."""
+        if seq is None:
+            self._autoseq += 1
+            return self._autoseq
+        return seq
 
     # -- recording ----------------------------------------------------------
 
     def record(self, lane: int, kind: str, rank: int, wid: int = -1,
                payload=None, seq: Optional[int] = None) -> None:
-        """Append one event to ``lane`` (cheap: tuple + deque append).
-
-        ``seq`` is the global trace sequence number when replaying a
-        recorded trace; live feeders leave it ``None`` and get a
-        timeline-local monotonic sequence instead.  ``payload`` is
-        ``None`` for sync events and ``(op_or_None, target, access)``
-        for accesses — formatted lazily at snapshot time.
-        """
-        if seq is None:
-            self._autoseq += 1
-            seq = self._autoseq
-        ring = self._lanes.get(lane)
-        if ring is None:
-            ring = self._lanes[lane] = deque(maxlen=self.cap)
-        ring.append((seq, kind, rank, wid, payload))
+        """Append one live event to ``lane``: a sync event (no
+        ``payload``) or a local access (``payload`` its access)."""
+        self._lanes[lane].append((
+            self._next_seq(seq), kind, rank, wid,
+            None if payload is None else _fmt_access, payload))
 
     def record_sync(self, kind: str, rank: int, wid: int,
                     lanes: Iterable[int], seq: Optional[int] = None) -> None:
-        """Replicate one synchronization event into every given lane.
-
-        One shared record tuple is appended to every ring — sync events
-        replicate to all lanes, so this is the feed path's hottest
-        multi-lane call and stays a single allocation.
-        """
-        if seq is None:
-            self._autoseq += 1
-            seq = self._autoseq
-        rec = (seq, kind, rank, wid, None)
-        lanes_map = self._lanes
-        cap = self.cap
+        """Replicate one synchronization event into every given lane."""
+        rec = (self._next_seq(seq), kind, rank, wid, None, None)
+        rings = self._lanes
         for lane in lanes:
-            ring = lanes_map.get(lane)
-            if ring is None:
-                ring = lanes_map[lane] = deque(maxlen=cap)
-            ring.append(rec)
+            rings[lane].append(rec)
 
     def record_rma(self, op: str, rank: int, target: int, wid: int,
                    origin_access, target_access,
                    seq: Optional[int] = None) -> None:
-        """One RMA op into both sides' lanes, sharing one sequence number.
+        """One live RMA op into both sides' lanes, as one record.
 
-        Each lane records the access on *its* memory side: the origin
-        lane the origin-buffer access, the target lane the
-        window-memory access.  A self-targeted op records the window
-        (target) side — the same side a replayed lane records.
+        Each lane shows the access on *its* memory side, so a
+        self-targeted op shows the window (target) side — the same side
+        a replayed lane shows.
         """
-        if seq is None:
-            self._autoseq += 1
-            seq = self._autoseq
-        lanes_map = self._lanes
-        cap = self.cap
-        if target == rank:
-            sides = ((rank, target_access),)
-        else:
-            sides = ((rank, origin_access), (target, target_access))
-        for lane, acc in sides:
-            ring = lanes_map.get(lane)
-            if ring is None:
-                ring = lanes_map[lane] = deque(maxlen=cap)
-            ring.append((seq, "rma", rank, wid, (op, target, acc)))
+        rec = (self._next_seq(seq), "rma", rank, wid, _fmt_rma,
+               (op, target, origin_access, target_access))
+        rings = self._lanes
+        rings[rank].append(rec)
+        if target != rank:
+            rings[target].append(rec)
 
     def record_event(self, lane: int, event) -> None:
-        """Append one *replayed* trace event to ``lane``, by reference.
-
-        The replay feed's fast path: no per-event allocation at all —
-        the event object itself is the ring record, and the lane-side
-        view (which access of an RMA op, the sync kind string) is
-        derived at format time because the lane is known then.
-        """
-        ring = self._lanes.get(lane)
-        if ring is None:
-            ring = self._lanes[lane] = deque(maxlen=self.cap)
-        ring.append(event)
+        """Append one *replayed* trace event to ``lane``."""
+        self._lanes[lane].append(_event_record(event))
 
     def record_event_fanout(self, event, nranks: int) -> None:
         """Append one replayed event to every lane its projection hits.
 
         The single-call twin of calling :meth:`record_event` once per
-        lane the event concerns: a local access lands in its rank's
-        lane, an RMA op in both sides' lanes, a sync event in all
-        ``nranks`` lanes.
+        lane the event concerns, sharing one record: a local access
+        lands in its rank's lane, an RMA op in both sides' lanes, a sync
+        event in all ``nranks`` lanes.
         """
-        kind = _EVENT_KIND.get(event.__class__)
-        if kind is None:
-            kind = _classify(event)
-        lanes_map = self._lanes
+        rec = _event_record(event)
+        kind = rec[1]
+        rings = self._lanes
         if kind == "local":
-            lane = event.rank
-            ring = lanes_map.get(lane)
-            if ring is None:
-                ring = lanes_map[lane] = deque(maxlen=self.cap)
-            ring.append(event)
-            return
-        if kind == "rma":
-            rank, target = event.rank, event.target
-            lanes = (rank,) if target == rank else (rank, target)
+            rings[rec[2]].append(rec)
+        elif kind == "rma":
+            rank, target = rec[2], event.target
+            rings[rank].append(rec)
+            if target != rank:
+                rings[target].append(rec)
         else:
-            lanes = range(nranks)
-        cap = self.cap
-        for lane in lanes:
-            ring = lanes_map.get(lane)
-            if ring is None:
-                ring = lanes_map[lane] = deque(maxlen=cap)
-            ring.append(event)
-
-    def ring(self, lane: int) -> deque:
-        """The lane's ring, created on first use (bulk feeders append)."""
-        ring = self._lanes.get(lane)
-        if ring is None:
-            ring = self._lanes[lane] = deque(maxlen=self.cap)
-        return ring
+            for lane in range(nranks):
+                rings[lane].append(rec)
 
     # -- reading ------------------------------------------------------------
 
@@ -338,125 +323,38 @@ class Timeline:
         }
 
     def absorb(self, other: "Timeline") -> None:
-        """Fold another timeline's rings in, raw — no formatting round-trip.
+        """Fold another timeline's records in.
 
-        The scope-exit twin of ``merge(other.snapshot())``: records move
-        as the tuples they were appended as, skipping the per-event
-        dict formatting a snapshot pays.
+        Each lane takes the union of both rings in sequence order,
+        trimmed back to the ring capacity.
         """
-        lanes_map = self._lanes
         cap = self.cap
         for lane, ring in other._lanes.items():
-            mine = lanes_map.get(lane)
+            mine = self._lanes.get(lane)
             if mine is None:
-                lanes_map[lane] = deque(ring, maxlen=cap)
+                self._lanes[lane] = deque(ring, maxlen=cap)
                 continue
-            items = sorted(list(mine) + list(ring), key=_seq_of)
+            items = sorted([*mine, *ring], key=_seq)
             mine.clear()
             mine.extend(items[-cap:])
 
     def merge(self, snap: Optional[dict]) -> None:
-        """Fold a :meth:`snapshot` dict into this timeline.
-
-        Lanes concatenate, re-sort by sequence number, and trim back to
-        the ring capacity — how a resumed analysis restores the lanes
-        its checkpoint carried.
-        """
+        """Fold a :meth:`snapshot` dict in — how a resumed analysis
+        restores the lanes its checkpoint carried: every event dict
+        becomes a record that formats back to itself, then
+        :meth:`absorb` folds them."""
         if not snap:
             return
+        restored = Timeline(self.cap)
         for lane_key, events in snap.get("lanes", {}).items():
-            if not events:
-                continue
-            lane = int(lane_key)
-            ring = self._lanes.get(lane)
-            if ring is None:
-                ring = self._lanes[lane] = deque(maxlen=self.cap)
-            items = sorted(list(ring) + list(events), key=_seq_of)
-            ring.clear()
-            ring.extend(items[-self.cap:])
+            if events:
+                restored._lanes[int(lane_key)].extend(
+                    (e["seq"], e["kind"], e["rank"], e["wid"],
+                     _fmt_restored, e) for e in events)
+        self.absorb(restored)
 
 
-class NullTimeline(Timeline):
-    """Shared no-op timeline (``REPRO_OBS_TIMELINE=off`` / obs off)."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(1)
-        self.cap = 0
-
-    def record(self, lane, kind, rank, wid=-1, payload=None,
-               seq=None) -> None:
-        pass
-
-    def record_sync(self, kind, rank, wid, lanes, seq=None) -> None:
-        pass
-
-    def record_rma(self, op, rank, target, wid, origin_access,
-                   target_access, seq=None) -> None:
-        pass
-
-    def record_event(self, lane, event) -> None:
-        pass
-
-    def record_event_fanout(self, event, nranks) -> None:
-        pass
-
-    def absorb(self, other) -> None:
-        pass
-
-    def merge(self, snap) -> None:
-        pass
-
-
-NULL_TIMELINE = NullTimeline()
-
-
-# -- adapters ----------------------------------------------------------------
-
-#: event class -> "rma" | "local" | "sync"; attribute probing costs an
-#: internal AttributeError per miss, so classify each event class once
-_EVENT_KIND: Dict[type, str] = {}
-
-
-def _classify(event) -> str:
-    """Duck-typed event classification, cached per event class.
-
-    ``op`` marks an RMA event, ``access`` a local one, anything else a
-    sync event — the :mod:`repro.mpi.trace` shapes, probed without
-    importing them so this module stays import-free.
-    """
-    cls = event.__class__
-    kind = _EVENT_KIND.get(cls)
-    if kind is None:
-        if hasattr(event, "op"):
-            kind = "rma"
-        elif hasattr(event, "access"):
-            kind = "local"
-        else:
-            kind = "sync"
-        _EVENT_KIND[cls] = kind
-    return kind
-
-
-def record_trace_event(tl: Timeline, event, lane: int) -> None:
-    """Record one replayed trace event into ``lane``.
-
-    For RMA events the lane shows the access on *its* side of the
-    operation: the target access when the lane is the target rank, the
-    origin access otherwise (derived at format time).
-    """
-    tl.record_event(lane, event)
-
-
-def record_trace_event_fanout(tl: Timeline, event, nranks: int) -> None:
-    """Record one replayed event into every lane its projection hits."""
-    tl.record_event_fanout(event, nranks)
-
-
-def timeline_context(tl: Timeline, lane: int, ranks: Iterable[int],
+def timeline_context(tl: Optional[Timeline], lane: int, ranks: Iterable[int],
                      k: int = 8) -> dict:
     """Per-rank context views around "now" in one lane, for forensics.
 
@@ -464,41 +362,25 @@ def timeline_context(tl: Timeline, lane: int, ranks: Iterable[int],
     accesses/epochs plus whole-world sync), and the most recent
     epoch-opening event (``lock_all``/``fence``) still in the ring is
     promoted into the view even when it is older than ``k`` — the
-    "enclosing epoch" a race diagnostic must show.
+    "enclosing epoch" a race diagnostic must show.  An off timeline
+    (``None``) gives empty views.
     """
-    ring = tl._lanes.get(lane)
+    ring = tl._lanes.get(lane) if tl is not None else None
     records = list(ring) if ring else []
     n = len(records)
     views: Dict[str, List[dict]] = {}
     for rank in ranks:
-        # reverse scan with early exit: resolve only the record's rank
-        # until it matches (most records belong to other ranks), then
-        # its kind; stop as soon as k events and the enclosing epoch
-        # are in hand — formats just the records that end up in the view
+        # reverse scan with early exit: stop as soon as k events and the
+        # enclosing epoch are in hand — formats just the records that
+        # end up in the view
         picked: List[int] = []
         epoch = None
         need_epoch = True
         for i in range(n - 1, -1, -1):
             rec = records[i]
-            cls = rec.__class__
-            if cls is tuple:
-                rec_rank = rec[2]
-            elif cls is dict:
-                rec_rank = rec["rank"]
-            else:
-                rec_rank = rec.rank
-            if rec_rank != rank and rec_rank != -1:
+            if rec[2] != rank and rec[2] != -1:
                 continue
-            if cls is tuple:
-                kind = rec[1]
-            elif cls is dict:
-                kind = rec["kind"]
-            else:
-                kind = _EVENT_KIND.get(cls)
-                if kind is None:
-                    kind = _classify(rec)
-                if kind == "sync":
-                    kind = getattr(rec.kind, "value", None) or str(rec.kind)
+            kind = rec[1]
             if len(picked) < k:
                 picked.append(i)
                 if kind in _EPOCH_KINDS:
@@ -513,4 +395,5 @@ def timeline_context(tl: Timeline, lane: int, ranks: Iterable[int],
         if epoch is not None:
             view = [_fmt(records[epoch], lane)] + view
         views[str(rank)] = view
-    return {"lane": lane, "cap": tl.cap, "k": k, "views": views}
+    return {"lane": lane, "cap": tl.cap if tl is not None else 0, "k": k,
+            "views": views}

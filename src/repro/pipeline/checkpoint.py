@@ -29,11 +29,12 @@ and crc32 counted on the way and patched in before the fsync, so a
 write never holds the whole payload in memory; the bytes are those of
 ``pickle.dumps(state, 4)``.
 
-A :class:`CheckpointStore` manages one *lane* (an analysis writes
-``serial``) inside the checkpoint directory: monotonically numbered files,
-newest-first recovery with corrupt files renamed to ``*.bad`` (and
-reported — falling back silently would make "resumed" claims a lie), and
-pruning of superseded generations.
+A :class:`CheckpointStore` manages the ``serial-<seq>.ckpt`` files of a
+checkpoint directory (``serial`` names the one analysis lane, in file
+names and headers alike): monotonically numbered files, newest-first
+recovery with corrupt files renamed to ``*.bad`` (and reported —
+falling back silently would make "resumed" claims a lie), and pruning
+of superseded generations.
 """
 
 from __future__ import annotations
@@ -131,7 +132,6 @@ class CheckpointPlan:
     deadline_at: Optional[float] = None
     max_rss_mb: Optional[int] = None
     resume: bool = False
-    keep: int = 2
 
     def due(self, chunks_since: int, events_since: int, rows: int) -> bool:
         """Checkpoint at this chunk boundary?"""
@@ -249,11 +249,13 @@ class _CrcSink:
 
 
 class CheckpointStore:
-    """One lane's numbered checkpoint files in a shared directory."""
+    """The analysis lane's numbered checkpoint files in a directory."""
 
-    def __init__(self, directory: Union[str, Path], lane: str) -> None:
+    #: the one lane an analysis writes, in file names and headers
+    lane = "serial"
+
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.dir = Path(directory)
-        self.lane = lane
         self.dir.mkdir(parents=True, exist_ok=True)
         #: files found corrupt/truncated during recovery, newest first
         self.quarantined: List[str] = []
@@ -493,8 +495,8 @@ def run_state(body: dict, cursor: dict) -> dict:
     state["cursor"] = cursor
     state["ticks"] = cursor["events_applied"]
     state["obs"] = reg.snapshot() if reg.enabled else None
-    state["timeline"] = (reg.timeline.snapshot()
-                         if reg.timeline.enabled else None)
+    tl = reg.timeline
+    state["timeline"] = tl.snapshot() if tl is not None else None
     return state
 
 
@@ -502,5 +504,5 @@ def restore_registry(reg, state: dict) -> None:
     """Fold a checkpoint's obs/timeline deltas back into a registry."""
     if state.get("obs") and reg.enabled:
         reg.merge(state["obs"])
-    if state.get("timeline") and reg.timeline.enabled:
+    if state.get("timeline") and reg.timeline is not None:
         reg.timeline.merge(state["timeline"])

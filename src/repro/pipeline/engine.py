@@ -267,8 +267,7 @@ def _serial(reader, detector_name, plan=None, follow=False,
     nranks, path = reader.nranks, reader.path
     reg = obs.active()
     t0 = time.perf_counter()
-    tl = reg.timeline
-    timeline = tl if tl.enabled else None
+    timeline = reg.timeline
     store = None
     start = None
     resumed = []
@@ -276,7 +275,7 @@ def _serial(reader, detector_name, plan=None, follow=False,
         # imported with the plan (analyze_trace built it from there)
         from . import checkpoint as _ckpt
 
-        store = _ckpt.CheckpointStore(plan.dir, "serial")
+        store = _ckpt.CheckpointStore(plan.dir)
         if plan.resume:
             loaded = store.load_latest(
                 expect={"detector": detector_name, "nranks": nranks})
@@ -339,7 +338,7 @@ def _serial(reader, detector_name, plan=None, follow=False,
 
     poll_s = 0.05
     last_progress = time.time()
-    with reg.span("worker.analyze"):
+    with reg.span("pipeline.chunks"):
         while True:
             progressed = False
             try:
@@ -534,6 +533,5 @@ def analyze_trace(
                 reg.counter("pipeline.salvage.chunks_quarantined").add(
                     len(result.salvage.get("quarantined_chunks", ())))
             result.obs = reg.snapshot()
-            if reg.timeline.enabled:
-                result._timeline_live = reg.timeline
+            result._timeline_live = reg.timeline
         return result

@@ -682,7 +682,7 @@ class WireStream:
     def timeline_event(self, rec: tuple, lane: int) -> dict:
         """Format a wire timeline record exactly as its decoded event.
 
-        ``rec`` is ``(seq, kind, rank, wid, self, body)`` with ``body``
+        ``rec`` is ``(seq, kind, rank, wid, fmt, body)`` with ``body``
         the event's record bytes after the tag — what the flat core's
         wire ingestion appends to timeline rings (see
         :mod:`repro.obs.timeline`).  The result is the same dict, key

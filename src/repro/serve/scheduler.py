@@ -497,12 +497,17 @@ class Scheduler:
         the job, and so does a second :class:`CheckpointError`.
         """
         def run():
-            return analyze_trace(
-                job.trace_path, detector=job.detector,
-                ckpt_dir=ckpt_dir, ckpt_every=self.ckpt_every,
-                deadline_s=self.deadline_s, max_rss_mb=self.max_rss_mb,
-                resume=True,
-            )
+            # fold the analysis scope into a discarded one, not into
+            # the worker thread's registry: that is the process
+            # default, ``self.registry`` in ``repro serve``, and
+            # :meth:`_run` folds ``result.obs`` into it under the lock
+            with obs.scope(merge=False):
+                return analyze_trace(
+                    job.trace_path, detector=job.detector,
+                    ckpt_dir=ckpt_dir, ckpt_every=self.ckpt_every,
+                    deadline_s=self.deadline_s, max_rss_mb=self.max_rss_mb,
+                    resume=True,
+                )
 
         resuming = any(ckpt_dir.glob("serial-*.ckpt"))
         try:
@@ -560,7 +565,7 @@ class Scheduler:
         if chain and chain.get("chunks") and chain.get("complete"):
             try:
                 self.cache.put_chain(job.trace_sha, job.detector, chain)
-                _ckpt.CheckpointStore(ckpt_dir, "serial").prune(keep=1)
+                _ckpt.CheckpointStore(ckpt_dir).prune(keep=1)
             except OSError:
                 pass  # indexing is an optimization; the job is done
         else:

@@ -6,13 +6,13 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.intervals import AccessType
 from repro.mpi.memory import RegionInfo, RegionKind
 from repro.mpi.trace import LocalEvent, RmaEvent, SyncEvent, SyncKind
+from repro.obs.registry import Registry
 from repro.obs.timeline import (
     DEFAULT_CAP,
-    NULL_TIMELINE,
-    NullTimeline,
     Timeline,
     make_timeline,
     timeline_cap_from_env,
@@ -61,8 +61,11 @@ def test_cap_from_env_on_values(monkeypatch, value):
 
 
 def test_cap_from_env_explicit_size(monkeypatch):
+    """The ring size is fixed: a number other than 0 warns and keeps
+    the 128-event ring."""
     monkeypatch.setenv("REPRO_OBS_TIMELINE", "32")
-    assert timeline_cap_from_env() == 32
+    with pytest.warns(RuntimeWarning, match="REPRO_OBS_TIMELINE"):
+        assert timeline_cap_from_env() == DEFAULT_CAP == 128
 
 
 def test_cap_from_env_garbage_warns_and_falls_back(monkeypatch):
@@ -72,12 +75,12 @@ def test_cap_from_env_garbage_warns_and_falls_back(monkeypatch):
 
 
 def test_make_timeline_null_when_disabled(monkeypatch):
-    assert make_timeline(enabled=False) is NULL_TIMELINE
+    assert make_timeline(enabled=False) is None
     monkeypatch.setenv("REPRO_OBS_TIMELINE", "off")
-    assert make_timeline(enabled=True) is NULL_TIMELINE
-    monkeypatch.setenv("REPRO_OBS_TIMELINE", "16")
+    assert make_timeline(enabled=True) is None
+    monkeypatch.setenv("REPRO_OBS_TIMELINE", "on")
     tl = make_timeline(enabled=True)
-    assert isinstance(tl, Timeline) and tl.enabled and tl.cap == 16
+    assert isinstance(tl, Timeline) and tl.cap == DEFAULT_CAP
 
 
 # -- recording ---------------------------------------------------------------
@@ -210,23 +213,25 @@ def test_absorb_into_empty_lane_copies():
     assert outer.snapshot()["lanes"] == inner.snapshot()["lanes"]
 
 
-# -- null object -------------------------------------------------------------
+# -- an off timeline ---------------------------------------------------------
 
 
-def test_null_timeline_is_inert():
-    tl = NullTimeline()
-    assert not tl.enabled and tl.cap == 0
-    tl.record(0, "local", 0)
-    tl.record_sync("barrier", -1, -1, lanes=(0, 1))
-    tl.record_rma("put", 0, 1, 0, acc(0, 8), acc(0, 8))
-    tl.record_event(0, local(1, 0))
-    tl.record_event_fanout(local(2, 0), nranks=2)
-    tl.merge({"lanes": {"0": [{"seq": 1, "kind": "local", "rank": 0}]}})
-    other = Timeline(4)
-    other.record(0, "local", 0)
-    tl.absorb(other)
-    assert len(tl) == 0
-    assert tl.snapshot()["lanes"] == {}
+def test_null_timeline_is_inert(monkeypatch):
+    """An off timeline is ``None``: registries hold none, scopes fold
+    nothing into it, and forensics views are empty."""
+    assert Registry(enabled=False).timeline is None
+    monkeypatch.setenv("REPRO_OBS_TIMELINE", "off")
+    with obs.scope(Registry(enabled=True), merge=False) as outer:
+        assert outer.timeline is None
+        with obs.scope(Registry(enabled=True)) as inner:
+            assert obs.timeline() is inner.timeline is None
+    monkeypatch.setenv("REPRO_OBS_TIMELINE", "on")
+    with obs.scope(Registry(enabled=True), merge=False) as outer:
+        with obs.scope(Registry(enabled=True)) as inner:
+            inner.timeline.record_event_fanout(local(1, 0), nranks=1)
+        assert len(outer.timeline) == 1
+    assert timeline_context(None, 0, ranks=(0, 1), k=4) == {
+        "lane": 0, "cap": 0, "k": 4, "views": {"0": [], "1": []}}
 
 
 # -- forensics context views -------------------------------------------------

@@ -23,19 +23,25 @@ format — plus the seed-7 scenario corpus:
   stopped by the deadline guard after its first chunk, then a second
   process-local run resuming from that mid-trace checkpoint: the
   resumed run's verdicts, forensics and event count;
+* ``follow`` — ``analyze_trace(path, ckpt_dir=..., follow=True)`` on
+  the finished fixture;
+* ``serve`` — an in-process :class:`~repro.serve.Scheduler` with a
+  private registry: the stored result of one job;
 * the corpus, live, scenario by scenario.
 
 Each row runs once per workload (the ``observed`` fixture).  Compared
 byte for byte: canonical verdicts and forensics, event counts and shard
-statistics, and (``test_obs_snapshot_identical``, live and serial rows)
-every registry value under ``bst.*``, ``core.*``, ``detector.*`` and
-``filter.*`` once wall-clock keys are zeroed.  Anything short of
-identity is a flat-core bug.  ``--follow`` and serve are certified
-against serial by their own suites.
+statistics, every row's ``repro-timeline-v1`` snapshot, and
+(``test_obs_snapshot_identical``, live and serial rows) every registry
+value under ``bst.*``, ``core.*``, ``detector.*`` and ``filter.*`` once
+wall-clock keys are zeroed.  Anything short of identity is a flat-core
+bug.  The per-path suites in ``tests/resilience`` and
+``tests/property`` certify those paths further against serial.
 """
 
 import json
 import tempfile
+import time
 
 import pytest
 
@@ -43,11 +49,13 @@ from repro import obs
 from repro.apps.harness import detector_factory, run_app
 from repro.core import FlatDetector, OurDetector
 from repro.mpi.trace_io import load_trace
+from repro.obs.registry import Registry
 from repro.pipeline import RECORDABLE_APPS, analyze_trace
 from repro.pipeline.engine import canonical_forensics, canonical_verdicts
 from repro.pipeline.shard import dispatch_event
 from repro.scenarios import generate_corpus
 from repro.scenarios.build import record_scenario, run_scenario
+from repro.serve import Scheduler
 
 #: the fixtures' recordings (tests/pipeline/conftest.py): app -> (size,
 #: inject_race), on 4 ranks
@@ -124,9 +132,10 @@ def oracle(app, path):
         det = _fed_oracle(events, loaded.nranks, reg)
         det.publish_obs()
         registry = _registry(reg)
+        timeline = reg.timeline.snapshot()
     return {**_reports(det.reports), "events": len(events),
             "shards": _shard(len(events), det.reports, det.node_stats()),
-            "registry": registry,
+            "registry": registry, "timeline": timeline,
             # the live rows' node counts and simulated time
             "app": _app_stats(_app(app, OurDetector()))}
 
@@ -143,7 +152,7 @@ def _live(app, path):
     with obs.scope() as reg:
         run = _app(app, det)
         return {**_reports(det.reports), "registry": _registry(reg),
-                "app": _app_stats(run)}
+                "app": _app_stats(run), "timeline": reg.timeline.snapshot()}
 
 
 def _analyzed(path):
@@ -159,7 +168,7 @@ def _analyzed(path):
         res = analyze_trace(path)
         s = res.shard_stats[0]
         return {"verdicts": res.verdicts, "forensics": res.forensics,
-                "events": res.events_total,
+                "events": res.events_total, "timeline": res.timeline,
                 "shards": [(s.events, s.races, s.peak_nodes, s.processed)],
                 "registry": _registry(reg), "wire_events": sum(wired)}
 
@@ -174,8 +183,36 @@ def _resumed(path):
     assert not res.partial
     (resumed,) = res.checkpoint["resumed"]
     return {"verdicts": res.verdicts, "forensics": res.forensics,
-            "events": res.events_total,
+            "events": res.events_total, "timeline": res.timeline,
             "chunks_skipped": resumed["chunks_skipped"]}
+
+
+def _followed(path):
+    """``--follow`` over the finished fixture: ends at its trailer."""
+    with tempfile.TemporaryDirectory() as ckpt_dir:
+        res = analyze_trace(path, ckpt_dir=ckpt_dir, follow=True)
+    assert not res.partial
+    return {"verdicts": res.verdicts, "forensics": res.forensics,
+            "events": res.events_total, "timeline": res.timeline}
+
+
+def _served(path):
+    """One job through an in-process scheduler: its stored result."""
+    with tempfile.TemporaryDirectory() as state:
+        sched = Scheduler(state, workers=1)
+        sched.registry = Registry(enabled=True)
+        sched.start()
+        try:
+            jid = sched.submit_bytes(path.read_bytes()).id
+            deadline = time.monotonic() + 120
+            while sched.get_job(jid)["state"] != "done":
+                assert time.monotonic() < deadline, sched.get_job(jid)
+                time.sleep(0.02)
+            res = sched.get_result(jid)
+        finally:
+            sched.drain(timeout=5.0)
+    return {"verdicts": res["verdicts"], "forensics": res["forensics"],
+            "events": res["events_total"], "timeline": res["timeline"]}
 
 
 #: the matrix: row -> run of the shipped core on one recorded input
@@ -183,6 +220,8 @@ ROWS = {
     "live": _live,
     "serial": lambda app, path: _analyzed(path),
     "ckpt_resume": lambda app, path: _resumed(path),
+    "follow": lambda app, path: _followed(path),
+    "serve": lambda app, path: _served(path),
 }
 
 
@@ -229,6 +268,17 @@ class TestRecordedWorkloads:
         assert observed["ckpt_resume"]["chunks_skipped"] == 1
         _assert_row(workload, observed, "ckpt_resume",
                     ("verdicts", "forensics", "events"))
+
+    @pytest.mark.parametrize("row", ["follow", "serve"])
+    def test_follow_and_serve_byte_identical(self, workload, observed, row):
+        _assert_row(workload, observed, row,
+                    ("verdicts", "forensics", "events"))
+
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_timeline_identical(self, workload, observed, row):
+        """Every row's repro-timeline-v1 snapshot is the oracle's."""
+        assert observed[row]["timeline"] is not None
+        _assert_row(workload, observed, row, ("timeline",))
 
     def test_obs_snapshot_identical(self, workload, observed):
         """Registry values match, live and serial: every ``bst.*`` tree

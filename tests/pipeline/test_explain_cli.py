@@ -155,3 +155,28 @@ def test_analyze_report_html_is_self_contained(minivite_trace, tmp_path,
     # self-contained: no external scripts, styles, or images
     assert "<script src" not in html and "<link" not in html
     assert "<img" not in html
+
+
+@pytest.mark.parametrize("args", [["explain"], ["analyze", "--json"]],
+                         ids=["explain", "analyze-json"])
+def test_closed_stdout_exits_2_without_traceback(minivite_trace, args):
+    """``repro explain t | head -3``: a reader that goes away early is
+    an I/O failure (exit 2), reported without a traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(obs.__file__).resolve().parents[2])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cmd = [sys.executable, "-m", "repro", args[0], str(minivite_trace),
+           *args[1:]]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the first write
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2, stderr
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

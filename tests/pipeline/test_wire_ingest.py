@@ -133,7 +133,7 @@ def test_timeline_records_do_not_pin_chunks(v2_trace):
     res = analyze_trace(v2_trace)
     rings = res._timeline_live._lanes.values()
     wire = [rec for ring in rings for rec in ring
-            if isinstance(rec, tuple) and len(rec) == 6]
+            if isinstance(rec[5], bytes)]
     assert wire
     # each record keeps its own event bytes, never the whole payload
     assert max(len(rec[5]) for rec in wire) < 200

@@ -148,7 +148,7 @@ def test_epoch_tracker_snapshot_roundtrip():
 
 
 def test_store_write_load_prune(tmp_path):
-    store = CheckpointStore(tmp_path, "serial")
+    store = CheckpointStore(tmp_path)
     for seq in range(1, 5):
         store.write({"n": seq}, {"state": seq * 11})
     # keep=2: only the newest two generations survive
@@ -161,7 +161,7 @@ def test_store_write_load_prune(tmp_path):
 
 @pytest.mark.parametrize("mode", ["flip", "truncate"])
 def test_store_quarantines_corrupt_and_falls_back(tmp_path, mode):
-    store = CheckpointStore(tmp_path, "serial")
+    store = CheckpointStore(tmp_path)
     store.write({"n": 1}, {"state": 1})
     store.write({"n": 2}, {"state": 2})
     corrupt_checkpoint(tmp_path / "serial-00000002.ckpt", mode=mode)
@@ -174,7 +174,7 @@ def test_store_quarantines_corrupt_and_falls_back(tmp_path, mode):
 
 
 def test_store_empty_lane_and_all_corrupt(tmp_path):
-    store = CheckpointStore(tmp_path, "serial")
+    store = CheckpointStore(tmp_path)
     assert store.load_latest() is None
     store.write({}, {"s": 1})
     corrupt_checkpoint(tmp_path / "serial-00000001.ckpt", mode="truncate",
@@ -184,7 +184,7 @@ def test_store_empty_lane_and_all_corrupt(tmp_path):
 
 
 def test_store_expect_mismatch_is_hard_error(tmp_path):
-    store = CheckpointStore(tmp_path, "serial")
+    store = CheckpointStore(tmp_path)
     store.write({"detector": "our", "nranks": 4}, {"s": 1})
     with pytest.raises(CheckpointError, match="does not match"):
         store.load_latest(expect={"detector": "mc", "nranks": 4})
@@ -203,13 +203,13 @@ def _one_shot_ckpt(lane, seq, meta, state):
 def test_store_streams_the_one_shot_layout(chunked_trace, tmp_path):
     analyze_trace(chunked_trace, detector="our",
                   ckpt_dir=tmp_path / "run", ckpt_every=1)
-    header, real = CheckpointStore(tmp_path / "run", "serial").load_latest()
+    header, real = CheckpointStore(tmp_path / "run").load_latest()
     # a real analysis state, many pickle frames, and one object large
     # enough that pickle streams it outside any frame
     state = {"run": real, "rows": list(range(100_000)),
              "blob": bytes(range(256)) * 1024}
     want = _one_shot_ckpt("serial", 1, header["meta"], state)
-    path = CheckpointStore(tmp_path / "streamed", "serial").write(
+    path = CheckpointStore(tmp_path / "streamed").write(
         header["meta"], state)
     assert path.read_bytes() == want
     assert not list((tmp_path / "streamed").glob("*.tmp"))
@@ -217,15 +217,14 @@ def test_store_streams_the_one_shot_layout(chunked_trace, tmp_path):
     # a file written the one-shot way still loads
     (tmp_path / "one-shot").mkdir()
     (tmp_path / "one-shot" / "serial-00000001.ckpt").write_bytes(want)
-    got_header, got = CheckpointStore(tmp_path / "one-shot",
-                                      "serial").load_latest()
+    got_header, got = CheckpointStore(tmp_path / "one-shot").load_latest()
     assert got_header["meta"] == header["meta"]
     assert got["rows"] == state["rows"] and got["blob"] == state["blob"]
     assert got["run"]["cursor"] == real["cursor"]
 
 
 def test_store_write_failure_leaves_no_tmp(tmp_path):
-    store = CheckpointStore(tmp_path, "serial")
+    store = CheckpointStore(tmp_path)
     with pytest.raises(TypeError):
         store.write({}, {"unpicklable": (i for i in ())})
     assert not list(tmp_path.iterdir())

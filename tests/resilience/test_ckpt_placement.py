@@ -118,7 +118,7 @@ def test_normal_end_leaves_a_final_checkpoint(mv4096_trace, tmp_path, every):
     ck = tmp_path / "ck"
     result = analyze_trace(mv4096_trace, ckpt_dir=ck, ckpt_every=every)
     assert not result.partial and result.checkpoint["written"] >= 1
-    header, state = CheckpointStore(ck, "serial").load_latest()
+    header, state = CheckpointStore(ck).load_latest()
     assert header["meta"]["events_applied"] == result.events_total
     assert state["cursor"]["events_applied"] == result.events_total
 
@@ -171,7 +171,7 @@ def test_resume_from_the_rules_checkpoint_matches(mv8192_trace, tmp_path,
     # keep only the first generation, as a kill right after it would
     for path in sorted(ck.glob("serial-*.ckpt"))[1:]:
         path.unlink()
-    header, _ = CheckpointStore(ck, "serial").load_latest()
+    header, _ = CheckpointStore(ck).load_latest()
     assert header["meta"]["events_applied"] == first
     resumed = analyze_trace(mv8192_trace, ckpt_dir=ck, resume=True)
     assert resumed.checkpoint["resumed"][0]["events_skipped"] == first

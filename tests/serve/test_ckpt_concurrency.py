@@ -32,8 +32,7 @@ def test_concurrent_stores_in_separate_job_dirs(tmp_path):
     def work(i):
         try:
             sha = f"{i:02x}" * 32
-            store = CheckpointStore(job_ckpt_dir(tmp_path, sha, "our"),
-                                    "serial")
+            store = CheckpointStore(job_ckpt_dir(tmp_path, sha, "our"))
             barrier.wait(timeout=30)
             for seq in range(writes):
                 store.write({"cursor": i * 1000 + seq}, {"owner": i,
@@ -64,8 +63,8 @@ def test_same_dir_same_lane_is_still_last_writer_wins(tmp_path):
     """Control: *without* per-job dirs, lanes interleave — the hazard
     job_ckpt_dir exists to rule out."""
     shared = tmp_path / "shared"
-    a = CheckpointStore(shared, "serial")
-    b = CheckpointStore(shared, "serial")
+    a = CheckpointStore(shared)
+    b = CheckpointStore(shared)
     a.write({"cursor": 1}, {"owner": "a"})
     b.write({"cursor": 2}, {"owner": "b"})
     _, state = a.load_latest()

@@ -169,7 +169,7 @@ def test_unrestorable_ancestor_checkpoint_falls_back_to_full_run(
     assert first["state"] == "done"
 
     store = CheckpointStore(
-        job_ckpt_dir(sched.ckpt_base, first["trace_sha"], "our"), "serial")
+        job_ckpt_dir(sched.ckpt_base, first["trace_sha"], "our"))
     (old,) = store.dir.glob("serial-*.ckpt")
     header, state = store.load_latest()
     state["detector"]["class"] = "OurDetector"

@@ -11,6 +11,8 @@ import tracemalloc
 import pytest
 
 import repro.serve.scheduler as scheduler_mod
+from repro import obs
+from repro.obs.registry import Registry
 from repro.pipeline import trace_chain
 from repro.serve import AdmissionError, VerdictCache
 
@@ -87,6 +89,37 @@ def test_job_runs_to_done_and_caches(make_scheduler, small_trace):
     assert counters["serve.cache.hits"] == 1
     assert counters["serve.cache.misses"] == 1
     assert counters["serve.jobs.started"] == 1
+
+
+def test_default_registry_counts_each_job_once(tmp_path, chaos_trace,
+                                               monkeypatch):
+    """A scheduler on the process-default registry, as ``repro serve``
+    builds it, folds a job's metrics in exactly once: the job's own
+    analysis scope must not also fold them in from the worker thread."""
+    monkeypatch.delenv("REPRO_OBS", raising=False)
+    monkeypatch.delenv("REPRO_OBS_TIMELINE", raising=False)
+    previous = obs.set_registry(Registry(enabled=True))
+    try:
+        sched = scheduler_mod.Scheduler(tmp_path / "state", workers=1)
+        assert sched.registry is obs.active()
+        sched.start()
+        try:
+            jid = sched.submit_bytes(chaos_trace.read_bytes()).id
+            job = _wait(sched, jid)
+        finally:
+            sched.drain(timeout=5.0)
+        assert job["state"] == "done"
+        result = sched.get_result(job["id"])
+        assert result["races"] > 0  # forensics read the job's timeline
+        daemon = sched.registry.snapshot()
+        job_counters = result["obs"]["counters"]
+        assert job_counters["pipeline.events.read"] == job["events"]
+        assert {k: daemon["counters"].get(k) for k in job_counters} \
+            == job_counters
+        assert daemon["spans"]["children"]["pipeline.analyze"]["count"] == 1
+        assert len(sched.registry.timeline) == 0
+    finally:
+        obs.set_registry(previous)
 
 
 def test_flaky_analysis_retries_then_succeeds(

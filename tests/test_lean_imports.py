@@ -78,9 +78,10 @@ NOT_IN_SERVE = NOT_IN_SERVE_JOB + ("repro.serve.client", "urllib.request")
 #: --json`` loads: 449,027 with the object core, the multi-process
 #: engine and the checkpoint code loaded eagerly; 309,318 without them;
 #: 298,987 once the reader reads only repro-trace-v2; 284,369 once the
-#: multi-process engine is gone and the CLI and engine shrink (budget:
-#: that plus 4,254 B of headroom)
-ANALYZE_SOURCE_BUDGET = 288_623
+#: multi-process engine is gone and the CLI and engine shrink; 280,985
+#: once every timeline record has one shape (budget: that plus 4,254 B
+#: of headroom)
+ANALYZE_SOURCE_BUDGET = 285_239
 
 #: the only modules whose classes a checkpoint payload pickles by name
 #: (``ReplayWindow`` is the window a trace replay registers)
