@@ -39,12 +39,16 @@ counters are published as ``bst.*`` metrics and captured inside race
 forensics bundles: the flat core must keep them byte-identical to the
 object core (the differential harness in ``tests/`` pins this).
 
-The detector invariant (stored accesses pairwise disjoint, §4.1) makes
-keys unique here; the object tree's tie-break counter — whose fresh tie
-is always the maximum, sending equal keys right — therefore has no
-observable effect and is not materialized.  Removal still mirrors the
-object tree's equal-key two-sided search so the comparison counts stay
-identical even on (impossible-by-invariant) duplicate keys.
+Keys are unique.  Algorithm 1's fragmentation (§4.1) keeps the
+records of a store pairwise disjoint, and every stored interval is
+non-empty: a trace access is checked for ``0 <= lo < hi`` where it is
+decoded (:meth:`~repro.pipeline.format.WireStream.decode` and
+:meth:`~repro.core.flatcore.FlatDetector.ingest_wire`), and a live
+access is an :class:`~repro.intervals.Interval`, which refuses empty
+ones.  Disjoint non-empty intervals have distinct lower bounds, so an
+insert never meets its own key and a key names at most one row — the
+object tree's tie-break counter has no observable effect and is not
+materialized.
 """
 
 from __future__ import annotations
@@ -84,9 +88,9 @@ class FlatIntervalStore:
 
     __slots__ = ("_key", "_hi", "_left", "_right", "_height", "_aug",
                  "_tid", "_tails", "_tail_ids", "_free", "root", "_size",
-                 "_balanced", "stats", "_last", "_last_rec")
+                 "stats", "_last", "_last_rec")
 
-    def __init__(self, *, balanced: bool = True) -> None:
+    def __init__(self) -> None:
         self._key: List[int] = []
         self._hi: List[int] = []
         self._left: List[int] = []
@@ -99,7 +103,6 @@ class FlatIntervalStore:
         self._free: List[int] = []
         self.root = -1
         self._size = 0
-        self._balanced = balanced
         self.stats = TreeStats()
         self._forget_last()
 
@@ -204,11 +207,6 @@ class FlatIntervalStore:
         tails[:] = [tails[t] for t in live]
         self._tail_ids = {tail: t for t, tail in enumerate(tails)}
 
-    def _row_is(self, i: int, rec: Rec) -> bool:
-        """Row ``i`` stores exactly ``rec`` (its key already matched)."""
-        return (i == self._last and rec is self._last_rec) or (
-            self._hi[i] == rec[1] and self._tails[self._tid[i]] == rec[2:])
-
     def _forget_last(self) -> None:
         """Drop the memo of the last insert (its row was freed).
 
@@ -276,8 +274,6 @@ class FlatIntervalStore:
         if r >= 0 and aug[r] > a:
             a = aug[r]
         aug[i] = a
-        if not self._balanced:
-            return i
         balance = lh - rh
         if balance > 1:
             ll = left[l]
@@ -301,9 +297,8 @@ class FlatIntervalStore:
         """Insert one record (iterative descent + bottom-up rebalance).
 
         Counting parity with the object tree: one comparison per
-        existing node on the descent path; a fresh node's tie-break is
-        always the maximum there, so equal keys descend right and the
-        comparison outcome depends on the key alone.  Alloc, refresh,
+        existing node on the descent path (keys are unique, so the
+        comparison outcome depends on the key alone).  Alloc, refresh,
         and the balance check are inlined — this is the detector's
         single hottest function.
         """
@@ -379,14 +374,13 @@ class FlatIntervalStore:
             # walk stops early.  Comparison/rotation *counts* are
             # untouched by the early exit: the object core's extra
             # _rebalance calls up the path never count anything.
-            balanced = self._balanced
             for j in range(len(path) - 1, -1, -1):
                 node = path[j]
                 l = left[node]
                 r = right[node]
                 lh = height[l] if l >= 0 else 0
                 rh = height[r] if r >= 0 else 0
-                bal = lh - rh if balanced else 0
+                bal = lh - rh
                 if bal > 1:
                     oh = height[node]
                     ll = left[l]
@@ -525,11 +519,13 @@ class FlatIntervalStore:
             stats.max_size = self._size
 
     def remove(self, rec: Rec) -> bool:
-        """Remove one stored record equal to ``rec``; False if absent.
+        """Remove the stored record equal to ``rec``; False if absent.
 
-        Iterative descent with an explicit ancestor stack, then
-        bottom-up maintenance with the same stats accounting and early
-        break as :meth:`insert`: one comparison per visited node,
+        Keys are unique, so the descent ends at the one row with
+        ``rec``'s key, or finds none.  Iterative descent with an
+        explicit ancestor stack, then bottom-up maintenance with the
+        same stats accounting and early break as :meth:`insert`: one
+        comparison per visited node,
         rotations counted only when they happen, and the climb stops as
         soon as a refresh leaves both height and augmentation unchanged
         (everything above is then provably a no-op in the recursive
@@ -558,17 +554,11 @@ class FlatIntervalStore:
             elif key > k:
                 path.append(i)
                 i = right[i]
-            elif (i == self._last and rec is self._last_rec) or (
-                    hiarr[i] == rec[1] and self._tails[tid[i]] == rec[2:]):
-                break
             else:
-                # equal keys may sit on either side because of
-                # tie-breaks; rare — the recursive two-sided search
-                # keeps the exact per-node accounting
-                stats.comparisons += visited
-                return self._remove_equal(path, i, key, rec)
+                break
         stats.comparisons += visited
-        if i < 0:
+        if i < 0 or not ((i == self._last and rec is self._last_rec) or (
+                hiarr[i] == rec[1] and self._tails[tid[i]] == rec[2:])):
             return False
         # detach row i (successor splice when it has two children)
         l = left[i]
@@ -583,9 +573,9 @@ class FlatIntervalStore:
         elif r < 0:
             sub = l
         else:
-            # detach the right subtree's min; the recursive
-            # _detach_min rebalances every left-spine node on the way
-            # up — rotations counted, no comparisons — reproduced here
+            # detach the right subtree's min, rebalancing every
+            # left-spine node on the way up as the object tree does
+            # (rotations counted, no comparisons)
             m = r
             if left[m] < 0:
                 new_r = right[m]
@@ -613,7 +603,6 @@ class FlatIntervalStore:
                 left[p] = sub
             else:
                 right[p] = sub
-            balanced = self._balanced
             for j in range(len(path) - 1, -1, -1):
                 node = path[j]
                 l2 = left[node]
@@ -622,7 +611,7 @@ class FlatIntervalStore:
                 rh = height[r2] if r2 >= 0 else 0
                 oh = height[node]
                 oa = aug[node]
-                if balanced and (lh - rh > 1 or rh - lh > 1):
+                if lh - rh > 1 or rh - lh > 1:
                     sub = self._rebalance(node)
                     if j:
                         p = path[j - 1]
@@ -648,82 +637,6 @@ class FlatIntervalStore:
         self._size -= 1
         stats.removals += 1
         return True
-
-    def _remove_equal(self, path: List[int], i: int, key: int,
-                      rec: Rec) -> bool:
-        """Tie-broken equal-key removal below ``i`` (recursive slow path)."""
-        left = self._left
-        right = self._right
-        removed, sub = self._remove(left[i], key, rec)
-        left[i] = sub
-        if not removed:
-            removed, sub = self._remove(right[i], key, rec)
-            right[i] = sub
-        if not removed:
-            return False
-        node = i
-        sub = self._rebalance(i)
-        for j in range(len(path) - 1, -1, -1):
-            p = path[j]
-            if left[p] == node:
-                left[p] = sub
-            else:
-                right[p] = sub
-            node = p
-            sub = self._rebalance(p)
-        self.root = sub
-        self._size -= 1
-        self.stats.removals += 1
-        return True
-
-    def _remove(self, i: int, key: int, rec: Rec) -> tuple:
-        if i < 0:
-            return False, -1
-        self.stats.comparisons += 1
-        k = self._key[i]
-        if key < k:
-            removed, sub = self._remove(self._left[i], key, rec)
-            self._left[i] = sub
-        elif key > k:
-            removed, sub = self._remove(self._right[i], key, rec)
-            self._right[i] = sub
-        elif self._row_is(i, rec):
-            return True, self._pop_node(i)
-        else:
-            # equal keys may sit on either side because of tie-breaks
-            removed, sub = self._remove(self._left[i], key, rec)
-            self._left[i] = sub
-            if not removed:
-                removed, sub = self._remove(self._right[i], key, rec)
-                self._right[i] = sub
-        if not removed:
-            return False, i
-        return True, self._rebalance(i)
-
-    def _pop_node(self, i: int) -> int:
-        """Detach row ``i``, returning the subtree index replacing it."""
-        l = self._left[i]
-        r = self._right[i]
-        self._tid[i] = -1
-        self._free.append(i)
-        if i == self._last:
-            self._forget_last()
-        if l < 0:
-            return r
-        if r < 0:
-            return l
-        succ, new_right = self._detach_min(r)
-        self._left[succ] = l
-        self._right[succ] = new_right
-        return self._rebalance(succ)
-
-    def _detach_min(self, i: int) -> tuple:
-        l = self._left[i]
-        if l < 0:
-            return i, self._right[i]
-        mn, sub = self._detach_min(l)
-        self._left[i] = sub
-        return mn, self._rebalance(i)
 
     # -- queries ---------------------------------------------------------------
 
@@ -801,7 +714,6 @@ class FlatIntervalStore:
         accum_val = ACCUMS.value
         return {
             "layout": FLAT_LAYOUT,
-            "balanced": self._balanced,
             "root": self.root,
             "size": self._size,
             "free": _packed(self._free, "i"),
@@ -824,14 +736,14 @@ class FlatIntervalStore:
 
         Only layout ``repro-flat-bst-v3`` loads; an older snapshot
         raises :class:`ValueError`, which a resumed run reports as an
-        unusable checkpoint.
+        unusable checkpoint.  A ``balanced`` entry (always True in the
+        states written before the store lost that option) is ignored.
         """
         layout = state.get("layout")
         if layout != FLAT_LAYOUT:
             raise ValueError(
                 f"flat store cannot load layout {layout!r} "
                 f"(expected {FLAT_LAYOUT!r})")
-        self._balanced = bool(state["balanced"])
         self.root = state["root"]
         self._size = state["size"]
         self._free = list(state["free"])
@@ -860,7 +772,7 @@ class FlatIntervalStore:
 
     @classmethod
     def from_state(cls, state: dict) -> "FlatIntervalStore":
-        store = cls(balanced=bool(state["balanced"]))
+        store = cls()
         store.load_state(state)
         return store
 
@@ -880,14 +792,14 @@ class FlatIntervalStore:
             lh, lmin, lmax, laug = walk(self._left[i])
             rh, rmin, rmax, raug = walk(self._right[i])
             k = self._key[i]
+            assert 0 <= k < self._hi[i], f"empty interval at row {i}"
             if lmax is not None:
-                assert lmax <= k, f"left child {lmax} > node {k}"
+                assert lmax < k, f"left child {lmax} >= node {k}"
             if rmin is not None:
-                assert rmin >= k, f"right child {rmin} < node {k}"
+                assert rmin > k, f"right child {rmin} <= node {k}"
             h = 1 + max(lh, rh)
             assert self._height[i] == h, f"stale height at row {i}"
-            if self._balanced:
-                assert abs(lh - rh) <= 1, f"unbalanced at row {i}"
+            assert abs(lh - rh) <= 1, f"unbalanced at row {i}"
             expect_aug = max(self._hi[i], laug, raug)
             assert self._aug[i] == expect_aug, f"stale max-hi at row {i}"
             return (h, lmin if lmin is not None else k,

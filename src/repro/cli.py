@@ -189,6 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--context", type=int, default=8, metavar="K",
                     help="surrounding timeline events shown per rank "
                          "(default 8)")
+    ex.add_argument("--salvage", action="store_true",
+                    help="best-effort read of damaged traces, as "
+                         "'repro analyze --salvage' reads them")
     ex.add_argument("--json", action="store_true",
                     help="emit the repro-forensics-v1 bundles as JSON")
     ex.add_argument("--html", default=None, metavar="PATH",
@@ -355,15 +358,17 @@ def _atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _emit_metrics(snap, *, show: bool, json_path: Optional[str]) -> None:
-    """Render/dump one registry snapshot for --metrics/--metrics-json."""
+def _emit_metrics(snap, *, show: bool, json_path: Optional[str],
+                  file=None) -> None:
+    """Render/dump one registry snapshot for --metrics/--metrics-json
+    (the table goes to ``file``, stdout by default)."""
     from . import obs
 
     if snap is None:  # REPRO_OBS=off — emit an empty-but-valid snapshot
         snap = {"schema": "repro-obs-v1", "counters": {}, "gauges": {},
                 "histograms": {}, "spans": {}}
     if show:
-        print(obs.render_metrics(snap))
+        print(obs.render_metrics(snap), file=file)
     if json_path:
         _atomic_write_text(json_path, obs.snapshot_to_json(snap) + "\n")
 
@@ -512,11 +517,12 @@ def _main(argv: Optional[List[str]]) -> int:
 
 
 def _write_chrome(path: str, *, timeline=None, trace_path=None,
-                  nranks: int = 0, verdicts=()) -> None:
+                  nranks: int = 0, verdicts=(), file=None) -> None:
     """Write a Chrome trace-event file from either producer.
 
     ``trace_path`` re-streams a recorded trace (full fidelity);
-    ``timeline`` exports a bounded repro-timeline-v1 snapshot.
+    ``timeline`` exports a bounded repro-timeline-v1 snapshot.  The
+    status line goes to ``file`` (stdout by default).
     """
     from .obs.chrometrace import (
         chrome_events_from_timeline,
@@ -532,7 +538,7 @@ def _write_chrome(path: str, *, timeline=None, trace_path=None,
     else:
         events = chrome_events_from_timeline(timeline)
     n = write_chrome_trace(path, events, verdicts)
-    print(f"chrome trace: {n} events -> {path}")
+    print(f"chrome trace: {n} events -> {path}", file=file)
 
 
 def _record(args) -> int:
@@ -607,13 +613,15 @@ def _analyze(args) -> int:
         print(f"repro analyze: {exc}", file=sys.stderr)
         return EX_ERROR
 
+    # with --json, stdout carries the JSON body alone
+    status = sys.stderr if args.json else sys.stdout
     if args.metrics or args.metrics_json:
         _emit_metrics(result.obs, show=args.metrics,
-                      json_path=args.metrics_json)
+                      json_path=args.metrics_json, file=status)
     if args.trace_out:
         try:
             _write_chrome(args.trace_out, trace_path=args.trace,
-                          verdicts=result.verdicts)
+                          verdicts=result.verdicts, file=status)
         except OSError as exc:
             print(f"repro analyze: --trace-out failed: {exc}",
                   file=sys.stderr)
@@ -629,7 +637,7 @@ def _analyze(args) -> int:
             print(f"repro analyze: --report-html failed: {exc}",
                   file=sys.stderr)
             return EX_ERROR
-        print(f"html report -> {args.report_html}")
+        print(f"html report -> {args.report_html}", file=status)
 
     if args.json:
         import json
@@ -696,7 +704,8 @@ def _explain(args) -> int:
     default_context = Detector.FORENSICS_CONTEXT
     Detector.FORENSICS_CONTEXT = args.context
     try:
-        result = analyze_trace(args.trace, detector=args.detector)
+        result = analyze_trace(args.trace, detector=args.detector,
+                               salvage=args.salvage)
     except (TraceFormatError, OSError, ValueError) as exc:
         print(f"repro explain: {exc}", file=sys.stderr)
         return EX_ERROR
@@ -729,7 +738,8 @@ def _explain(args) -> int:
         _atomic_write_text(args.html, render_html_report(
             result.to_dict(),
             title=f"repro race report — {args.trace}"))
-        print(f"html report -> {args.html}")
+        print(f"html report -> {args.html}",
+              file=sys.stderr if args.json else sys.stdout)
     return EX_OK
 
 

@@ -10,14 +10,16 @@ allocation, no dataclass ``replace``, no per-call predicate closure, no
 recursive tree descent.  ``MemoryAccess`` objects are materialized only
 at the cold edges (race reports, request-completion matching inputs).
 
-Batch ingestion (:meth:`FlatDetector.ingest_batch`) is the second half
-of the speedup: one chunk of trace events is fed through a loop that
-hoists every loop-invariant — the obs registry, the alias-filter
-policy, the open-epoch routing index — so the per-event cost is the
-event-kind dispatch plus the record path itself.  Wire ingestion
+Batch ingestion (:meth:`FlatDetector.ingest_batch`) feeds one chunk of
+decoded trace events through a loop that hoists every loop-invariant —
+the obs registry, the alias-filter policy, the open-epoch routing
+index — so the per-event cost is the event-kind dispatch plus the
+record path itself; nothing in the product calls it any more (the e2e
+benchmark's traced run wraps it).  Wire ingestion
 (:meth:`FlatDetector.ingest_wire`) goes further for ``repro-trace-v2``
 files: it reads the chunk's binary records directly, builds no event
-objects, and is what every serial analysis of a strict v2 trace runs.
+objects, and is how every trace file reaches the flat core (a salvage
+read decodes each chunk first, to quarantine one that fails).
 
 It is the only "ours" the product builds: every entry point resolves
 it from :data:`repro.detectors.DETECTORS`.  The object core is the
@@ -170,7 +172,10 @@ class FlatDetector(OurDetectorBase):
         the alias filter drops costs one flags-byte read plus two
         region-byte tests; a kept local builds its interned record
         directly from the wire integers — a ``MemoryAccess`` is only
-        ever materialized for a race report.  Sync events are
+        ever materialized for a race report.  Every analysed access is
+        checked for ``0 <= lo < hi`` as it is unpacked, as
+        :meth:`~repro.pipeline.format.WireStream.decode` checks it; a
+        local the filter drops is not.  Sync events are
         materialized and routed through
         :func:`~repro.pipeline.shard.dispatch_event`: they are rare
         and drive the epoch/window state machine.  The record stream
@@ -226,6 +231,8 @@ class FlatDetector(OurDetectorBase):
             flags = payload[pos]
             lo, hi, tid, fid, line, origin, flush_gen = \
                 access_at(payload, pos + 1)
+            if not 0 <= lo < hi:
+                raise ctx.bad_interval(lo, hi)
             if flags & 1:  # _FLAG_ACCUM
                 aid = u32_at(payload, pos + 1 + nacc)[0]
                 naccum = accum_get(aid)
@@ -303,6 +310,8 @@ class FlatDetector(OurDetectorBase):
                         body = fpos + 1
                         lo, hi, tid, fid, line, origin, flush_gen = \
                             access_at(payload, body)
+                        if not 0 <= lo < hi:
+                            raise ctx.bad_interval(lo, hi)
                         if flags & 1:
                             aid = u32_at(payload, body + nacc)[0]
                             naccum = accum_get(aid)
@@ -425,7 +434,7 @@ class FlatDetector(OurDetectorBase):
         key = (rank, wid)
         store = self._stores.get(key)
         if store is None:
-            store = FlatIntervalStore(balanced=self._balanced)
+            store = FlatIntervalStore()
             self._stores[key] = store
         self._processed += 1
         enabled = reg.enabled

@@ -52,8 +52,8 @@ class BstDetector(Detector):
     rma_notify_bytes: int = 48
 
     #: the per-(rank, window) store type (subclasses set it): built as
-    #: ``store_cls(balanced=...)``, checkpointed through its
-    #: ``save_state()`` / ``from_state()``
+    #: ``store_cls()``, checkpointed through its ``save_state()`` /
+    #: ``from_state()``
     store_cls: type
 
     def __init__(
@@ -61,13 +61,11 @@ class BstDetector(Detector):
         *,
         abort_on_race: bool = False,
         filter_policy: FilterPolicy = FilterPolicy.ALIAS,
-        balanced: bool = True,
     ) -> None:
         super().__init__(abort_on_race=abort_on_race)
         self._stores: Dict[Key, object] = {}
         self._open_epochs: Set[Key] = set()
         self._windows: Dict[int, Window] = {}
-        self._balanced = balanced
         self.filter = AliasFilter(filter_policy)
         self._seq = 0
         self._processed = 0
@@ -83,7 +81,7 @@ class BstDetector(Detector):
         key = (rank, wid)
         bst = self._stores.get(key)
         if bst is None:
-            bst = self.store_cls(balanced=self._balanced)
+            bst = self.store_cls()
             self._stores[key] = bst
         return bst
 
@@ -176,12 +174,11 @@ class BstDetector(Detector):
     def _encode_state(self, state: dict) -> dict:
         """Replace the stores with structure-preserving states.
 
-        Node-linked trees pickle recursively (an unbalanced ablation
-        tree is O(n) deep), so each store goes through its own
-        ``save_state()`` — for :class:`IntervalBST` an iterative
-        preorder encoding, for the flat store its columns — that also
-        carries the tie counter and TreeStats, keeping the restored
-        detector's future behavior (and published metrics)
+        Node-linked trees would pickle recursively, so each store goes
+        through its own ``save_state()`` — for :class:`IntervalBST` an
+        iterative preorder encoding, for the flat store its columns —
+        that also carries the tie counter and TreeStats, keeping the
+        restored detector's future behavior (and published metrics)
         byte-identical.
         """
         state["_stores"] = {
@@ -191,6 +188,9 @@ class BstDetector(Detector):
         return state
 
     def _decode_state(self, state: dict) -> dict:
+        # checkpoints written while detectors took a ``balanced``
+        # option carry it
+        state.pop("_balanced", None)
         state["_stores"] = {
             key: self.store_cls.from_state(s)
             for key, s in state["_stores"].items()}

@@ -4,9 +4,10 @@
 ``repro-trace-v2`` file (a path, or a :class:`TraceReader` over one).
 It replays the trace through a single detector in this process — the
 CLI and every ``repro serve`` job alike: :func:`_serial` runs one chunk
-loop over :func:`_feed_chunks`, the flat core reading a strict reader's
-wire records directly (salvage reads and the baseline detectors are
-decoded to trace events).  That loop is optionally checkpointed,
+loop over :func:`_feed_chunks`, the flat core reading the trace's wire
+records directly (a salvage read decodes each chunk first, to
+quarantine one that fails; the baseline detectors are fed decoded
+trace events).  That loop is optionally checkpointed,
 follows a growing trace, and stops at the deadline/drain/memory guards;
 the checkpoint code (:mod:`repro.pipeline.checkpoint`) is imported only
 when a checkpoint directory is in play.
@@ -217,23 +218,28 @@ def _feed_chunks(det, reader, timeline, start):
     """Feed ``det`` chunk by chunk from ``start``: the one ingest loop.
 
     Yields ``(events_in_chunk, cursor)`` after each chunk; the cursor is
-    the chunk-boundary resume point checkpoints record.  A strict
-    reader feeding a detector with wire ingestion (the flat core) never
-    builds event objects: the detector reads the chunk's records, and
-    the timeline keeps lazily formatted record tuples.  Salvage reads
-    and the baseline detectors are decoded to trace events first.
+    the chunk-boundary resume point checkpoints record.  A detector with
+    wire ingestion (the flat core) reads each chunk's records, and the
+    timeline keeps lazily formatted record tuples.  A salvage read
+    decodes each chunk first: one that fails is quarantined before the
+    detector sees any of its records.  Detectors without wire ingestion
+    (the baselines) are fed decoded trace events.
     """
     nranks = reader.nranks
     ingest_wire = getattr(det, "ingest_wire", None)
-    wire = reader.wire_stream(start) if ingest_wire is not None else None
-    if wire is not None:
-        for payload, off, count in wire:
-            ingest_wire(payload, off, count, wire, nranks, timeline=timeline)
-            yield count, wire.cursor()
+    if ingest_wire is None:
+        for chunk, cursor in reader.iter_chunks(start=start):
+            dispatch_batch(det, chunk, nranks, timeline=timeline)
+            yield len(chunk), cursor
         return
-    for chunk, cursor in reader.iter_chunks(start=start):
-        dispatch_batch(det, chunk, nranks, timeline=timeline)
-        yield len(chunk), cursor
+    wire = reader.wire_stream(start)
+    salvage = not reader.strict
+    for payload, off, count in wire:
+        if salvage and wire.decode_or_quarantine(payload, off,
+                                                 count) is None:
+            continue
+        ingest_wire(payload, off, count, wire, nranks, timeline=timeline)
+        yield count, wire.cursor()
 
 
 def _serial(reader, detector_name, plan=None, follow=False,

@@ -245,18 +245,15 @@ class TraceReader:
         return (event for events, _cursor in self._chunks(None)
                 for event in events)
 
-    def wire_stream(self, start: Optional[dict] = None
-                    ) -> Optional["WireStream"]:
-        """Raw chunk records for the flat core's fused decode, if eligible.
+    def wire_stream(self, start: Optional[dict] = None) -> "WireStream":
+        """Raw chunk records for the flat core's fused decode.
 
-        Only strict readers qualify: the wire path feeds a detector
-        record by record, so it has no chunk to quarantine after the
-        fact (any damage raises).  Returns ``None`` for a salvage
-        reader, whose caller falls back to decoded-event iteration.
-        ``start`` resumes from an :meth:`iter_chunks` cursor.
+        The wire path feeds a detector record by record, so it cannot
+        quarantine a chunk after the fact: a salvage consumer validates
+        each chunk with :meth:`WireStream.decode_or_quarantine` before
+        ingesting it.  ``start`` resumes from an :meth:`iter_chunks`
+        cursor.
         """
-        if not self.strict:
-            return None
         self._begin(start)
         return WireStream(self, start)
 
@@ -367,14 +364,9 @@ class TraceReader:
                 ) -> Iterator[Tuple[List[TraceEvent], dict]]:
         stream = WireStream(self, start)
         for payload, off, nevents in stream:
-            try:
-                events = stream.decode(payload, off, nevents)
-            except TraceFormatError:
-                if self.strict:
-                    raise
-                stream.quarantine(nevents)
-                continue
-            yield events, stream.cursor()
+            events = stream.decode_or_quarantine(payload, off, nevents)
+            if events is not None:
+                yield events, stream.cursor()
 
 
 class WireStream:
@@ -392,7 +384,9 @@ class WireStream:
 
     Consumers turn records into what they need: the flat core ingests
     them as interned tuples (``FlatDetector.ingest_wire``, no event
-    objects), everything else asks :meth:`decode` for
+    objects; a salvage read decodes each chunk first, so a chunk whose
+    records fail is quarantined before the core sees any of them),
+    everything else asks :meth:`decode` for
     :class:`~repro.mpi.trace.TraceEvent` lists.  A timeline fed from
     records holds record-byte tuples, formatted by
     :meth:`timeline_event` only when a snapshot or forensics view needs
@@ -586,11 +580,6 @@ class WireStream:
         self.reader.quarantined_chunks.append(self.chunk)
         self._claimed_lost += nevents
 
-    def quarantine(self, nevents: int) -> None:
-        """A salvage consumer rejected the chunk just yielded."""
-        self.events -= nevents
-        self._lose(nevents)
-
     def cursor(self) -> dict:
         """Resume point after the last chunk yielded (a plain dict)."""
         return {
@@ -605,10 +594,20 @@ class WireStream:
 
     # -- records -> objects ---------------------------------------------------
 
+    def bad_interval(self, lo: int, hi: int) -> TraceFormatError:
+        """The error for an access whose bounds fail ``0 <= lo < hi``,
+        the check both decoders make (:meth:`decode` and the flat
+        core's wire ingestion) — what :class:`Interval` refuses."""
+        return TraceFormatError(
+            f"chunk {self.chunk}: access [{lo}, {hi}) is empty or has a "
+            f"negative address", path=self.path)
+
     def _access(self, payload, pos: int) -> Tuple[MemoryAccess, int]:
         flags = payload[pos]
         lo, hi, tid, fid, line, origin, flush_gen = \
             _ACCESS.unpack_from(payload, pos + 1)
+        if not 0 <= lo < hi:
+            raise self.bad_interval(lo, hi)
         pos += 1 + _ACCESS.size
         accum = None
         excl = None
@@ -676,6 +675,19 @@ class WireStream:
                 f"chunk {self.chunk}: {len(payload) - off} trailing bytes",
                 path=self.path)
         return out
+
+    def decode_or_quarantine(self, payload: bytes, off: int,
+                             nevents: int) -> Optional[List[TraceEvent]]:
+        """:meth:`decode`, except that a salvage reader quarantines a
+        chunk that fails to decode (and gets ``None``)."""
+        try:
+            return self.decode(payload, off, nevents)
+        except TraceFormatError:
+            if self.reader.strict:
+                raise
+        self.events -= nevents
+        self._lose(nevents)
+        return None
 
     # -- timeline records -----------------------------------------------------
 

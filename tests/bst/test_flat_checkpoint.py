@@ -59,6 +59,18 @@ def test_foreign_ids_are_remapped():
     clone.check_invariants()
 
 
+def test_state_carrying_balanced_loads():
+    """A state written while the store had a ``balanced`` option (always
+    True) loads as the same store, and is saved without it."""
+    store = _store()
+    state = store.save_state()
+    assert "balanced" not in state
+    clone = FlatIntervalStore.from_state(dict(state, balanced=True))
+    assert list(clone) == list(store)
+    assert clone.save_state() == state
+    clone.check_invariants()
+
+
 @pytest.mark.parametrize("layout", ["repro-flat-bst-v1", "repro-flat-bst-v2"])
 def test_older_layouts_refused(layout):
     """Only ``repro-flat-bst-v3`` loads: the v1 and v2 layouts (one

@@ -157,6 +157,24 @@ def test_analyze_report_html_is_self_contained(minivite_trace, tmp_path,
     assert "<img" not in html
 
 
+def test_json_stdout_holds_the_json_body_alone(minivite_trace, tmp_path,
+                                              capsys):
+    """With ``--json``, export status lines and the ``--metrics`` table
+    go to stderr, so stdout parses as JSON whatever else is asked for."""
+    assert main(["analyze", str(minivite_trace), "--json", "--metrics",
+                 "--trace-out", str(tmp_path / "mv.chrome.json"),
+                 "--report-html", str(tmp_path / "mv.html")]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["races"] == 12
+    assert "chrome trace: " in out.err and "html report -> " in out.err
+    assert "pipeline.events.read" in out.err  # the metrics table
+    assert main(["explain", str(minivite_trace), "--json",
+                 "--html", str(tmp_path / "explain.html")]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["races"] == 12
+    assert "html report -> " in out.err
+
+
 @pytest.mark.parametrize("args", [["explain"], ["analyze", "--json"]],
                          ids=["explain", "analyze-json"])
 def test_closed_stdout_exits_2_without_traceback(minivite_trace, args):

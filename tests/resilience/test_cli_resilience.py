@@ -47,6 +47,16 @@ def test_salvage_accounting_in_json_report(damaged_trace, capsys):
     assert report["partial"] is False
 
 
+def test_explain_salvage_reads_what_analyze_salvage_reads(damaged_trace,
+                                                          capsys):
+    assert main(["analyze", str(damaged_trace), "--salvage", "--json"]) == 0
+    analyzed = json.loads(capsys.readouterr().out)
+    assert main(["explain", str(damaged_trace), "--salvage", "--json"]) == 0
+    explained = json.loads(capsys.readouterr().out)
+    assert explained["races"] == analyzed["races"] > 0
+    assert explained["forensics"] == analyzed["forensics"]
+
+
 def test_missing_trace_exits_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.trace")]) == 2
     assert "repro analyze:" in capsys.readouterr().err
