@@ -5,8 +5,10 @@
   correct O(log n + k) overlap query,
 * :func:`legacy_find_overlapping` — the original unsound path-limited
   search (paper §4.1) used by the baseline detector,
-* :class:`FlatIntervalStore` — the struct-of-arrays AVL interval store
-  backing the flat detector core (:mod:`repro.core.flatcore`),
+* :class:`FlatIntervalStore` — disjoint intervals in sorted typed-array
+  blocks, found by bisection (§4.1 keeps a store's intervals disjoint,
+  so no tree is needed), backing the flat detector core
+  (:mod:`repro.core.flatcore`),
 * :class:`TreeStats` — the operation counters every store keeps.
 
 Exports resolve lazily (:mod:`repro._lazy`): the flat core imports

@@ -1,58 +1,55 @@
-"""Flat struct-of-arrays interval store — the detector core's hot path.
+"""Sorted typed-array blocks of disjoint intervals — the detector core's store.
 
-Same data structure as :class:`repro.bst.interval_tree.IntervalBST`
-(an AVL tree keyed by interval lower bound, augmented with the max
-upper bound per subtree), but nodes are *rows across parallel list
-columns* addressed by small ints instead of linked ``AVLNode`` objects:
+Algorithm 1's fragmentation (§4.1) keeps the records of a store
+pairwise disjoint, and every stored interval is non-empty: a trace
+access is checked for ``0 <= lo < hi`` where it is decoded
+(:meth:`~repro.pipeline.format.WireStream.decode` and
+:meth:`~repro.core.flatcore.FlatDetector.ingest_wire`), and a live
+access is an :class:`~repro.intervals.Interval`, which refuses empty
+ones.  Disjoint non-empty intervals sorted by lower bound have sorted
+upper bounds too, so lower bounds are unique keys and the records
+overlapping ``[lo, hi)`` are one contiguous run: from the first row
+whose upper bound exceeds ``lo`` up to the last row whose lower bound
+is below ``hi``.  Two bisects find it; no tree, rotation or max-hi
+augmentation is needed (the node-linked AVL tree stays with the
+object core, the RMA-Analyzer baseline and the balancing ablation,
+where it stands for the paper's BST).
 
-======== =====================================================
-column   meaning
-======== =====================================================
-_key     interval lower bound (the BST key)
-_hi      interval upper bound
-_left    left child index (-1 = none)
-_right   right child index (-1 = none)
-_height  AVL height (leaves are 1)
-_aug     max interval upper bound in the subtree
-_tid     the row's tail id in ``_tails`` (-1 on free slots)
-======== =====================================================
+The rows live in sorted *blocks* of at most :attr:`_BLOCK` rows, the
+layout of ``sortedcontainers``: per block an ``array('q')`` of lower
+bounds, one of upper bounds and an ``array('i')`` of tail ids, and
+over the blocks two plain lists, each block's first lower bound
+(``_mins``) and last upper bound (``_maxs``).  Insert, remove and
+query bisect the index list, then one block, both in C; an insert or
+remove moves at most one block's rows.  A block that outgrows
+:attr:`_BLOCK` rows splits in half and an emptied block is dropped, so
+each split is paid for by at least ``_BLOCK // 2`` inserts.
 
 A record's *tail* is everything but its bounds, ``rec[2:]`` = (type,
 site, origin, seq, flush_gen, accum, excl_epoch) — see
 :mod:`repro.intervals.intern`.  A store holds few distinct tails (a
 handful of sites times the epoch state), so each is kept once in the
 tail table ``_tails`` (id → tail, with ``_tail_ids`` the reverse map)
-and a row stores only its id: bounds plus one small int instead of a
-9-tuple per node.  Records ``(lo, hi) + tail`` are built only for query
-hits and iteration.  Tails whose rows are gone are dropped when the
-table would outgrow twice the live rows (:meth:`_add_tail`), so
-changing ``flush_gen`` / ``excl_epoch`` values cannot grow it without
-bound.
+and a row stores only its id.  Records ``(lo, hi) + tail`` are built
+only for query hits and iteration.  Tails whose rows are gone are
+dropped when the table would outgrow twice the live rows
+(:meth:`_add_tail`), so changing ``flush_gen`` / ``excl_epoch`` values
+cannot grow it without bound.
 
-Freed slots go on a free list and are reused LIFO, so a store's column
-length tracks its high-water node count, not its insert count.
-
-Every operation counts into the same :class:`~repro.bst.stats.TreeStats`
-with the *same accounting* as the object tree — descent comparisons,
-rotations, query ``visited`` counts, fan-out buckets — because those
-counters are published as ``bst.*`` metrics and captured inside race
-forensics bundles: the flat core must keep them byte-identical to the
-object core (the differential harness in ``tests/`` pins this).
-
-Keys are unique.  Algorithm 1's fragmentation (§4.1) keeps the
-records of a store pairwise disjoint, and every stored interval is
-non-empty: a trace access is checked for ``0 <= lo < hi`` where it is
-decoded (:meth:`~repro.pipeline.format.WireStream.decode` and
-:meth:`~repro.core.flatcore.FlatDetector.ingest_wire`), and a live
-access is an :class:`~repro.intervals.Interval`, which refuses empty
-ones.  Disjoint non-empty intervals have distinct lower bounds, so an
-insert never meets its own key and a key names at most one row — the
-object tree's tie-break counter has no observable effect and is not
-materialized.
+Counting: inserts, removals, queries, query hits, fan-out buckets and
+the high-water row count are what every store counts alike (the
+object tree included), and Table 4 reads the row counts.
+``comparisons`` is a bisect-probe charge: each lookup (an insert's, a
+remove's, a query's) adds ``len(store).bit_length()``, the probes of
+one binary search over the store's rows.  It depends on the store's
+size alone, never on where the blocks split, so every path that
+applies the same operations counts the same.  ``rotations`` stays 0.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..intervals.access import DebugInfo
@@ -62,46 +59,42 @@ from .stats import FANOUT_NBUCKETS, TreeStats
 __all__ = ["FLAT_LAYOUT", "FlatIntervalStore"]
 
 #: checkpoint layout tag of one serialized store (inside ``repro-ckpt-v1``)
-FLAT_LAYOUT = "repro-flat-bst-v3"
+FLAT_LAYOUT = "repro-flat-blocks-v1"
 
 #: a record without its bounds: (type, site, origin, seq, flush_gen,
 #: accum, excl_epoch) — ``rec[2:]``
 Tail = Tuple[int, int, int, int, int, int, Optional[int]]
 
 
-def _packed(col: List[int], code: str):
-    """An int column as a typed array: bounds as int64 (``"q"``), row
-    indices, heights and tail ids as int32 (``"i"``) — a trace's
-    access records hold int64 bounds.  (``array`` is imported here, on
-    the first checkpoint: a plain analysis never loads it.)
-    """
-    from array import array
-
-    return array(code, col)
+def _joined(blocks: List[array], code: str) -> array:
+    """One typed array of every block's rows, in order."""
+    out = array(code)
+    for block in blocks:
+        out.extend(block)
+    return out
 
 
 class FlatIntervalStore:
-    """Disjoint-interval store over flat columns, API-compatible with
+    """Disjoint-interval store over sorted typed-array blocks (see the
+    module docstring), API-compatible with
     :class:`~repro.bst.interval_tree.IntervalBST` where the detectors
     need it (``len``, ``stats``, ``clear``, iteration, checkpointing) —
     but trafficking in interned record tuples, not ``MemoryAccess``."""
 
-    __slots__ = ("_key", "_hi", "_left", "_right", "_height", "_aug",
-                 "_tid", "_tails", "_tail_ids", "_free", "root", "_size",
-                 "stats", "_last", "_last_rec")
+    #: rows per block before it splits (tests shrink it in a subclass)
+    _BLOCK = 2048
+
+    __slots__ = ("_los", "_his", "_tids", "_mins", "_maxs", "_tails",
+                 "_tail_ids", "_size", "stats", "_last", "_last_rec")
 
     def __init__(self) -> None:
-        self._key: List[int] = []
-        self._hi: List[int] = []
-        self._left: List[int] = []
-        self._right: List[int] = []
-        self._height: List[int] = []
-        self._aug: List[int] = []
-        self._tid: List[int] = []
+        self._los: List[array] = []
+        self._his: List[array] = []
+        self._tids: List[array] = []
+        self._mins: List[int] = []
+        self._maxs: List[int] = []
         self._tails: List[Tail] = []
         self._tail_ids: Dict[Tail, int] = {}
-        self._free: List[int] = []
-        self.root = -1
         self._size = 0
         self.stats = TreeStats()
         self._forget_last()
@@ -114,45 +107,22 @@ class FlatIntervalStore:
     def __bool__(self) -> bool:
         return self._size > 0
 
-    def _rows(self) -> Iterator[int]:
-        """Live rows in key order (in-order traversal)."""
-        left = self._left
-        right = self._right
-        stack: List[int] = []
-        i = self.root
-        while stack or i >= 0:
-            while i >= 0:
-                stack.append(i)
-                i = left[i]
-            i = stack.pop()
-            yield i
-            i = right[i]
-
     def __iter__(self) -> Iterator[Rec]:
-        """In-order traversal of records (ascending key)."""
-        karr = self._key
-        hiarr = self._hi
-        tid = self._tid
+        """Records in key order."""
         tails = self._tails
-        for i in self._rows():
-            yield (karr[i], hiarr[i]) + tails[tid[i]]
-
-    def height(self) -> int:
-        return self._height[self.root] if self.root >= 0 else 0
+        for los, his, tids in zip(self._los, self._his, self._tids):
+            for k in range(len(los)):
+                yield (los[k], his[k]) + tails[tids[k]]
 
     def clear(self) -> None:
         """Drop all rows; stats survive (same contract as the object tree)."""
-        self._key.clear()
-        self._hi.clear()
-        self._left.clear()
-        self._right.clear()
-        self._height.clear()
-        self._aug.clear()
-        self._tid.clear()
+        self._los.clear()
+        self._his.clear()
+        self._tids.clear()
+        self._mins.clear()
+        self._maxs.clear()
         self._tails.clear()
         self._tail_ids.clear()
-        self._free.clear()
-        self.root = -1
         self._size = 0
         self._forget_last()
 
@@ -171,11 +141,9 @@ class FlatIntervalStore:
         kept = [keep(t) for t in tails]
         if not any(kept):
             return []
-        karr = self._key
-        hiarr = self._hi
-        tid = self._tid
-        return [(karr[i], hiarr[i]) + tails[tid[i]]
-                for i in self._rows() if kept[tid[i]]]
+        return [(los[k], his[k]) + tails[tids[k]]
+                for los, his, tids in zip(self._los, self._his, self._tids)
+                for k in range(len(los)) if kept[tids[k]]]
 
     # -- tail table ------------------------------------------------------------
 
@@ -198,444 +166,112 @@ class FlatIntervalStore:
 
     def _compact_tails(self) -> None:
         """Drop unused tails; live ones keep their relative id order."""
-        tid = self._tid
         tails = self._tails
-        live = sorted(set(tid) - {-1})
+        live = sorted(set().union(*self._tids))
         remap = {old: new for new, old in enumerate(live)}
-        remap[-1] = -1
-        tid[:] = [remap[t] for t in tid]
+        self._tids = [array("i", [remap[t] for t in tids])
+                      for tids in self._tids]
         tails[:] = [tails[t] for t in live]
         self._tail_ids = {tail: t for t, tail in enumerate(tails)}
 
     def _forget_last(self) -> None:
-        """Drop the memo of the last insert (its row was freed).
+        """Drop the memo of the last insert (its row was removed).
 
-        ``_last_rec`` is the record the last :meth:`insert` stored, in
-        row ``_last``.  A query hitting that row returns that tuple
-        instead of building one, and removing that very tuple needs no
-        tail compare: the common step of extending the record just
-        stored (query, remove, re-insert) builds no record at all.
+        ``_last_rec`` is the record the last :meth:`insert` stored, and
+        ``_last`` its key (-1: none).  A query hitting that row returns
+        that tuple instead of building one, and removing that very
+        tuple needs no tail compare: the common step of extending the
+        record just stored (query, remove, re-insert) builds no record
+        at all.
         """
         self._last = -1
         self._last_rec = None
 
-    # -- maintenance -----------------------------------------------------------
-
-    def _refresh(self, i: int) -> None:
-        left = self._left
-        right = self._right
-        height = self._height
-        l = left[i]
-        r = right[i]
-        lh = height[l] if l >= 0 else 0
-        rh = height[r] if r >= 0 else 0
-        height[i] = (lh if lh > rh else rh) + 1
-        aug = self._aug
-        a = self._hi[i]
-        if l >= 0 and aug[l] > a:
-            a = aug[l]
-        if r >= 0 and aug[r] > a:
-            a = aug[r]
-        aug[i] = a
-
-    def _rotate_right(self, y: int) -> int:
-        left = self._left
-        x = left[y]
-        left[y] = self._right[x]
-        self._right[x] = y
-        self._refresh(y)
-        self._refresh(x)
-        self.stats.rotations += 1
-        return x
-
-    def _rotate_left(self, x: int) -> int:
-        right = self._right
-        y = right[x]
-        right[x] = self._left[y]
-        self._left[y] = x
-        self._refresh(x)
-        self._refresh(y)
-        self.stats.rotations += 1
-        return y
-
-    def _rebalance(self, i: int) -> int:
-        left = self._left
-        right = self._right
-        height = self._height
-        l = left[i]
-        r = right[i]
-        lh = height[l] if l >= 0 else 0
-        rh = height[r] if r >= 0 else 0
-        height[i] = (lh if lh > rh else rh) + 1
-        aug = self._aug
-        a = self._hi[i]
-        if l >= 0 and aug[l] > a:
-            a = aug[l]
-        if r >= 0 and aug[r] > a:
-            a = aug[r]
-        aug[i] = a
-        balance = lh - rh
-        if balance > 1:
-            ll = left[l]
-            lr = right[l]
-            if (height[ll] if ll >= 0 else 0) < (
-                    height[lr] if lr >= 0 else 0):
-                left[i] = self._rotate_left(l)
-            return self._rotate_right(i)
-        if balance < -1:
-            rr = right[r]
-            rl = left[r]
-            if (height[rr] if rr >= 0 else 0) < (
-                    height[rl] if rl >= 0 else 0):
-                right[i] = self._rotate_right(r)
-            return self._rotate_left(i)
-        return i
-
     # -- mutation --------------------------------------------------------------
 
     def insert(self, rec: Rec) -> None:
-        """Insert one record (iterative descent + bottom-up rebalance).
-
-        Counting parity with the object tree: one comparison per
-        existing node on the descent path (keys are unique, so the
-        comparison outcome depends on the key alone).  Alloc, refresh,
-        and the balance check are inlined — this is the detector's
-        single hottest function.
-        """
-        key = rec[0]
-        hi = rec[1]
+        """Insert one record, disjoint from every stored one."""
+        lo = rec[0]
         tail = rec[2:]
         tix = self._tail_ids.get(tail)
         if tix is None:
             tix = self._add_tail(tail)
-        karr = self._key
-        hiarr = self._hi
-        left = self._left
-        right = self._right
-        height = self._height
-        aug = self._aug
-        free = self._free
-        if free:
-            idx = free.pop()
-            karr[idx] = key
-            hiarr[idx] = hi
-            left[idx] = -1
-            right[idx] = -1
-            height[idx] = 1
-            aug[idx] = hi
-            self._tid[idx] = tix
-        else:
-            idx = len(karr)
-            karr.append(key)
-            hiarr.append(hi)
-            left.append(-1)
-            right.append(-1)
-            height.append(1)
-            aug.append(hi)
-            self._tid.append(tix)
-        self._last = idx
-        self._last_rec = rec
+        n = self._size
         stats = self.stats
-        i = self.root
-        if i < 0:
-            self.root = idx
+        stats.comparisons += n.bit_length()
+        mins = self._mins
+        if n:
+            b = bisect_right(mins, lo) - 1
+            if b < 0:
+                b = 0
+            los = self._los[b]
+            i = bisect_left(los, lo)
+            los.insert(i, lo)
+            self._his[b].insert(i, rec[1])
+            self._tids[b].insert(i, tix)
+            if not i:
+                mins[b] = lo
+            if i == len(los) - 1:
+                self._maxs[b] = rec[1]
+            if len(los) > self._BLOCK:
+                self._split(b)
         else:
-            path: List[int] = []
-            # descent and attach fused: the final comparison's direction
-            # is remembered, not recomputed (counts are len(path) either
-            # way — one comparison per visited node).  Every node on the
-            # path gains exactly the new record, so its max-hi becomes
-            # max(old, hi) here, whatever the rebalance below does: a
-            # rotation rebuilds the rotated nodes' max-hi from their
-            # children, and keeps their subtree's record set.
-            while True:
-                path.append(i)
-                if hi > aug[i]:
-                    aug[i] = hi
-                if key < karr[i]:
-                    j = left[i]
-                    if j < 0:
-                        left[i] = idx
-                        break
-                else:
-                    j = right[i]
-                    if j < 0:
-                        right[i] = idx
-                        break
-                i = j
-            stats.comparisons += len(path)
-            # Bottom-up height refresh + rebalance of the descent path,
-            # re-attaching any rotated subtree root to its parent (what
-            # the recursive object implementation does via returns).
-            # Max-hi is already final (above), so once a node's height
-            # comes out unchanged nothing above it can change either —
-            # one insert needs at most one (single or double) rotation,
-            # and past it every ancestor refresh is a no-op — so the
-            # walk stops early.  Comparison/rotation *counts* are
-            # untouched by the early exit: the object core's extra
-            # _rebalance calls up the path never count anything.
-            for j in range(len(path) - 1, -1, -1):
-                node = path[j]
-                l = left[node]
-                r = right[node]
-                lh = height[l] if l >= 0 else 0
-                rh = height[r] if r >= 0 else 0
-                bal = lh - rh
-                if bal > 1:
-                    oh = height[node]
-                    ll = left[l]
-                    lr = right[l]
-                    if (height[ll] if ll >= 0 else 0) < (
-                            height[lr] if lr >= 0 else 0):
-                        # left-right: pre-rotate the left child left
-                        # (inlined _rotate_left(l); x = l, y = lr)
-                        t = left[lr]
-                        right[l] = t
-                        left[lr] = l
-                        th = height[t] if t >= 0 else 0
-                        llh = height[ll] if ll >= 0 else 0
-                        height[l] = (llh if llh > th else th) + 1
-                        a2 = hiarr[l]
-                        if ll >= 0 and aug[ll] > a2:
-                            a2 = aug[ll]
-                        if t >= 0 and aug[t] > a2:
-                            a2 = aug[t]
-                        aug[l] = a2
-                        yr = right[lr]
-                        yrh = height[yr] if yr >= 0 else 0
-                        hl2 = height[l]
-                        height[lr] = (hl2 if hl2 > yrh else yrh) + 1
-                        a3 = hiarr[lr]
-                        if a2 > a3:
-                            a3 = a2
-                        if yr >= 0 and aug[yr] > a3:
-                            a3 = aug[yr]
-                        aug[lr] = a3
-                        stats.rotations += 1
-                        left[node] = lr
-                        l = lr
-                    # inlined _rotate_right(node); x = l, y = node
-                    t = right[l]
-                    left[node] = t
-                    right[l] = node
-                    th = height[t] if t >= 0 else 0
-                    rh2 = height[r] if r >= 0 else 0
-                    height[node] = (th if th > rh2 else rh2) + 1
-                    a2 = hiarr[node]
-                    if t >= 0 and aug[t] > a2:
-                        a2 = aug[t]
-                    if r >= 0 and aug[r] > a2:
-                        a2 = aug[r]
-                    aug[node] = a2
-                    xl = left[l]
-                    xlh = height[xl] if xl >= 0 else 0
-                    hn = height[node]
-                    height[l] = (xlh if xlh > hn else hn) + 1
-                    a3 = hiarr[l]
-                    if xl >= 0 and aug[xl] > a3:
-                        a3 = aug[xl]
-                    if a2 > a3:
-                        a3 = a2
-                    aug[l] = a3
-                    stats.rotations += 1
-                    sub = l
-                elif bal < -1:
-                    oh = height[node]
-                    rr = right[r]
-                    rl = left[r]
-                    if (height[rr] if rr >= 0 else 0) < (
-                            height[rl] if rl >= 0 else 0):
-                        # right-left: pre-rotate the right child right
-                        # (inlined _rotate_right(r); y = r, x = rl)
-                        t = right[rl]
-                        left[r] = t
-                        right[rl] = r
-                        th = height[t] if t >= 0 else 0
-                        rrh = height[rr] if rr >= 0 else 0
-                        height[r] = (th if th > rrh else rrh) + 1
-                        a2 = hiarr[r]
-                        if t >= 0 and aug[t] > a2:
-                            a2 = aug[t]
-                        if rr >= 0 and aug[rr] > a2:
-                            a2 = aug[rr]
-                        aug[r] = a2
-                        xl = left[rl]
-                        xlh = height[xl] if xl >= 0 else 0
-                        hr2 = height[r]
-                        height[rl] = (xlh if xlh > hr2 else hr2) + 1
-                        a3 = hiarr[rl]
-                        if xl >= 0 and aug[xl] > a3:
-                            a3 = aug[xl]
-                        if a2 > a3:
-                            a3 = a2
-                        aug[rl] = a3
-                        stats.rotations += 1
-                        right[node] = rl
-                        r = rl
-                    # inlined _rotate_left(node); x = node, y = r
-                    t = left[r]
-                    right[node] = t
-                    left[r] = node
-                    lh2 = height[l] if l >= 0 else 0
-                    th = height[t] if t >= 0 else 0
-                    height[node] = (lh2 if lh2 > th else th) + 1
-                    a2 = hiarr[node]
-                    if l >= 0 and aug[l] > a2:
-                        a2 = aug[l]
-                    if t >= 0 and aug[t] > a2:
-                        a2 = aug[t]
-                    aug[node] = a2
-                    yr = right[r]
-                    yrh = height[yr] if yr >= 0 else 0
-                    hn = height[node]
-                    height[r] = (hn if hn > yrh else yrh) + 1
-                    a3 = hiarr[r]
-                    if a2 > a3:
-                        a3 = a2
-                    if yr >= 0 and aug[yr] > a3:
-                        a3 = aug[yr]
-                    aug[r] = a3
-                    stats.rotations += 1
-                    sub = r
-                else:
-                    nh = (lh if lh > rh else rh) + 1
-                    if nh == height[node]:
-                        break
-                    height[node] = nh
-                    continue
-                if j:
-                    p = path[j - 1]
-                    if left[p] == node:
-                        left[p] = sub
-                    else:
-                        right[p] = sub
-                else:
-                    self.root = sub
-                if height[sub] == oh:
-                    break
-        self._size += 1
+            self._los.append(array("q", (lo,)))
+            self._his.append(array("q", (rec[1],)))
+            self._tids.append(array("i", (tix,)))
+            mins.append(lo)
+            self._maxs.append(rec[1])
+        self._last = lo
+        self._last_rec = rec
+        n += 1
+        self._size = n
         stats.inserts += 1
-        if self._size > stats.max_size:
-            stats.max_size = self._size
+        if n > stats.max_size:
+            stats.max_size = n
+
+    def _split(self, b: int) -> None:
+        """Halve block ``b``: its upper half becomes block ``b + 1``."""
+        half = len(self._los[b]) >> 1
+        for blocks in (self._los, self._his, self._tids):
+            block = blocks[b]
+            blocks.insert(b + 1, block[half:])
+            del block[half:]
+        self._mins.insert(b + 1, self._los[b + 1][0])
+        self._maxs.insert(b + 1, self._maxs[b])
+        self._maxs[b] = self._his[b][-1]
 
     def remove(self, rec: Rec) -> bool:
-        """Remove the stored record equal to ``rec``; False if absent.
-
-        Keys are unique, so the descent ends at the one row with
-        ``rec``'s key, or finds none.  Iterative descent with an
-        explicit ancestor stack, then bottom-up maintenance with the
-        same stats accounting and early break as :meth:`insert`: one
-        comparison per visited node,
-        rotations counted only when they happen, and the climb stops as
-        soon as a refresh leaves both height and augmentation unchanged
-        (everything above is then provably a no-op in the recursive
-        formulation too).
-        """
-        i = self.root
-        if i < 0:
+        """Remove the stored record equal to ``rec``; False if absent."""
+        self.stats.comparisons += self._size.bit_length()
+        lo = rec[0]
+        b = bisect_right(self._mins, lo) - 1
+        if b < 0:
             return False
-        key = rec[0]
-        karr = self._key
-        hiarr = self._hi
-        left = self._left
-        right = self._right
-        height = self._height
-        aug = self._aug
-        tid = self._tid
-        stats = self.stats
-        path: List[int] = []
-        visited = 0
-        while i >= 0:
-            visited += 1
-            k = karr[i]
-            if key < k:
-                path.append(i)
-                i = left[i]
-            elif key > k:
-                path.append(i)
-                i = right[i]
-            else:
-                break
-        stats.comparisons += visited
-        if i < 0 or not ((i == self._last and rec is self._last_rec) or (
-                hiarr[i] == rec[1] and self._tails[tid[i]] == rec[2:])):
+        los = self._los[b]
+        i = bisect_left(los, lo)
+        if i == len(los) or los[i] != lo:
             return False
-        # detach row i (successor splice when it has two children)
-        l = left[i]
-        r = right[i]
-        tid[i] = -1
-        self._free.append(i)
-        if i == self._last:
-            self._last = -1
-            self._last_rec = None
-        if l < 0:
-            sub = r
-        elif r < 0:
-            sub = l
+        his = self._his[b]
+        tids = self._tids[b]
+        if rec is not self._last_rec and (
+                his[i] != rec[1] or self._tails[tids[i]] != rec[2:]):
+            return False
+        if lo == self._last:
+            self._forget_last()
+        del los[i]
+        del his[i]
+        del tids[i]
+        if not los:
+            for blocks in (self._los, self._his, self._tids, self._mins,
+                           self._maxs):
+                del blocks[b]
         else:
-            # detach the right subtree's min, rebalancing every
-            # left-spine node on the way up as the object tree does
-            # (rotations counted, no comparisons)
-            m = r
-            if left[m] < 0:
-                new_r = right[m]
-            else:
-                spine = [m]
-                m = left[m]
-                while left[m] >= 0:
-                    spine.append(m)
-                    m = left[m]
-                left[spine[-1]] = right[m]
-                sub2 = self._rebalance(spine[-1])
-                for j in range(len(spine) - 2, -1, -1):
-                    p = spine[j]
-                    left[p] = sub2
-                    sub2 = self._rebalance(p)
-                new_r = sub2
-            left[m] = l
-            right[m] = new_r
-            sub = self._rebalance(m)
-        if not path:
-            self.root = sub
-        else:
-            p = path[-1]
-            if left[p] == i:
-                left[p] = sub
-            else:
-                right[p] = sub
-            for j in range(len(path) - 1, -1, -1):
-                node = path[j]
-                l2 = left[node]
-                r2 = right[node]
-                lh = height[l2] if l2 >= 0 else 0
-                rh = height[r2] if r2 >= 0 else 0
-                oh = height[node]
-                oa = aug[node]
-                if lh - rh > 1 or rh - lh > 1:
-                    sub = self._rebalance(node)
-                    if j:
-                        p = path[j - 1]
-                        if left[p] == node:
-                            left[p] = sub
-                        else:
-                            right[p] = sub
-                    else:
-                        self.root = sub
-                    if height[sub] == oh and aug[sub] == oa:
-                        break
-                else:
-                    nh = (lh if lh > rh else rh) + 1
-                    height[node] = nh
-                    a = hiarr[node]
-                    if l2 >= 0 and aug[l2] > a:
-                        a = aug[l2]
-                    if r2 >= 0 and aug[r2] > a:
-                        a = aug[r2]
-                    aug[node] = a
-                    if nh == oh and a == oa:
-                        break
+            if not i:
+                self._mins[b] = los[0]
+            if i == len(los):
+                self._maxs[b] = his[-1]
         self._size -= 1
-        stats.removals += 1
+        self.stats.removals += 1
         return True
 
     # -- queries ---------------------------------------------------------------
@@ -643,44 +279,32 @@ class FlatIntervalStore:
     def find_overlapping(self, lo: int, hi: int) -> List[Rec]:
         """All stored records overlapping ``[lo, hi)``, in key order.
 
-        Same traversal, pruning, and stats accounting as
-        :meth:`IntervalBST.find_overlapping` — ``visited`` nodes count
-        as comparisons, every query lands in the fan-out buckets.
+        The run starts at the first row whose upper bound exceeds
+        ``lo`` (a bisect of the blocks' last upper bounds, then of one
+        block's upper bounds) and ends before the first row whose lower
+        bound reaches ``hi`` (:meth:`_run`; when the next row's lower
+        bound already does, the run is that one row).  Every query
+        lands in the fan-out buckets.
         """
-        out: List[Rec] = []
-        visited = 0
-        i = self.root
-        if i >= 0:
-            karr = self._key
-            hiarr = self._hi
-            aug = self._aug
-            left = self._left
-            right = self._right
-            tid = self._tid
-            tails = self._tails
-            # prune at push time: a child with aug <= lo would only be
-            # popped and skipped, so never stack it — the visited set
-            # (and thus the comparison count) is identical either way
-            if aug[i] > lo:
-                # (list methods are called in place: CPython 3.11+
-                # specializes those calls, not calls via bound methods)
-                stack = [i]
-                while stack:
-                    i = stack.pop()
-                    visited += 1
-                    l = left[i]
-                    if l >= 0 and aug[l] > lo:
-                        stack.append(l)
-                    if karr[i] < hi:
-                        if lo < hiarr[i]:
-                            out.append(
-                                self._last_rec if i == self._last else
-                                (karr[i], hiarr[i]) + tails[tid[i]])
-                        r = right[i]
-                        if r >= 0 and aug[r] > lo:
-                            stack.append(r)
         stats = self.stats
-        stats.comparisons += visited
+        stats.comparisons += self._size.bit_length()
+        maxs = self._maxs
+        b = bisect_right(maxs, lo)
+        if b == len(maxs):
+            out = []
+        else:
+            los = self._los[b]
+            his = self._his[b]
+            i = bisect_right(his, lo)
+            key = los[i]
+            if key >= hi:
+                out = []
+            elif (los[i + 1] >= hi if i + 1 < len(los) else
+                  b + 1 == len(maxs) or self._mins[b + 1] >= hi):
+                out = [self._last_rec if key == self._last else
+                       (key, his[i]) + self._tails[self._tids[b][i]]]
+            else:
+                out = self._run(b, i, hi)
         # note_query, inlined (this is the hottest query in the tool)
         k = len(out)
         stats.queries += 1
@@ -689,41 +313,50 @@ class FlatIntervalStore:
             stats.max_fanout = k
         b = k.bit_length() if k else 0
         stats.fanout[b if b < FANOUT_NBUCKETS else FANOUT_NBUCKETS - 1] += 1
-        # records sort lexicographically: unique keys mean element 0
-        # alone orders them — same (lo, hi) order as the object tree
-        if k > 1:
-            out.sort()
         return out
+
+    def _run(self, b: int, i: int, hi: int) -> List[Rec]:
+        """Records of the rows from row ``i`` of block ``b`` on whose
+        lower bound is below ``hi`` (a bisect of each block reached)."""
+        out: List[Rec] = []
+        mins = self._mins
+        tails = self._tails
+        last = self._last
+        last_rec = self._last_rec
+        while True:
+            los = self._los[b]
+            his = self._his[b]
+            tids = self._tids[b]
+            j = bisect_left(los, hi, i)
+            out.extend(last_rec if los[k] == last else
+                       (los[k], his[k]) + tails[tids[k]]
+                       for k in range(i, j))
+            b += 1
+            if j < len(los) or b == len(mins) or mins[b] >= hi:
+                return out
+            i = 0
 
     # -- checkpointing ---------------------------------------------------------
 
     def save_state(self) -> dict:
-        """Portable ``repro-ckpt-v1`` encoding (layout ``repro-flat-bst-v3``).
+        """Portable ``repro-ckpt-v1`` encoding (layout ``repro-flat-blocks-v1``).
 
-        The int columns travel as typed arrays, the tail table as is.
-        Interned ids are process-local, so the id → value tables of the
-        sites (filename, line) and accum ops go along, collected from
-        the few tails rather than from every row; a store restored in
-        another process re-interns those values and remaps its tails.
-        Structure (indices, free list, root, tail ids) round-trips
-        exactly, so the restored store's future behavior — including
-        slot reuse order and every stats delta — is identical.
+        The rows travel as three typed arrays (lower bounds, upper
+        bounds, tail ids), the tail table as is.  Interned ids are
+        process-local, so the id → value tables of the sites (filename,
+        line) and accum ops go along, collected from the few tails
+        rather than from every row; a store restored in another process
+        re-interns those values and remaps its tails.  Block boundaries
+        are not saved: nothing a store reports depends on them.
         """
         tails = list(self._tails)
         site_val = SITES.value
         accum_val = ACCUMS.value
         return {
             "layout": FLAT_LAYOUT,
-            "root": self.root,
-            "size": self._size,
-            "free": _packed(self._free, "i"),
-            "key": _packed(self._key, "q"),
-            "hi": _packed(self._hi, "q"),
-            "left": _packed(self._left, "i"),
-            "right": _packed(self._right, "i"),
-            "height": _packed(self._height, "i"),
-            "aug": _packed(self._aug, "q"),
-            "tid": _packed(self._tid, "i"),
+            "lo": _joined(self._los, "q"),
+            "hi": _joined(self._his, "q"),
+            "tid": _joined(self._tids, "i"),
             "tails": tails,
             "sites": {t[1]: (site_val(t[1]).filename, site_val(t[1]).line)
                       for t in tails},
@@ -734,25 +367,27 @@ class FlatIntervalStore:
     def load_state(self, state: dict) -> None:
         """Rebuild from :meth:`save_state` output (re-interning ids).
 
-        Only layout ``repro-flat-bst-v3`` loads; an older snapshot
-        raises :class:`ValueError`, which a resumed run reports as an
-        unusable checkpoint.  A ``balanced`` entry (always True in the
-        states written before the store lost that option) is ignored.
+        Only layout ``repro-flat-blocks-v1`` loads; any other (the AVL
+        store's ``repro-flat-bst-v3`` included) raises
+        :class:`ValueError`, which a resumed run reports as an unusable
+        checkpoint.  The rows are cut into full blocks.
         """
         layout = state.get("layout")
         if layout != FLAT_LAYOUT:
             raise ValueError(
                 f"flat store cannot load layout {layout!r} "
                 f"(expected {FLAT_LAYOUT!r})")
-        self.root = state["root"]
-        self._size = state["size"]
-        self._free = list(state["free"])
-        self._key = list(state["key"])
-        self._hi = list(state["hi"])
-        self._left = list(state["left"])
-        self._right = list(state["right"])
-        self._height = list(state["height"])
-        self._aug = list(state["aug"])
+        lo = state["lo"]
+        hi = state["hi"]
+        tid = state["tid"]
+        step = self._BLOCK
+        cuts = range(0, len(lo), step)
+        self._los = [lo[c:c + step] for c in cuts]
+        self._his = [hi[c:c + step] for c in cuts]
+        self._tids = [tid[c:c + step] for c in cuts]
+        self._mins = [los[0] for los in self._los]
+        self._maxs = [his[-1] for his in self._his]
+        self._size = len(lo)
         site_id = SITES.id_of
         accum_id = ACCUMS.id_of
         sites = {i: site_id(DebugInfo(*v)) for i, v in state["sites"].items()}
@@ -764,7 +399,6 @@ class FlatIntervalStore:
             # tails — the rows keep their tail ids
             tails = [t[:1] + (sites[t[1]],) + t[2:5] + (accums[t[5]], t[6])
                      for t in tails]
-        self._tid = list(state["tid"])
         self._tails = tails
         self._tail_ids = {t: i for i, t in enumerate(tails)}
         self.stats = TreeStats.from_dict(state["stats"])
@@ -780,46 +414,27 @@ class FlatIntervalStore:
 
     def check_invariants(self) -> None:
         """Raise AssertionError on any structural violation."""
-        seen = set()
-
-        def walk(i: int):
-            if i < 0:
-                return 0, None, None, 0
-            assert i not in seen, f"row {i} reachable twice"
-            seen.add(i)
-            t = self._tid[i]
-            assert 0 <= t < len(self._tails), f"free row {i} still linked"
-            lh, lmin, lmax, laug = walk(self._left[i])
-            rh, rmin, rmax, raug = walk(self._right[i])
-            k = self._key[i]
-            assert 0 <= k < self._hi[i], f"empty interval at row {i}"
-            if lmax is not None:
-                assert lmax < k, f"left child {lmax} >= node {k}"
-            if rmin is not None:
-                assert rmin > k, f"right child {rmin} <= node {k}"
-            h = 1 + max(lh, rh)
-            assert self._height[i] == h, f"stale height at row {i}"
-            assert abs(lh - rh) <= 1, f"unbalanced at row {i}"
-            expect_aug = max(self._hi[i], laug, raug)
-            assert self._aug[i] == expect_aug, f"stale max-hi at row {i}"
-            return (h, lmin if lmin is not None else k,
-                    rmax if rmax is not None else k, expect_aug)
-
-        walk(self.root)
-        assert self._size == len(seen), "size disagrees with reachable rows"
-        free = set(self._free)
-        assert len(free) == len(self._free), "duplicate free-list entries"
-        assert not (free & seen), "free row still reachable"
-        assert len(seen) + len(free) == len(self._key), (
-            "rows neither reachable nor free")
-        assert all(self._tid[i] == -1 for i in free), "free row keeps a tail"
+        los, his, tids = self._los, self._his, self._tids
+        assert len(los) == len(his) == len(tids) == len(self._mins) == len(
+            self._maxs), "block lists disagree in length"
+        for b in range(len(los)):
+            n = len(los[b])
+            assert 0 < n <= self._BLOCK, f"block {b} holds {n} rows"
+            assert len(his[b]) == len(tids[b]) == n, f"block {b} ragged"
+            assert self._mins[b] == los[b][0], f"stale first key of block {b}"
+            assert self._maxs[b] == his[b][-1], f"stale last hi of block {b}"
+            assert all(0 <= t < len(self._tails) for t in tids[b]), (
+                f"block {b} names a tail not in the table")
+        assert self._size == sum(len(b) for b in los), "size disagrees"
         tails = self._tails
         assert self._tail_ids == {t: i for i, t in enumerate(tails)}, (
             "tail table and its index disagree")
+        rows = [(lo, hi) for b in range(len(los))
+                for lo, hi in zip(los[b], his[b])]
+        assert all(0 <= lo < hi for lo, hi in rows), "empty interval stored"
+        for (_, a_hi), (b_lo, _) in zip(rows, rows[1:]):
+            assert a_hi <= b_lo, "stored records overlap or are out of order"
         last = self._last
-        assert last < 0 or (last in seen and self._last_rec == (
-            self._key[last], self._hi[last]) + tails[self._tid[last]]), (
+        assert last < 0 or self._last_rec in list(self), (
             "the last-insert memo disagrees with its row")
-        ordered = list(self)
-        for a, b in zip(ordered, ordered[1:]):
-            assert a[1] <= b[0], f"stored records overlap: {a} vs {b}"
+        assert last < 0 or self._last_rec[0] == last, "memo key is stale"

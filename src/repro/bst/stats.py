@@ -26,9 +26,12 @@ FANOUT_NBUCKETS = 22
 class TreeStats:
     """Operation counters used by the overhead analyses (Figs 10-12).
 
-    ``comparisons`` counts key comparisons during descents, ``rotations``
-    counts rebalancing rotations, ``max_size`` tracks the high-water node
-    count — the quantity reported in the paper's Table 4.  ``queries`` /
+    ``comparisons`` and ``rotations`` count a store's own work: key
+    comparisons during descents and rebalancing rotations in the AVL
+    tree, bisect probes and no rotations in the flat store (see
+    :mod:`repro.bst.flat`).  Every other counter means the same in
+    every store.  ``max_size`` tracks the high-water node count — the
+    quantity reported in the paper's Table 4.  ``queries`` /
     ``query_hits`` / ``fanout`` account the stabbing queries and their
     fan-out k (the O(log n + k) term): plain always-on integers here,
     surfaced as obs metrics only at publication time, because the query

@@ -517,12 +517,14 @@ def _main(argv: Optional[List[str]]) -> int:
 
 
 def _write_chrome(path: str, *, timeline=None, trace_path=None,
-                  nranks: int = 0, verdicts=(), file=None) -> None:
+                  salvage: bool = False, verdicts=(), file=None) -> None:
     """Write a Chrome trace-event file from either producer.
 
-    ``trace_path`` re-streams a recorded trace (full fidelity);
-    ``timeline`` exports a bounded repro-timeline-v1 snapshot.  The
-    status line goes to ``file`` (stdout by default).
+    ``trace_path`` re-streams a recorded trace (full fidelity), read in
+    the analysis's ``salvage`` mode so a quarantined chunk stays out of
+    the export as it stayed out of the analysis; ``timeline`` exports a
+    bounded repro-timeline-v1 snapshot.  The status line goes to
+    ``file`` (stdout by default).
     """
     from .obs.chrometrace import (
         chrome_events_from_timeline,
@@ -533,7 +535,7 @@ def _write_chrome(path: str, *, timeline=None, trace_path=None,
     if trace_path is not None:
         from .pipeline import TraceReader
 
-        reader = TraceReader(trace_path)
+        reader = TraceReader(trace_path, strict=not salvage)
         events = chrome_events_from_trace(iter(reader), reader.nranks)
     else:
         events = chrome_events_from_timeline(timeline)
@@ -621,7 +623,8 @@ def _analyze(args) -> int:
     if args.trace_out:
         try:
             _write_chrome(args.trace_out, trace_path=args.trace,
-                          verdicts=result.verdicts, file=status)
+                          salvage=args.salvage, verdicts=result.verdicts,
+                          file=status)
         except OSError as exc:
             print(f"repro analyze: --trace-out failed: {exc}",
                   file=sys.stderr)

@@ -4,7 +4,8 @@
 * :func:`merge_accesses` — §4.2 node merging,
 * :func:`insert_access` — Algorithm 1 end to end,
 * :class:`FlatDetector` — the full on-the-fly detector on the flat
-  struct-of-arrays core: the one every entry point runs,
+  core (interned records in sorted typed-array blocks): the one every
+  entry point runs,
 * :class:`OurDetector` — the same detector on the object core, a
   readable transcription of Algorithm 1 kept as the reference oracle
   (the parity tests, the e2e benchmark) and as the base of

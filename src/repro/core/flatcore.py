@@ -1,14 +1,16 @@
-"""The flat detector core: Algorithm 1 over struct-of-arrays state.
+"""The flat detector core: Algorithm 1 over interned records.
 
 :class:`FlatDetector` is behaviorally identical to
 :class:`~repro.core.detector.OurDetector` — same verdicts, same
-forensics bundles, same ``bst.*`` / ``core.insert.*`` / ``detector.*``
-metrics, same Table-4 node counts — but its per-event path runs on
-interned record tuples (:mod:`repro.intervals.intern`) inside
-:class:`~repro.bst.flat.FlatIntervalStore` columns: no ``MemoryAccess``
+forensics bundles, same Table-4 node counts, same ``core.insert.*`` /
+``detector.*`` metrics, and same ``bst.*`` ones but the store's own
+work (``bst.comparisons`` counts bisect probes, ``bst.rotations``
+stays 0) — but its per-event path runs on interned record tuples
+(:mod:`repro.intervals.intern`) inside
+:class:`~repro.bst.flat.FlatIntervalStore` blocks: no ``MemoryAccess``
 allocation, no dataclass ``replace``, no per-call predicate closure, no
-recursive tree descent.  ``MemoryAccess`` objects are materialized only
-at the cold edges (race reports, request-completion matching inputs).
+tree descent.  ``MemoryAccess`` objects are materialized only at the
+cold edges (race reports, request-completion matching inputs).
 
 Batch ingestion (:meth:`FlatDetector.ingest_batch`) feeds one chunk of
 decoded trace events through a loop that hoists every loop-invariant —

@@ -201,7 +201,6 @@ def render_explain(bundle: dict, *, index: Optional[int] = None) -> str:
         lines.append(
             f"racing store: {tree.get('nodes', 0)} nodes "
             f"(peak {tree.get('max_size', 0)}), "
-            f"{tree.get('comparisons', 0)} comparisons, "
             f"{tree.get('queries', 0)} queries so far"
         )
     tl = bundle.get("timeline") or {}

@@ -176,10 +176,10 @@ class BstDetector(Detector):
 
         Node-linked trees would pickle recursively, so each store goes
         through its own ``save_state()`` — for :class:`IntervalBST` an
-        iterative preorder encoding, for the flat store its columns —
-        that also carries the tie counter and TreeStats, keeping the
-        restored detector's future behavior (and published metrics)
-        byte-identical.
+        iterative preorder encoding with its tie counter, for the flat
+        store its rows as typed arrays — that also carries TreeStats,
+        keeping the restored detector's future behavior (and published
+        metrics) byte-identical.
         """
         state["_stores"] = {
             key: bst.save_state() for key, bst in self._stores.items()}
@@ -253,7 +253,12 @@ class BstDetector(Detector):
         }
 
     def forensic_tree_state(self, rank: int, wid: int) -> Optional[dict]:
-        """The racing (rank, window) store's tree statistics right now."""
+        """The racing (rank, window) store's counters right now.
+
+        Only the counters every store keeps alike: comparisons and
+        rotations depend on the store's layout (a tree descent or a
+        bisect), so the object tree and the flat store would disagree.
+        """
         bst = self._stores.get((rank, wid))
         if bst is None:
             return None
@@ -261,8 +266,6 @@ class BstDetector(Detector):
         return {
             "nodes": len(bst),
             "max_size": stats.max_size,
-            "comparisons": stats.comparisons,
-            "rotations": stats.rotations,
             "inserts": stats.inserts,
             "removals": stats.removals,
             "queries": stats.queries,

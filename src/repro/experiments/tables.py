@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Sequence
 
+from ..obs.export import format_cell, render_table
+
 __all__ = ["ExperimentResult", "render_table", "render_bars"]
 
 
@@ -28,24 +30,6 @@ class ExperimentResult:
         return f"{header}\n{self.text}"
 
 
-def render_table(
-    headers: Sequence[str], rows: Sequence[Sequence[Any]]
-) -> str:
-    """Align columns; numbers become human-readable strings."""
-    table = [[_fmt(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in table:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in table:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
 def render_bars(
     labels: Sequence[str],
     values: Sequence[float],
@@ -60,21 +44,5 @@ def render_bars(
     for label, value in zip(labels, values):
         n = int(round(width * value / vmax)) if vmax > 0 else 0
         bar = "#" * max(n, 1 if value > 0 else 0)
-        lines.append(f"{label.ljust(lwidth)}  {bar} {_fmt(value)}{unit}")
+        lines.append(f"{label.ljust(lwidth)}  {bar} {format_cell(value)}{unit}")
     return "\n".join(lines)
-
-
-def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000:
-            return f"{value:,.0f}"
-        if abs(value) >= 10:
-            return f"{value:.1f}"
-        return f"{value:.3f}"
-    if isinstance(value, int):
-        return f"{value:,}"
-    return str(value)

@@ -9,11 +9,12 @@ same code renders a snapshot read back from a result or a checkpoint.
 from __future__ import annotations
 
 import json
-from typing import List
+from typing import Any, List, Sequence
 
 from .registry import BUCKET_BOUNDS
 
-__all__ = ["render_metrics", "snapshot_to_json", "span_rows"]
+__all__ = ["format_cell", "render_metrics", "render_table", "snapshot_to_json",
+           "span_rows"]
 
 
 def snapshot_to_json(snap: dict, *, indent: int = 2) -> str:
@@ -74,10 +75,44 @@ def _histogram_summary(hv: dict) -> str:
     return f"n={n:,} mean={mean:.2f} max<={bound:,}"
 
 
+def format_cell(value: Any) -> str:
+    """One table cell: bools as yes/no, ints and large floats with
+    thousands separators, small floats to three decimals."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000:
+            return f"{value:,.0f}"
+        if abs(value) >= 10:
+            return f"{value:.1f}"
+        return f"{value:.3f}"
+    if isinstance(value, int):
+        return f"{value:,}"
+    return str(value)
+
+
+def render_table(
+    headers: Sequence[str], rows: Sequence[Sequence[Any]]
+) -> str:
+    """Align columns; numbers become human-readable strings."""
+    table = [[format_cell(c) for c in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in table:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [
+        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
+        "  ".join("-" * w for w in widths),
+    ]
+    for row in table:
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    return "\n".join(lines)
+
+
 def render_metrics(snap: dict) -> str:
     """Human-readable table of one snapshot (counters/gauges/hist/spans)."""
-    from ..experiments.tables import render_table
-
     sections: List[str] = []
     counters = snap.get("counters", {})
     if counters:

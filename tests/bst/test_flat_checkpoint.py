@@ -1,4 +1,4 @@
-"""Flat-store checkpoint encoding: tail table plus id tables, one layout."""
+"""Flat-store checkpoint encoding: rows, tail table and id tables, one layout."""
 
 import pickle
 from array import array
@@ -21,18 +21,18 @@ def _store():
         if i == 5:  # a fragment of two ranks' accumulates
             a = replace(a, origin=((0, 1), (2, 0)))
         store.insert(access_to_rec(a))
-    store.remove(next(iter(store)))  # a free row in the columns
+    store.remove(next(iter(store)))  # the table keeps the first row's tail
     return store
 
 
 def test_round_trip_is_exact():
     store = _store()
     state = store.save_state()
-    assert state["layout"] == FLAT_LAYOUT
-    # the int columns travel as typed arrays, the tails once each
-    assert all(isinstance(state[k], array) for k in
-               ("key", "hi", "left", "right", "height", "aug", "tid",
-                "free"))
+    assert state["layout"] == FLAT_LAYOUT == "repro-flat-blocks-v1"
+    # the rows travel as three typed arrays, the tails once each
+    assert [state[k].typecode for k in ("lo", "hi", "tid")] == ["q", "q", "i"]
+    assert all(isinstance(state[k], array) for k in ("lo", "hi", "tid"))
+    assert len(state["lo"]) == len(store)
     assert len(state["tails"]) == len(set(state["tails"])) < len(store)
     clone = FlatIntervalStore.from_state(pickle.loads(pickle.dumps(state)))
     assert list(clone) == list(store)
@@ -53,29 +53,19 @@ def test_foreign_ids_are_remapped():
     state["accums"] = {i + shift: v for i, v in state["accums"].items()}
     clone = FlatIntervalStore.from_state(state)
     assert list(clone) == list(store)
-    assert clone._tid == store._tid
+    assert clone._tids == store._tids
     assert {ACCUMS.value(r[7]) for r in clone} == {
         None, "MPI_CKPT_OP1", "MPI_CKPT_OP3"}
     clone.check_invariants()
 
 
-def test_state_carrying_balanced_loads():
-    """A state written while the store had a ``balanced`` option (always
-    True) loads as the same store, and is saved without it."""
-    store = _store()
-    state = store.save_state()
-    assert "balanced" not in state
-    clone = FlatIntervalStore.from_state(dict(state, balanced=True))
-    assert list(clone) == list(store)
-    assert clone.save_state() == state
-    clone.check_invariants()
-
-
-@pytest.mark.parametrize("layout", ["repro-flat-bst-v1", "repro-flat-bst-v2"])
+@pytest.mark.parametrize("layout", ["repro-flat-bst-v1", "repro-flat-bst-v2",
+                                    "repro-flat-bst-v3"])
 def test_older_layouts_refused(layout):
-    """Only ``repro-flat-bst-v3`` loads: the v1 and v2 layouts (one
-    record per row) raise, which a resumed run reports as an unusable
-    checkpoint."""
+    """Only ``repro-flat-blocks-v1`` loads: the AVL store's layouts (v1
+    and v2 one record per row, v3 tree columns with tail ids, which
+    states written with a ``balanced`` option also carry) raise, which
+    a resumed run reports as an unusable checkpoint."""
     state = _store().save_state()
     with pytest.raises(ValueError, match=layout):
         FlatIntervalStore.from_state(dict(state, layout=layout))

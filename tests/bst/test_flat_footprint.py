@@ -1,9 +1,9 @@
 """Flat-store footprint, pinned as counts: bytes per row and tail-table size.
 
 A store keeps each distinct record tail (everything but the bounds)
-once, so a row costs its column slots plus its bound ints.  These
-tests pin that with allocation counts, not timings, so they hold on any
-machine.
+once, so a row costs its slots in three typed arrays: two 8-byte
+bounds and a 4-byte tail id.  These tests pin that with allocation
+counts, not timings, so they hold on any machine.
 """
 
 import tracemalloc
@@ -15,12 +15,12 @@ from repro.intervals import AccessType, DebugInfo, Interval, MemoryAccess
 from repro.intervals.intern import SITES
 
 #: rows in the footprint measurement, and the bytes one may cost (a
-#: 9-tuple per row measured 271 here; one tail id per row, 159)
+#: 9-tuple per row measured 271 here; one tail id per row in the AVL
+#: columns, 159; sorted typed-array blocks, 21.8)
 ROWS = 10_000
-MAX_BYTES_PER_ROW = 180
+MAX_BYTES_PER_ROW = 25
 
-#: bounds past 2**30, as 64-bit process addresses are: each bound is a
-#: full-size int object (the simulator's small addresses cost less)
+#: bounds past 2**30, as 64-bit process addresses are
 BASE = 0x7F00_0000_0000
 
 

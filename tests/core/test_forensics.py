@@ -32,7 +32,7 @@ class _StubDetector:
         return {"open_epochs": [0, 1], "window_known": True}
 
     def forensic_tree_state(self, rank, wid):
-        return {"nodes": 3, "max_size": 5, "comparisons": 7, "queries": 2}
+        return {"nodes": 3, "max_size": 5, "inserts": 7, "queries": 2}
 
 
 def _bundle(k=8):
@@ -77,7 +77,7 @@ def test_render_explain_names_everything():
     assert GOLDEN_FIG9B in text
     assert "./dspl.hpp:612" in text and "./dspl.hpp:614" in text
     assert "open epochs on window: ranks [0, 1]" in text
-    assert "racing store: 3 nodes" in text
+    assert "racing store: 3 nodes (peak 5), 2 queries so far" in text
     assert "timeline of rank 0" in text and "timeline of rank 2" in text
     assert "<-- racing access (new)" in text
     assert "<-- racing access (stored)" in text

@@ -31,6 +31,12 @@ Artifacts: ``exit`` (the exit code), ``json`` (the ``--json`` body),
 ``report-html``, ``metrics-json``, and ``explain`` / ``explain-json``
 (``repro explain`` text and ``--json``).
 
+The paper experiments: ``repro run <ids> --json`` over :data:`RUN_IDS`
+(every experiment but fig11, fig12 and table4, which take minutes),
+one ``run/<id>/json`` digest per experiment plus ``run/all/exit``.
+Their simulated times are deterministic; only the wall-clock fields
+are zeroed.
+
 Regenerate after an intended change — it rewrites the manifest and
 prints every digest that changed, was added or went away; name each
 in CHANGES.md with the reason::
@@ -55,7 +61,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 MANIFEST = Path(__file__).with_name("manifest.json")
 
 #: keys whose values are wall-clock readings
-_WALL_KEYS = ("wall_seconds", "events_per_sec", "submitted_at", "updated_at")
+_WALL_KEYS = ("wall_seconds", "events_per_sec", "submitted_at", "updated_at",
+              "seconds", "analysis_seconds")
+
+#: the experiments ``repro run`` digests
+RUN_IDS = ("table1", "fig3", "fig5", "fig8", "table2", "table3", "fig9",
+           "fig10", "static", "extensions")
 
 Artifacts = Dict[str, str]
 
@@ -123,25 +134,23 @@ class Run:
 
     def analyze(self, trace: Path, tag: str, *args: str,
                 env: Optional[Dict[str, str]] = None,
-                exports: bool = True, chrome: bool = True) -> Artifacts:
+                exports: bool = True) -> Artifacts:
         """One ``repro analyze --json`` run and what it writes."""
         out = self.root / tag
         out.mkdir(parents=True)
         argv = ["analyze", str(trace), "--json", *args]
         if exports:
             argv += ["--report-html", str(out / "report.html"),
-                     "--metrics-json", str(out / "obs.json")]
-            if chrome:
-                argv += ["--trace-out", str(out / "chrome.json")]
+                     "--metrics-json", str(out / "obs.json"),
+                     "--trace-out", str(out / "chrome.json")]
         rc, stdout = _cli(argv, env or {})
         body = json.loads(stdout)
         arts = {"exit": str(rc), "json": _json_text(body),
                 "forensics": _json_text(body["forensics"]),
                 "timeline": _json_text(body["timeline"])}
         if exports:
-            if chrome:
-                arts["trace-out"] = _json_text(
-                    json.loads((out / "chrome.json").read_text()))
+            arts["trace-out"] = _json_text(
+                json.loads((out / "chrome.json").read_text()))
             arts["report-html"] = (out / "report.html").read_text()
             arts["metrics-json"] = _json_text(
                 json.loads((out / "obs.json").read_text()))
@@ -254,14 +263,24 @@ def _intact(run: Run, fixture: str, trace: Path) -> None:
 
 
 def _damaged(run: Run, fixture: str, trace: Path) -> None:
-    """The salvage paths over the chunk-damaged fixture.
-
-    No ``--trace-out``: the Chrome export re-reads the trace strictly.
-    """
+    """The salvage paths over the chunk-damaged fixture."""
     run.add(fixture, "salvage", {
-        **run.analyze(trace, f"{fixture}-salvage", "--salvage",
-                      chrome=False),
+        **run.analyze(trace, f"{fixture}-salvage", "--salvage"),
         **run.explain(trace, "--salvage")})
+
+
+def _experiments(run: Run) -> None:
+    """``repro run --json`` over :data:`RUN_IDS`: one digest each."""
+    rc, stdout = _cli(["run", *RUN_IDS, "--json"], {})
+    decoder = json.JSONDecoder()
+    stdout = stdout.strip()
+    pos = 0
+    while pos < len(stdout):
+        # one indented JSON document per experiment, newline-separated
+        result, pos = decoder.raw_decode(stdout, pos)
+        pos = len(stdout) - len(stdout[pos:].lstrip())
+        run.add("run", result["experiment"], {"json": _json_text(result)})
+    run.add("run", "all", {"exit": str(rc)})
 
 
 #: fixture -> the paths it runs
@@ -279,6 +298,7 @@ def collect(root: Path) -> Dict[str, str]:
     run = Run(root)
     for fixture, paths in PATHS.items():
         paths(run, fixture, traces[fixture])
+    _experiments(run)
     return dict(sorted(run.digests.items()))
 
 

@@ -1,7 +1,8 @@
-"""Every artifact of every analysis path matches the golden manifest.
+"""Every artifact of every analysis path, and the ``repro run`` output
+of the quick experiments, matches the golden manifest.
 
-See :mod:`tests.golden.golden` for the fixtures, paths and artifacts,
-and for the command that regenerates ``manifest.json``.
+See :mod:`tests.golden.golden` for the fixtures, paths, artifacts and
+experiments, and for the command that regenerates ``manifest.json``.
 """
 
 from .golden import collect, load_manifest

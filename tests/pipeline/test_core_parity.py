@@ -15,8 +15,8 @@ fixtures — both recorded ``repro-trace-v2`` files, the one trace
 format — plus the seed-7 scenario corpus:
 
 * ``live`` — ``run_app`` through ``detector_factory("Our
-  Contribution")``; its node counts and simulated time (the Fig. 10-12
-  and Table 4 quantities) must also equal a live run of the oracle;
+  Contribution")``; its node counts (the Table 4 quantities) must
+  also equal a live run of the oracle;
 * ``serial`` — ``analyze_trace``, which must take the wire path: every
   event reaches the flat core through ``ingest_wire``;
 * ``ckpt_resume`` — ``analyze_trace`` checkpointing every chunk and
@@ -30,13 +30,19 @@ format — plus the seed-7 scenario corpus:
 * the corpus, live, scenario by scenario.
 
 Each row runs once per workload (the ``observed`` fixture).  Compared
-byte for byte: canonical verdicts and forensics, event counts and shard
-statistics, every row's ``repro-timeline-v1`` snapshot, and
-(``test_obs_snapshot_identical``, live and serial rows) every registry
-value under ``bst.*``, ``core.*``, ``detector.*`` and ``filter.*`` once
-wall-clock keys are zeroed.  Anything short of identity is a flat-core
-bug.  The per-path suites in ``tests/resilience`` and
-``tests/property`` certify those paths further against serial.
+byte for byte with the oracle: canonical verdicts and forensics, event
+counts and shard statistics, every row's ``repro-timeline-v1``
+snapshot, the live rows' node counts, and every registry value under
+``bst.*``, ``core.*``, ``detector.*`` and ``filter.*`` except the two
+that depend on the store's layout (:data:`LAYOUT_COUNTERS`: the flat
+store's sorted blocks charge bisect probes and never rotate, the
+oracle's AVL tree counts descents and rotations).  Among themselves the
+flat-core rows agree on every registry value, probe counts included
+(``test_obs_snapshot_identical``), and so the live row's simulated
+time is the flat core's alone (pinned by ``tests/golden/``'s
+``repro run`` rows).  Anything short of identity is a flat-core bug.
+The per-path suites in ``tests/resilience`` and ``tests/property``
+certify those paths further against serial.
 """
 
 import json
@@ -69,31 +75,27 @@ PINNED = {
     "cfd": (4414, 0, 8, 1024),
 }
 
-#: registry sections compared, and the snapshot keys that legitimately
-#: differ run to run
+#: registry sections compared (none holds a wall-clock value)
 _PREFIXES = ("bst.", "core.", "detector.", "filter.")
-_VOLATILE = ("ns", "seconds", "time", "wall", "rss")
+
+#: the store's own work counters: bisect probes and no rotations in the
+#: flat store, descent comparisons and rotations in the oracle's tree
+LAYOUT_COUNTERS = ("bst.comparisons{", "bst.rotations{")
 
 
-def _normalize(d):
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, dict):
-            out[k] = _normalize(v)
-        elif any(t in k for t in _VOLATILE):
-            out[k] = 0
-        else:
-            out[k] = v
-    return out
-
-
-def _registry(reg):
-    snap = reg.snapshot()
-    return _normalize({
+def _registry(snap):
+    return {
         section: {k: v for k, v in snap.get(section, {}).items()
                   if k.startswith(_PREFIXES)}
         for section in ("counters", "gauges", "histograms")
-    })
+    }
+
+
+def _store_independent(registry):
+    """``registry`` without :data:`LAYOUT_COUNTERS`."""
+    return {section: {k: v for k, v in values.items()
+                      if not k.startswith(LAYOUT_COUNTERS)}
+            for section, values in registry.items()}
 
 
 def _reports(reports):
@@ -131,19 +133,18 @@ def oracle(app, path):
     with obs.scope() as reg:
         det = _fed_oracle(events, loaded.nranks, reg)
         det.publish_obs()
-        registry = _registry(reg)
+        registry = _store_independent(_registry(reg.snapshot()))
         timeline = reg.timeline.snapshot()
     return {**_reports(det.reports), "events": len(events),
             "shards": _shard(len(events), det.reports, det.node_stats()),
             "registry": registry, "timeline": timeline,
-            # the live rows' node counts and simulated time
+            # the live rows' node counts
             "app": _app_stats(_app(app, OurDetector()))}
 
 
 def _app_stats(run):
     return (run.total_max_nodes, run.max_nodes_one_rank,
-            run.accesses_processed, run.accesses_filtered,
-            run.sim_elapsed_ms, run.sim_breakdown)
+            run.accesses_processed, run.accesses_filtered)
 
 
 def _live(app, path):
@@ -151,7 +152,8 @@ def _live(app, path):
     assert type(det) is FlatDetector
     with obs.scope() as reg:
         run = _app(app, det)
-        return {**_reports(det.reports), "registry": _registry(reg),
+        return {**_reports(det.reports),
+                "flat_registry": _registry(reg.snapshot()),
                 "app": _app_stats(run), "timeline": reg.timeline.snapshot()}
 
 
@@ -170,7 +172,8 @@ def _analyzed(path):
         return {"verdicts": res.verdicts, "forensics": res.forensics,
                 "events": res.events_total, "timeline": res.timeline,
                 "shards": [(s.events, s.races, s.peak_nodes, s.processed)],
-                "registry": _registry(reg), "wire_events": sum(wired)}
+                "flat_registry": _registry(reg.snapshot()),
+                "wire_events": sum(wired)}
 
 
 def _resumed(path):
@@ -184,6 +187,7 @@ def _resumed(path):
     (resumed,) = res.checkpoint["resumed"]
     return {"verdicts": res.verdicts, "forensics": res.forensics,
             "events": res.events_total, "timeline": res.timeline,
+            "flat_registry": _registry(res.obs),
             "chunks_skipped": resumed["chunks_skipped"]}
 
 
@@ -193,7 +197,8 @@ def _followed(path):
         res = analyze_trace(path, ckpt_dir=ckpt_dir, follow=True)
     assert not res.partial
     return {"verdicts": res.verdicts, "forensics": res.forensics,
-            "events": res.events_total, "timeline": res.timeline}
+            "events": res.events_total, "timeline": res.timeline,
+            "flat_registry": _registry(res.obs)}
 
 
 def _served(path):
@@ -212,7 +217,8 @@ def _served(path):
         finally:
             sched.drain(timeout=5.0)
     return {"verdicts": res["verdicts"], "forensics": res["forensics"],
-            "events": res["events_total"], "timeline": res["timeline"]}
+            "events": res["events_total"], "timeline": res["timeline"],
+            "flat_registry": _registry(res["obs"])}
 
 
 #: the matrix: row -> run of the shipped core on one recorded input
@@ -281,11 +287,19 @@ class TestRecordedWorkloads:
         _assert_row(workload, observed, row, ("timeline",))
 
     def test_obs_snapshot_identical(self, workload, observed):
-        """Registry values match, live and serial: every ``bst.*`` tree
-        counter (comparisons, rotations, queries, fanout histogram) and
+        """Registry values: every flat-core row's equal the serial
+        row's, bisect-probe counts included; against the oracle, every
+        ``bst.*`` counter but :data:`LAYOUT_COUNTERS` (inserts,
+        removals, queries, the fan-out histogram, node counts) and
         every core, detector and filter counter."""
-        for row in ("live", "serial"):
-            _assert_row(workload, observed, row, ("registry",))
+        serial = observed["serial"]["flat_registry"]
+        assert serial["counters"][
+            "bst.rotations{tool=Our Contribution}"] == 0
+        assert serial["counters"]["bst.comparisons{tool=Our Contribution}"] > 0
+        for row in sorted(ROWS):
+            assert observed[row]["flat_registry"] == serial, row
+        app, _, want = workload
+        assert _store_independent(serial) == want["registry"], app
 
     def test_table4_pins(self, workload, observed):
         """The shipped core and the oracle reproduce the exact pinned

@@ -3,16 +3,19 @@
 The flat twin of ``test_invariants.py``: the same §4 storage properties
 (disjointness, merge maximality, coverage, Table-1 byte-wise dominance)
 checked against :class:`repro.core.FlatDetector`'s Algorithm-1 path and
-:class:`repro.bst.FlatIntervalStore`'s column arrays, plus the flat-only
-obligations:
+:class:`repro.bst.FlatIntervalStore`'s sorted blocks, plus the
+flat-only obligations:
 
-* AVL height/order/augmentation invariants over the int-indexed rows
-  (``check_invariants`` walks columns, free list and reachability),
-* ``save_state`` → ``load_state`` round-trips the columns *exactly* —
-  including slot-reuse order, so post-restore behavior is identical,
+* block invariants (``check_invariants``: sorted disjoint rows, block
+  sizes, the per-block first-key / last-hi index, the tail table, the
+  last-insert memo),
+* ``save_state`` → ``load_state`` round-trips the rows and the tail
+  table, and the restored store behaves identically going forward,
 * differential: for any access sequence, the flat store holds exactly
   the same intervals/types/sites as the object ``IntervalBST``, with
-  identical tree-statistics accounting (the ``bst.*`` parity contract).
+  identical store-independent counters (everything but the tree's
+  comparisons and rotations; ``test_block_store.py`` drives the store
+  itself against a model).
 
 ``race_check`` is forced off so every access inserts — these properties
 are about storage, not verdicts (same convention as the object suite).
@@ -117,12 +120,12 @@ def test_bytewise_type_dominance(seq):
 
 
 @given(access_lists)
-def test_avl_invariants_after_insertions(seq):
+def test_block_invariants_after_insertions(seq):
     _ingest_all(seq).check_invariants()
 
 
 @given(access_lists, st.data())
-def test_avl_invariants_after_removals(seq, data):
+def test_block_invariants_after_removals(seq, data):
     store = _ingest_all(seq)
     stored = store.snapshot()
     if stored:
@@ -135,10 +138,16 @@ def test_avl_invariants_after_removals(seq, data):
         store.check_invariants()
 
 
+def _store_independent(stats):
+    """Every counter but the store's own work (probes vs descents)."""
+    return {k: v for k, v in stats.to_dict().items()
+            if k not in ("comparisons", "rotations")}
+
+
 @given(access_lists)
 def test_flat_matches_object_store(seq):
     """Differential: same stored intervals/types/sites AND the same
-    tree-op accounting as the object core on any input sequence."""
+    store-independent counters as the object core on any input."""
     store = _ingest_all(seq)
     bst = IntervalBST()
     for acc in seq:
@@ -150,19 +159,18 @@ def test_flat_matches_object_store(seq):
         for a in bst.snapshot()
     )
     assert flat == obj
-    assert store.stats.to_dict() == bst.stats.to_dict()
+    assert _store_independent(store.stats) == _store_independent(bst.stats)
+    assert store.stats.rotations == 0
 
 
 def _columns(store: FlatIntervalStore):
-    return (store.root, store._size, store._free, store._key, store._hi,
-            store._left, store._right, store._height, store._aug,
-            store._tid, store._tails, store._tail_ids)
+    return (len(store), list(store), store._tails, store._tail_ids)
 
 
 @given(access_lists, accesses())
 def test_snapshot_restore_roundtrip(seq, extra):
-    """Column arrays round-trip exactly, and the restored store behaves
-    identically going forward (slot reuse, stats deltas)."""
+    """Rows and tail table round-trip exactly, and the restored store
+    behaves identically going forward (rows, stats deltas)."""
     store = _ingest_all(seq)
     state = store.save_state()
     clone = FlatIntervalStore.from_state(state)

@@ -409,3 +409,27 @@ def test_mismatched_checkpoint_is_rejected(chunked_trace, mv_trace,
     with pytest.raises(CheckpointError, match="does not match"):
         analyze_trace(chunked_trace, detector="mc",
                       ckpt_dir=ck, resume=True)
+
+
+def test_avl_store_layout_is_an_unusable_checkpoint(chunked_trace, tmp_path,
+                                                     capsys):
+    """A mid-trace checkpoint whose stores carry the AVL store's
+    ``repro-flat-bst-v3`` layout cannot be resumed: ``--resume`` exits 2
+    naming the layout (serve discards such a checkpoint instead)."""
+    from repro.cli import main
+
+    ck = tmp_path / "ck"
+    analyze_trace(chunked_trace, detector="our",
+                  ckpt_dir=ck, ckpt_every=1, deadline_s=1e-6)
+    store = CheckpointStore(ck)
+    header, state = store.load_latest()
+    stores = state["detector"]["state"]["_stores"]
+    assert stores
+    for s in stores.values():
+        s["layout"] = "repro-flat-bst-v3"
+    for old in ck.glob("*.ckpt"):
+        old.unlink()
+    store.write(header["meta"], state)
+    capsys.readouterr()
+    assert main(["analyze", str(chunked_trace), "--resume", str(ck)]) == 2
+    assert "repro-flat-bst-v3" in capsys.readouterr().err

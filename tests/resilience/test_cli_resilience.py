@@ -57,6 +57,20 @@ def test_explain_salvage_reads_what_analyze_salvage_reads(damaged_trace,
     assert explained["forensics"] == analyzed["forensics"]
 
 
+def test_salvage_trace_out_leaves_the_quarantined_chunk_out(
+        damaged_trace, mv_trace, tmp_path, capsys):
+    """``--trace-out`` re-reads the trace in the analysis's salvage
+    mode: the export succeeds, without the quarantined chunk's events."""
+    intact = tmp_path / "intact.json"
+    salvaged = tmp_path / "salvaged.json"
+    assert main(["analyze", str(mv_trace), "--trace-out", str(intact)]) == 0
+    assert main(["analyze", str(damaged_trace), "--salvage",
+                 "--trace-out", str(salvaged)]) == 0
+    assert "salvage: 1 chunk(s) quarantined" in capsys.readouterr().out
+    kept = json.loads(salvaged.read_text())
+    assert 0 < len(kept) < len(json.loads(intact.read_text()))
+
+
 def test_missing_trace_exits_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.trace")]) == 2
     assert "repro analyze:" in capsys.readouterr().err

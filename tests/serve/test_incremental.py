@@ -153,14 +153,11 @@ def test_rewritten_history_is_not_an_ancestor(make_scheduler, chaos_trace,
         _canon(oracle["verdicts"])
 
 
-def test_unrestorable_ancestor_checkpoint_falls_back_to_full_run(
-        make_scheduler, chaos_trace, tmp_path):
-    """A seeded checkpoint the detector refuses is discarded, not fatal.
-
-    The ancestor's retained checkpoint is rewritten to carry another
-    detector class (what a daemon running the object core left behind).
-    The grown trace's job must drop it and analyze from the start.
-    """
+def _resume_past_rewritten_ancestor(make_scheduler, chaos_trace, tmp_path,
+                                    rewrite):
+    """Analyze the trace, ``rewrite`` its retained checkpoint state in
+    place, grow the trace 10% and resubmit: the job must discard the
+    checkpoint and analyze from the start, equal to direct analysis."""
     work = tmp_path / "grow.trace"
     shutil.copyfile(chaos_trace, work)
     sched = make_scheduler(workers=1)
@@ -172,7 +169,7 @@ def test_unrestorable_ancestor_checkpoint_falls_back_to_full_run(
         job_ckpt_dir(sched.ckpt_base, first["trace_sha"], "our"))
     (old,) = store.dir.glob("serial-*.ckpt")
     header, state = store.load_latest()
-    state["detector"]["class"] = "OurDetector"
+    rewrite(state)
     old.unlink()
     store.write(header["meta"], state)
 
@@ -189,6 +186,34 @@ def test_unrestorable_ancestor_checkpoint_falls_back_to_full_run(
     assert _canon(result["verdicts"]) == _canon(oracle["verdicts"])
     assert result["forensics"] == oracle["forensics"]
     assert result["events_total"] == oracle["events_total"]
+
+
+def test_unrestorable_ancestor_checkpoint_falls_back_to_full_run(
+        make_scheduler, chaos_trace, tmp_path):
+    """A seeded checkpoint the detector refuses is discarded, not fatal.
+
+    The ancestor's retained checkpoint is rewritten to carry another
+    detector class (what a daemon running the object core left behind).
+    The grown trace's job must drop it and analyze from the start.
+    """
+    def other_class(state):
+        state["detector"]["class"] = "OurDetector"
+
+    _resume_past_rewritten_ancestor(make_scheduler, chaos_trace, tmp_path,
+                                    other_class)
+
+
+def test_avl_store_layout_ancestor_falls_back_to_full_run(
+        make_scheduler, chaos_trace, tmp_path):
+    """An ancestor checkpoint holding a store in the AVL store's
+    ``repro-flat-bst-v3`` layout (a window still open when a daemon
+    before the block store wrote it) is discarded the same way."""
+    def avl_store(state):
+        state["detector"]["state"]["_stores"][(0, 0)] = {
+            "layout": "repro-flat-bst-v3"}
+
+    _resume_past_rewritten_ancestor(make_scheduler, chaos_trace, tmp_path,
+                                    avl_store)
 
 
 # -- bounded cache ------------------------------------------------------------

@@ -80,9 +80,10 @@ NOT_IN_SERVE = NOT_IN_SERVE_JOB + ("repro.serve.client", "urllib.request")
 #: 298,987 once the reader reads only repro-trace-v2; 284,369 once the
 #: multi-process engine is gone and the CLI and engine shrink; 280,985
 #: once every timeline record has one shape; 279,947 once the flat store
-#: drops its duplicate-key removal and ``balanced`` option (budget: that
-#: plus 4,254 B of headroom)
-ANALYZE_SOURCE_BUDGET = 284_201
+#: drops its duplicate-key removal and ``balanced`` option; 266,790 once
+#: the flat store is sorted typed-array blocks instead of an AVL tree
+#: (budget: that plus 4,254 B of headroom)
+ANALYZE_SOURCE_BUDGET = 271_044
 
 #: the only modules whose classes a checkpoint payload pickles by name
 #: (``ReplayWindow`` is the window a trace replay registers)
@@ -210,6 +211,13 @@ def test_analyze_loads_only_the_serial_wire_path(analyzed):
     assert analyzed["result"]["races"] > 0
     assert _loaded(analyzed, NOT_IN_ANALYZE) == []
     assert "repro.core.flatcore" in analyzed["modules"]
+
+
+def test_analyze_metrics_imports_no_simulator(tmp_path, trace):
+    """The ``--metrics`` table is formatted without the experiments
+    package (and the numpy it pulls in)."""
+    seen = _analyze(tmp_path, trace, "--metrics")
+    assert _loaded(seen, FORBIDDEN) == []
 
 
 def test_zero_event_analyze_source_budget(tmp_path, empty_trace):
