@@ -37,11 +37,17 @@ one ``run/<id>/json`` digest per experiment plus ``run/all/exit``.
 Their simulated times are deterministic; only the wall-clock fields
 are zeroed.
 
+The slow mode digests the other three, :data:`SLOW_RUN_IDS` (about
+five minutes on two cores), into its own manifest,
+``manifest_slow.json``.  No ``test_*.py`` reads it, so tier-1 does not
+run it; CI's ``golden-slow`` job checks it with ``--check --slow``,
+which exits 1 and names every digest that differs.
+
 Regenerate after an intended change — it rewrites the manifest and
 prints every digest that changed, was added or went away; name each
 in CHANGES.md with the reason::
 
-    PYTHONPATH=src python -m tests.golden.golden --regenerate
+    PYTHONPATH=src python -m tests.golden.golden --regenerate [--slow]
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 MANIFEST = Path(__file__).with_name("manifest.json")
+SLOW_MANIFEST = Path(__file__).with_name("manifest_slow.json")
 
 #: keys whose values are wall-clock readings
 _WALL_KEYS = ("wall_seconds", "events_per_sec", "submitted_at", "updated_at",
@@ -67,6 +74,9 @@ _WALL_KEYS = ("wall_seconds", "events_per_sec", "submitted_at", "updated_at",
 #: the experiments ``repro run`` digests
 RUN_IDS = ("table1", "fig3", "fig5", "fig8", "table2", "table3", "fig9",
            "fig10", "static", "extensions")
+
+#: the experiments the slow mode digests
+SLOW_RUN_IDS = ("fig11", "fig12", "table4")
 
 Artifacts = Dict[str, str]
 
@@ -269,9 +279,9 @@ def _damaged(run: Run, fixture: str, trace: Path) -> None:
         **run.explain(trace, "--salvage")})
 
 
-def _experiments(run: Run) -> None:
-    """``repro run --json`` over :data:`RUN_IDS`: one digest each."""
-    rc, stdout = _cli(["run", *RUN_IDS, "--json"], {})
+def _experiments(run: Run, ids: Tuple[str, ...] = RUN_IDS) -> None:
+    """``repro run --json`` over ``ids``: one digest each."""
+    rc, stdout = _cli(["run", *ids, "--json"], {})
     decoder = json.JSONDecoder()
     stdout = stdout.strip()
     pos = 0
@@ -302,19 +312,33 @@ def collect(root: Path) -> Dict[str, str]:
     return dict(sorted(run.digests.items()))
 
 
-def load_manifest() -> Dict[str, str]:
-    return json.loads(MANIFEST.read_text())
+def collect_slow(root: Path) -> Dict[str, str]:
+    """Digest ``repro run --json`` over :data:`SLOW_RUN_IDS`."""
+    run = Run(root)
+    _experiments(run, SLOW_RUN_IDS)
+    return dict(sorted(run.digests.items()))
+
+
+def load_manifest(path: Path = MANIFEST) -> Dict[str, str]:
+    return json.loads(path.read_text())
+
+
+_USAGE = "usage: python -m tests.golden.golden --regenerate|--check [--slow]"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv != ["--regenerate"]:
-        print("usage: python -m tests.golden.golden --regenerate",
-              file=sys.stderr)
+    slow = argv[1:] == ["--slow"]
+    if argv[:1] not in (["--regenerate"], ["--check"]) or (
+            argv[1:] and not slow):
+        print(_USAGE, file=sys.stderr)
         return 2
-    old = load_manifest() if MANIFEST.exists() else {}
+    manifest, digest = (SLOW_MANIFEST, collect_slow) if slow else (
+        MANIFEST, collect)
+    old = load_manifest(manifest) if manifest.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        new = collect(Path(tmp))
+        new = digest(Path(tmp))
+    differ = 0
     for key in sorted(set(old) | set(new)):
         if key not in new:
             print(f"removed  {key}")
@@ -322,8 +346,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"added    {key}  {new[key][:16]}")
         elif old[key] != new[key]:
             print(f"changed  {key}  {old[key][:16]} -> {new[key][:16]}")
-    MANIFEST.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
-    print(f"{len(new)} digests -> {MANIFEST}")
+        else:
+            continue
+        differ += 1
+    if argv[0] == "--check":
+        print(f"{len(new)} digests, {differ} differ from {manifest.name}")
+        return 1 if differ else 0
+    manifest.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    print(f"{len(new)} digests -> {manifest}")
     return 0
 
 
