@@ -16,8 +16,8 @@ Three policies cover the tools of the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .._fields import Fields
 from ..mpi.memory import RegionInfo
 
 __all__ = ["FilterPolicy", "AliasFilter"]
@@ -29,8 +29,7 @@ class FilterPolicy(enum.Enum):
     ALL = "all"
 
 
-@dataclass
-class AliasFilter:
+class AliasFilter(Fields):
     """Decides, per local access, whether a detector observes it.
 
     Tracks how many accesses it saw and kept so that experiments can
@@ -38,9 +37,13 @@ class AliasFilter:
     the paper's main explanation for Fig. 10's slowdown).
     """
 
-    policy: FilterPolicy = FilterPolicy.ALIAS
-    seen: int = 0
-    kept: int = 0
+    _fields = ("policy", "seen", "kept")
+
+    def __init__(self, policy: FilterPolicy = FilterPolicy.ALIAS,
+                 seen: int = 0, kept: int = 0) -> None:
+        self.policy = policy
+        self.seen = seen
+        self.kept = kept
 
     def instrument(self, region: RegionInfo) -> bool:
         self.seen += 1

@@ -52,8 +52,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..intervals.access import DebugInfo
-from ..intervals.intern import ACCUMS, SITES, Rec
+from ..intervals.intern import Rec
 from .stats import FANOUT_NBUCKETS, TreeStats
 
 __all__ = ["FLAT_LAYOUT", "FlatIntervalStore"]
@@ -64,14 +63,6 @@ FLAT_LAYOUT = "repro-flat-blocks-v1"
 #: a record without its bounds: (type, site, origin, seq, flush_gen,
 #: accum, excl_epoch) — ``rec[2:]``
 Tail = Tuple[int, int, int, int, int, int, Optional[int]]
-
-
-def _joined(blocks: List[array], code: str) -> array:
-    """One typed array of every block's rows, in order."""
-    out = array(code)
-    for block in blocks:
-        out.extend(block)
-    return out
 
 
 class FlatIntervalStore:
@@ -336,73 +327,19 @@ class FlatIntervalStore:
                 return out
             i = 0
 
-    # -- checkpointing ---------------------------------------------------------
+    # -- checkpointing and validation (:mod:`repro.bst.flatstate`) -------------
 
     def save_state(self) -> dict:
-        """Portable ``repro-ckpt-v1`` encoding (layout ``repro-flat-blocks-v1``).
+        """Portable ``repro-ckpt-v1`` encoding (layout ``repro-flat-blocks-v1``)."""
+        from .flatstate import save_state
 
-        The rows travel as three typed arrays (lower bounds, upper
-        bounds, tail ids), the tail table as is.  Interned ids are
-        process-local, so the id → value tables of the sites (filename,
-        line) and accum ops go along, collected from the few tails
-        rather than from every row; a store restored in another process
-        re-interns those values and remaps its tails.  Block boundaries
-        are not saved: nothing a store reports depends on them.
-        """
-        tails = list(self._tails)
-        site_val = SITES.value
-        accum_val = ACCUMS.value
-        return {
-            "layout": FLAT_LAYOUT,
-            "lo": _joined(self._los, "q"),
-            "hi": _joined(self._his, "q"),
-            "tid": _joined(self._tids, "i"),
-            "tails": tails,
-            "sites": {t[1]: (site_val(t[1]).filename, site_val(t[1]).line)
-                      for t in tails},
-            "accums": {t[5]: accum_val(t[5]) for t in tails},
-            "stats": self.stats.to_dict(),
-        }
+        return save_state(self)
 
     def load_state(self, state: dict) -> None:
-        """Rebuild from :meth:`save_state` output (re-interning ids).
+        """Rebuild from :meth:`save_state` output (re-interning ids)."""
+        from .flatstate import load_state
 
-        Only layout ``repro-flat-blocks-v1`` loads; any other (the AVL
-        store's ``repro-flat-bst-v3`` included) raises
-        :class:`ValueError`, which a resumed run reports as an unusable
-        checkpoint.  The rows are cut into full blocks.
-        """
-        layout = state.get("layout")
-        if layout != FLAT_LAYOUT:
-            raise ValueError(
-                f"flat store cannot load layout {layout!r} "
-                f"(expected {FLAT_LAYOUT!r})")
-        lo = state["lo"]
-        hi = state["hi"]
-        tid = state["tid"]
-        step = self._BLOCK
-        cuts = range(0, len(lo), step)
-        self._los = [lo[c:c + step] for c in cuts]
-        self._his = [hi[c:c + step] for c in cuts]
-        self._tids = [tid[c:c + step] for c in cuts]
-        self._mins = [los[0] for los in self._los]
-        self._maxs = [his[-1] for his in self._his]
-        self._size = len(lo)
-        site_id = SITES.id_of
-        accum_id = ACCUMS.id_of
-        sites = {i: site_id(DebugInfo(*v)) for i, v in state["sites"].items()}
-        accums = {i: accum_id(v) for i, v in state["accums"].items()}
-        tails = list(state["tails"])
-        if any(i != j for i, j in sites.items()) or any(
-                i != j for i, j in accums.items()):
-            # another process interned in another order: remap the
-            # tails — the rows keep their tail ids
-            tails = [t[:1] + (sites[t[1]],) + t[2:5] + (accums[t[5]], t[6])
-                     for t in tails]
-        self._tails = tails
-        self._tail_ids = {t: i for i, t in enumerate(tails)}
-        self.stats = TreeStats.from_dict(state["stats"])
-        self._forget_last()
+        load_state(self, state)
 
     @classmethod
     def from_state(cls, state: dict) -> "FlatIntervalStore":
@@ -410,31 +347,8 @@ class FlatIntervalStore:
         store.load_state(state)
         return store
 
-    # -- validation (tests and hypothesis) -------------------------------------
-
     def check_invariants(self) -> None:
         """Raise AssertionError on any structural violation."""
-        los, his, tids = self._los, self._his, self._tids
-        assert len(los) == len(his) == len(tids) == len(self._mins) == len(
-            self._maxs), "block lists disagree in length"
-        for b in range(len(los)):
-            n = len(los[b])
-            assert 0 < n <= self._BLOCK, f"block {b} holds {n} rows"
-            assert len(his[b]) == len(tids[b]) == n, f"block {b} ragged"
-            assert self._mins[b] == los[b][0], f"stale first key of block {b}"
-            assert self._maxs[b] == his[b][-1], f"stale last hi of block {b}"
-            assert all(0 <= t < len(self._tails) for t in tids[b]), (
-                f"block {b} names a tail not in the table")
-        assert self._size == sum(len(b) for b in los), "size disagrees"
-        tails = self._tails
-        assert self._tail_ids == {t: i for i, t in enumerate(tails)}, (
-            "tail table and its index disagree")
-        rows = [(lo, hi) for b in range(len(los))
-                for lo, hi in zip(los[b], his[b])]
-        assert all(0 <= lo < hi for lo, hi in rows), "empty interval stored"
-        for (_, a_hi), (b_lo, _) in zip(rows, rows[1:]):
-            assert a_hi <= b_lo, "stored records overlap or are out of order"
-        last = self._last
-        assert last < 0 or self._last_rec in list(self), (
-            "the last-insert memo disagrees with its row")
-        assert last < 0 or self._last_rec[0] == last, "memo key is stale"
+        from .flatstate import check_invariants
+
+        check_invariants(self)

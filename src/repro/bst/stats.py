@@ -9,8 +9,9 @@ tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
+
+from .._fields import Fields
 
 __all__ = ["FANOUT_NBUCKETS", "TreeStats"]
 
@@ -22,8 +23,7 @@ __all__ = ["FANOUT_NBUCKETS", "TreeStats"]
 FANOUT_NBUCKETS = 22
 
 
-@dataclass
-class TreeStats:
+class TreeStats(Fields):
     """Operation counters used by the overhead analyses (Figs 10-12).
 
     ``comparisons`` and ``rotations`` count a store's own work: key
@@ -38,16 +38,22 @@ class TreeStats:
     path is too hot for per-call registry traffic.
     """
 
-    comparisons: int = 0
-    rotations: int = 0
-    inserts: int = 0
-    removals: int = 0
-    max_size: int = 0
-    queries: int = 0
-    query_hits: int = 0
-    max_fanout: int = 0
-    fanout: List[int] = field(
-        default_factory=lambda: [0] * FANOUT_NBUCKETS)
+    _fields = ("comparisons", "rotations", "inserts", "removals",
+               "max_size", "queries", "query_hits", "max_fanout", "fanout")
+
+    def __init__(self, comparisons: int = 0, rotations: int = 0,
+                 inserts: int = 0, removals: int = 0, max_size: int = 0,
+                 queries: int = 0, query_hits: int = 0, max_fanout: int = 0,
+                 fanout: Optional[List[int]] = None) -> None:
+        self.comparisons = comparisons
+        self.rotations = rotations
+        self.inserts = inserts
+        self.removals = removals
+        self.max_size = max_size
+        self.queries = queries
+        self.query_hits = query_hits
+        self.max_fanout = max_fanout
+        self.fanout = [0] * FANOUT_NBUCKETS if fanout is None else fanout
 
     def note_query(self, k: int) -> None:
         """Account one overlap query returning ``k`` stored accesses."""

@@ -8,7 +8,7 @@ work (``bst.comparisons`` counts bisect probes, ``bst.rotations``
 stays 0) — but its per-event path runs on interned record tuples
 (:mod:`repro.intervals.intern`) inside
 :class:`~repro.bst.flat.FlatIntervalStore` blocks: no ``MemoryAccess``
-allocation, no dataclass ``replace``, no per-call predicate closure, no
+allocation, no ``MemoryAccess.replace``, no per-call predicate closure, no
 tree descent.  ``MemoryAccess`` objects are materialized only at the
 cold edges (race reports, request-completion matching inputs).
 
@@ -59,7 +59,7 @@ from ..intervals.intern import (
 from ..intervals.access import DebugInfo
 from ..mpi.errors import TraceFormatError
 from ..mpi.memory import RegionKind
-from ..mpi.trace import LocalEvent, RmaEvent, SyncEvent
+from ..mpi.trace import LocalEvent, RmaEvent
 from . import base as _base
 from .base import COMPLETED_LOCALLY, OurDetectorBase
 
@@ -177,10 +177,10 @@ class FlatDetector(OurDetectorBase):
         ever materialized for a race report.  Every analysed access is
         checked for ``0 <= lo < hi`` as it is unpacked, as
         :meth:`~repro.pipeline.format.WireStream.decode` checks it; a
-        local the filter drops is not.  Sync events are
-        materialized and routed through
-        :func:`~repro.pipeline.shard.dispatch_event`: they are rare
-        and drive the epoch/window state machine.  The record stream
+        local the filter drops is not.  Sync records go by their fields
+        to :func:`~repro.pipeline.shard.dispatch_sync`, the mapping
+        decoded sync events take: they are rare and drive the
+        epoch/window state machine.  The record stream
         entering :meth:`_ingest_rec` is identical to decoded-event
         ingestion, so verdicts, forensics, filter counters and obs
         metrics cannot diverge.
@@ -195,7 +195,7 @@ class FlatDetector(OurDetectorBase):
         Returns the number of events analyzed.
         """
         from ..pipeline import format as _fmt
-        from ..pipeline.shard import dispatch_event
+        from ..pipeline.shard import dispatch_sync
 
         reg = obs.active()
         u32_at = _fmt._U32.unpack_from
@@ -362,8 +362,7 @@ class FlatDetector(OurDetectorBase):
                     filt.seen += seen
                     filt.kept += kept
                     seen = kept = 0
-                    dispatch_event(self, SyncEvent(seq, rank, kind, wid),
-                                   nranks)
+                    dispatch_sync(self, kind, rank, wid, nranks)
                     by_rank = {}
                     for r, w in self._open_epochs:
                         by_rank.setdefault(r, []).append(w)

@@ -17,16 +17,16 @@ abort-on-first-race mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._fields import Fields
 from ..intervals import MemoryAccess
 
 __all__ = ["RaceReport", "DataRaceError"]
 
 
-@dataclass(frozen=True)
-class RaceReport:
+class RaceReport(Fields, frozen=True, compare=(
+        "rank", "window", "stored", "new", "detector")):
     """One detected data race: the stored access and the new access.
 
     ``forensics`` optionally carries the ``repro-forensics-v1`` bundle
@@ -36,12 +36,18 @@ class RaceReport:
     dedup and cross-path parity depend on that.
     """
 
-    rank: int
-    window: int
-    stored: MemoryAccess
-    new: MemoryAccess
-    detector: str = ""
-    forensics: Optional[dict] = field(default=None, compare=False)
+    _fields = ("rank", "window", "stored", "new", "detector", "forensics")
+
+    def __init__(self, rank: int, window: int, stored: MemoryAccess,
+                 new: MemoryAccess, detector: str = "",
+                 forensics: Optional[dict] = None) -> None:
+        set_ = object.__setattr__
+        set_(self, "rank", rank)
+        set_(self, "window", window)
+        set_(self, "stored", stored)
+        set_(self, "new", new)
+        set_(self, "detector", detector)
+        set_(self, "forensics", forensics)
 
     @property
     def message(self) -> str:

@@ -16,10 +16,10 @@ about the size of the analysis state, not about verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .. import obs
+from .._fields import Fields
 from ..core.report import DataRaceError, RaceReport
 from ..intervals import MemoryAccess
 from ..mpi.memory import RegionInfo
@@ -30,8 +30,7 @@ if TYPE_CHECKING:  # the simulator's Window; never imported at runtime
 __all__ = ["Detector", "NodeStats"]
 
 
-@dataclass
-class NodeStats:
+class NodeStats(Fields):
     """Analysis-state size summary, aggregated over (rank, window) stores.
 
     ``max_nodes_per_rank[r]`` is the high-water node count of rank r's
@@ -40,11 +39,21 @@ class NodeStats:
     the BST" (Table 4, and the 90,004 -> 54 CFD-Proxy reduction).
     """
 
-    total_max_nodes: int = 0
-    total_current_nodes: int = 0
-    max_nodes_per_rank: Dict[int, int] = field(default_factory=dict)
-    accesses_processed: int = 0
-    accesses_filtered: int = 0
+    _fields = ("total_max_nodes", "total_current_nodes",
+               "max_nodes_per_rank", "accesses_processed",
+               "accesses_filtered")
+
+    def __init__(self, total_max_nodes: int = 0,
+                 total_current_nodes: int = 0,
+                 max_nodes_per_rank: Optional[Dict[int, int]] = None,
+                 accesses_processed: int = 0,
+                 accesses_filtered: int = 0) -> None:
+        self.total_max_nodes = total_max_nodes
+        self.total_current_nodes = total_current_nodes
+        self.max_nodes_per_rank = ({} if max_nodes_per_rank is None
+                                   else max_nodes_per_rank)
+        self.accesses_processed = accesses_processed
+        self.accesses_filtered = accesses_filtered
 
     @property
     def max_nodes_one_rank(self) -> int:

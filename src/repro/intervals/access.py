@@ -23,9 +23,9 @@ source lines (Fig. 9b).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
+from .._fields import Fields
 from .interval import Interval
 
 __all__ = ["AccessType", "DebugInfo", "MemoryAccess", "MIXED_ACCUM_OP",
@@ -83,16 +83,21 @@ class AccessType(enum.IntEnum):
         }[self]
 
 
-@dataclass(frozen=True, slots=True)
-class DebugInfo:
+_set = object.__setattr__
+
+
+class DebugInfo(Fields, frozen=True):
     """Source location of the instruction that produced an access.
 
     Two fragments can only be merged when they carry *equal* debug info
     (§4.2): otherwise a later race report could blame the wrong line.
     """
 
-    filename: str
-    line: int
+    __slots__ = _fields = ("filename", "line")
+
+    def __init__(self, filename: str, line: int) -> None:
+        _set(self, "filename", filename)
+        _set(self, "line", line)
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}"
@@ -101,8 +106,7 @@ class DebugInfo:
 _UNKNOWN_DEBUG = DebugInfo("<unknown>", 0)
 
 
-@dataclass(frozen=True, slots=True)
-class MemoryAccess:
+class MemoryAccess(Fields, frozen=True):
     """One recorded memory access: interval + type + provenance.
 
     ``origin`` is the rank that *issued* the operation (for an incoming
@@ -130,14 +134,28 @@ class MemoryAccess:
     accesses from *different* exclusive epochs cannot race.
     """
 
-    interval: Interval
-    type: AccessType
-    debug: DebugInfo = _UNKNOWN_DEBUG
-    origin: Union[int, Tuple[Tuple[int, int], ...]] = 0
-    seq: int = 0
-    flush_gen: int = 0
-    accum_op: Optional[str] = None
-    excl_epoch: Optional[int] = None
+    __slots__ = _fields = ("interval", "type", "debug", "origin", "seq",
+                           "flush_gen", "accum_op", "excl_epoch")
+
+    def __init__(
+        self,
+        interval: Interval,
+        type: AccessType,
+        debug: DebugInfo = _UNKNOWN_DEBUG,
+        origin: Union[int, Tuple[Tuple[int, int], ...]] = 0,
+        seq: int = 0,
+        flush_gen: int = 0,
+        accum_op: Optional[str] = None,
+        excl_epoch: Optional[int] = None,
+    ) -> None:
+        _set(self, "interval", interval)
+        _set(self, "type", type)
+        _set(self, "debug", debug)
+        _set(self, "origin", origin)
+        _set(self, "seq", seq)
+        _set(self, "flush_gen", flush_gen)
+        _set(self, "accum_op", accum_op)
+        _set(self, "excl_epoch", excl_epoch)
 
     @property
     def is_atomic(self) -> bool:
@@ -166,7 +184,9 @@ class MemoryAccess:
 
     def with_interval(self, interval: Interval) -> "MemoryAccess":
         """The same access restricted/extended to another interval."""
-        return replace(self, interval=interval)
+        return MemoryAccess(interval, self.type, self.debug, self.origin,
+                            self.seq, self.flush_gen, self.accum_op,
+                            self.excl_epoch)
 
     def same_site(self, other: "MemoryAccess") -> bool:
         """Same access type *and* same debug info — the §4.2 merge criterion.

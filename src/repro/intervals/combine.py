@@ -18,7 +18,6 @@ exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Tuple, Union
 
 from .access import MIXED_ACCUM_OP, AccessType, MemoryAccess
@@ -91,7 +90,7 @@ def combine_accesses(stored: MemoryAccess, new: MemoryAccess) -> MemoryAccess:
         # fragment must not inherit a single op — a later cross-origin
         # accumulate matching the winner's op would wrongly pass the
         # same-op atomicity exemption and hide a real race
-        frag = replace(frag, accum_op=MIXED_ACCUM_OP)
+        frag = frag.replace(accum_op=MIXED_ACCUM_OP)
     if stored.is_atomic and new.is_atomic and stored.origin != new.origin:
         # e.g. Accumulate(max) from ranks 0 and 2: exempt from racing
         # with each other (same op), but the fragment must not keep a
@@ -99,7 +98,7 @@ def combine_accesses(stored: MemoryAccess, new: MemoryAccess) -> MemoryAccess:
         # would wrongly pass the same-origin ordering exemption and hide
         # its race with the other origin's max; the origin set keeps
         # each rank's flush generation for the barrier prune
-        frag = replace(frag, origin=mixed_origin(
+        frag = frag.replace(origin=mixed_origin(
             stored.origin, stored.flush_gen, new.origin, new.flush_gen))
     return frag
 

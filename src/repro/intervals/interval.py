@@ -15,30 +15,55 @@ The paper's figures use inclusive notation (``[2...12]``); helpers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
+
+from .._fields import Fields
 
 __all__ = ["Interval"]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True, order=True)
-class Interval:
+
+class Interval(Fields, frozen=True):
     """A half-open byte range ``[lo, hi)`` with ``lo < hi``.
 
     Instances are immutable, hashable, and totally ordered by
     ``(lo, hi)`` which is the order the interval BSTs rely on.
     """
 
-    lo: int
-    hi: int
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lo, int) or not isinstance(self.hi, int):
-            raise TypeError(f"interval bounds must be ints, got {self.lo!r}, {self.hi!r}")
-        if self.lo < 0:
-            raise ValueError(f"negative address {self.lo}")
-        if self.lo >= self.hi:
-            raise ValueError(f"empty or inverted interval [{self.lo}, {self.hi})")
+    def __init__(self, lo: int, hi: int) -> None:
+        if not isinstance(lo, int) or not isinstance(hi, int):
+            raise TypeError(f"interval bounds must be ints, got {lo!r}, {hi!r}")
+        if lo < 0:
+            raise ValueError(f"negative address {lo}")
+        if lo >= hi:
+            raise ValueError(f"empty or inverted interval [{lo}, {hi})")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+
+    # -- ordering by (lo, hi) -------------------------------------------
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) < (other.lo, other.hi)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) <= (other.lo, other.hi)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) > (other.lo, other.hi)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) >= (other.lo, other.hi)
+        return NotImplemented
 
     # -- constructors --------------------------------------------------
 

@@ -20,9 +20,9 @@ neighbouring region.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from .._fields import Fields
 from ..intervals import Interval
 from .errors import RmaUsageError
 
@@ -48,12 +48,14 @@ class RegionKind(enum.Enum):
     WINDOW = "window"
 
 
-@dataclass(frozen=True, slots=True)
-class RegionInfo:
+class RegionInfo(Fields, frozen=True):
     """Event-time snapshot of the provenance facts detectors filter on."""
 
-    kind: RegionKind
-    may_alias_rma: bool
+    __slots__ = _fields = ("kind", "may_alias_rma")
+
+    def __init__(self, kind: RegionKind, may_alias_rma: bool) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "may_alias_rma", may_alias_rma)
 
     @property
     def is_stack(self) -> bool:
@@ -64,20 +66,25 @@ class RegionInfo:
         return self.kind is RegionKind.WINDOW
 
 
-@dataclass
-class Region:
+class Region(Fields, hidden=("data",)):
     """A named, contiguous allocation in one rank's address space."""
 
-    name: str
-    kind: RegionKind
-    base: int
-    size: int
-    rank: int
-    data: np.ndarray = field(repr=False)
-    # set by the simulator when the region is (part of) an RMA window or
-    # has been used as the local buffer of a one-sided call; the alias
-    # filter reads it
-    may_alias_rma: bool = False
+    _fields = ("name", "kind", "base", "size", "rank", "data",
+               "may_alias_rma")
+
+    def __init__(self, name: str, kind: RegionKind, base: int, size: int,
+                 rank: int, data: np.ndarray,
+                 may_alias_rma: bool = False) -> None:
+        self.name = name
+        self.kind = kind
+        self.base = base
+        self.size = size
+        self.rank = rank
+        self.data = data
+        # set by the simulator when the region is (part of) an RMA
+        # window or has been used as the local buffer of a one-sided
+        # call; the alias filter reads it
+        self.may_alias_rma = may_alias_rma
 
     @property
     def interval(self) -> Interval:

@@ -10,9 +10,9 @@ because large app runs do not need it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterator, List
 
+from .._fields import Fields
 from ..intervals import MemoryAccess
 from .memory import RegionInfo, RegionKind
 
@@ -38,43 +38,69 @@ class SyncKind(enum.Enum):
     BARRIER = "barrier"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+_set = object.__setattr__
+
+#: plain window memory (MPI_Win_allocate), an RMA target's default
+_WINDOW = RegionInfo(RegionKind.WINDOW, True)
+
+
+class TraceEvent(Fields, frozen=True):
     """Base: every event has a global sequence number and an issuing rank."""
 
-    seq: int
-    rank: int
+    _fields = ("seq", "rank")
+
+    def __init__(self, seq: int, rank: int) -> None:
+        _set(self, "seq", seq)
+        _set(self, "rank", rank)
 
 
-@dataclass(frozen=True)
-class LocalEvent(TraceEvent):
+class LocalEvent(TraceEvent, frozen=True):
     """An instrumentable Load/Store."""
 
-    access: MemoryAccess
-    region: RegionInfo
+    _fields = ("seq", "rank", "access", "region")
+
+    def __init__(self, seq: int, rank: int, access: MemoryAccess,
+                 region: RegionInfo) -> None:
+        _set(self, "seq", seq)
+        _set(self, "rank", rank)
+        _set(self, "access", access)
+        _set(self, "region", region)
 
 
-@dataclass(frozen=True)
-class RmaEvent(TraceEvent):
+class RmaEvent(TraceEvent, frozen=True):
     """One MPI_Put / MPI_Get: both sides' accesses, already resolved."""
 
-    op: str  # "put" | "get"
-    target: int
-    wid: int
-    origin_access: MemoryAccess
-    target_access: MemoryAccess
-    origin_region: RegionInfo
-    # default: plain window memory (MPI_Win_allocate)
-    target_region: RegionInfo = RegionInfo(RegionKind.WINDOW, True)
-    nbytes: int = 0
+    _fields = ("seq", "rank", "op", "target", "wid", "origin_access",
+               "target_access", "origin_region", "target_region", "nbytes")
+
+    def __init__(self, seq: int, rank: int, op: str, target: int, wid: int,
+                 origin_access: MemoryAccess, target_access: MemoryAccess,
+                 origin_region: RegionInfo,
+                 target_region: RegionInfo = _WINDOW,
+                 nbytes: int = 0) -> None:
+        _set(self, "seq", seq)
+        _set(self, "rank", rank)
+        _set(self, "op", op)  # "put" | "get"
+        _set(self, "target", target)
+        _set(self, "wid", wid)
+        _set(self, "origin_access", origin_access)
+        _set(self, "target_access", target_access)
+        _set(self, "origin_region", origin_region)
+        _set(self, "target_region", target_region)
+        _set(self, "nbytes", nbytes)
 
 
-@dataclass(frozen=True)
-class SyncEvent(TraceEvent):
+class SyncEvent(TraceEvent, frozen=True):
     """A synchronization call (rank == -1 for whole-world barriers)."""
 
-    kind: SyncKind
-    wid: int = -1
+    _fields = ("seq", "rank", "kind", "wid")
+
+    def __init__(self, seq: int, rank: int, kind: SyncKind,
+                 wid: int = -1) -> None:
+        _set(self, "seq", seq)
+        _set(self, "rank", rank)
+        _set(self, "kind", kind)
+        _set(self, "wid", wid)
 
 
 class TraceLog:

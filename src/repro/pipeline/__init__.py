@@ -52,8 +52,8 @@ _EXPORTS = {
     "FORMAT_V2": ".format",
     "MAGIC_V2": ".format",
     "TraceReader": ".format",
-    "compare_chain": ".format",
-    "trace_chain": ".format",
+    "compare_chain": ".chain",
+    "trace_chain": ".chain",
     "AppSpec": ".record",
     "RECORDABLE_APPS": ".record",
     "RecordResult": ".record",

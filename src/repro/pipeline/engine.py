@@ -29,11 +29,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 from .. import obs
+from .._fields import Fields
 # the default detector ("our"), loaded with the engine: a daemon has it
 # before it reports ready instead of importing it on its first job
 from ..core import flatcore  # noqa: F401
@@ -101,17 +101,22 @@ def canonical_forensics(reports: Iterable[RaceReport]) -> List[dict]:
 # -- results -----------------------------------------------------------------
 
 
-@dataclass
-class ShardStats:
+class ShardStats(Fields, hidden=("reports",)):
     """What the run's detector saw: its one row is ``shard`` -1."""
 
-    shard: int
-    events: int = 0
-    races: int = 0
-    peak_nodes: int = 0
-    processed: int = 0
-    #: the detector's reports — carried, not shown
-    reports: List[RaceReport] = field(default_factory=list, repr=False)
+    _fields = ("shard", "events", "races", "peak_nodes", "processed",
+               "reports")
+
+    def __init__(self, shard: int, events: int = 0, races: int = 0,
+                 peak_nodes: int = 0, processed: int = 0,
+                 reports: Optional[List[RaceReport]] = None) -> None:
+        self.shard = shard
+        self.events = events
+        self.races = races
+        self.peak_nodes = peak_nodes
+        self.processed = processed
+        #: the detector's reports — carried, not shown
+        self.reports = [] if reports is None else reports
 
     def to_dict(self) -> dict:
         return {
@@ -123,41 +128,60 @@ class ShardStats:
         }
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(Fields, hidden=("_timeline_snap", "_timeline_live")):
     """Merged verdicts + metrics of one analysis run."""
 
-    detector: str
-    nranks: int
-    events_total: int
-    wall_seconds: float
-    verdicts: List[dict]
-    shard_stats: List[ShardStats]
-    #: salvage accounting when the trace was read with ``strict=False``
-    salvage: Optional[dict] = None
-    #: True when a resource guard (deadline / drain / memory) stopped the analysis early; the verdicts cover only
-    #: ``analyzed_fraction`` of the trace and the run is resumable from
-    #: its checkpoint directory
-    partial: bool = False
-    #: fraction of the trace's events analyzed (1.0 for a completed
-    #: checkpointed run, None when unknowable or checkpointing was off)
-    analyzed_fraction: Optional[float] = None
-    #: checkpoint/resume accounting: dir, cadence, files written,
-    #: ``resumed`` records (from_seq, events_skipped), quarantined
-    #: checkpoint files, the guard that stopped the run.  None with no
-    #: --ckpt-dir
-    checkpoint: Optional[dict] = None
-    #: merged observability snapshot of this run (schema repro-obs-v1);
-    #: None when metrics are disabled (REPRO_OBS=off)
-    obs: Optional[dict] = None
-    #: one repro-forensics-v1 bundle per verdict (same canonical order
-    #: as ``verdicts``); empty when obs or the timeline is disabled
-    forensics: List[dict] = field(default_factory=list)
-    #: materialized repro-timeline-v1 snapshot (see :attr:`timeline`)
-    _timeline_snap: Optional[dict] = field(default=None, repr=False)
-    #: the run's live timeline, formatted lazily on first access —
-    #: analysis never pays snapshot formatting unless someone exports
-    _timeline_live: Optional[object] = field(default=None, repr=False)
+    _fields = ("detector", "nranks", "events_total", "wall_seconds",
+               "verdicts", "shard_stats", "salvage", "partial",
+               "analyzed_fraction", "checkpoint", "obs", "forensics",
+               "_timeline_snap", "_timeline_live")
+
+    def __init__(self, detector: str, nranks: int, events_total: int,
+                 wall_seconds: float, verdicts: List[dict],
+                 shard_stats: List[ShardStats],
+                 salvage: Optional[dict] = None, partial: bool = False,
+                 analyzed_fraction: Optional[float] = None,
+                 checkpoint: Optional[dict] = None,
+                 obs: Optional[dict] = None,
+                 forensics: Optional[List[dict]] = None,
+                 _timeline_snap: Optional[dict] = None,
+                 _timeline_live: Optional[object] = None) -> None:
+        self.detector = detector
+        self.nranks = nranks
+        self.events_total = events_total
+        self.wall_seconds = wall_seconds
+        self.verdicts = verdicts
+        self.shard_stats = shard_stats
+        #: salvage accounting when the trace was read with
+        #: ``strict=False``
+        self.salvage = salvage
+        #: True when a resource guard (deadline / drain / memory)
+        #: stopped the analysis early; the verdicts cover only
+        #: ``analyzed_fraction`` of the trace and the run is resumable
+        #: from its checkpoint directory
+        self.partial = partial
+        #: fraction of the trace's events analyzed (1.0 for a completed
+        #: checkpointed run, None when unknowable or checkpointing was
+        #: off)
+        self.analyzed_fraction = analyzed_fraction
+        #: checkpoint/resume accounting: dir, cadence, files written,
+        #: ``resumed`` records (from_seq, events_skipped), quarantined
+        #: checkpoint files, the guard that stopped the run.  None with
+        #: no --ckpt-dir
+        self.checkpoint = checkpoint
+        #: merged observability snapshot of this run (schema
+        #: repro-obs-v1); None when metrics are disabled (REPRO_OBS=off)
+        self.obs = obs
+        #: one repro-forensics-v1 bundle per verdict (same canonical
+        #: order as ``verdicts``); empty when obs or the timeline is
+        #: disabled
+        self.forensics = [] if forensics is None else forensics
+        #: materialized repro-timeline-v1 snapshot (see :attr:`timeline`)
+        self._timeline_snap = _timeline_snap
+        #: the run's live timeline, formatted lazily on first access —
+        #: analysis never pays snapshot formatting unless someone
+        #: exports
+        self._timeline_live = _timeline_live
 
     @property
     def timeline(self) -> Optional[dict]:

@@ -67,15 +67,18 @@ import hashlib
 import json
 import struct
 import zlib
-from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from .._lazy import lazy_exports
-from ..intervals import AccessType, DebugInfo, Interval, MemoryAccess
+from ..intervals import AccessType
 from ..mpi.errors import TraceChainMismatch, TraceFormatError
-from ..mpi.memory import RegionInfo, RegionKind
-from ..mpi.trace import LocalEvent, RmaEvent, SyncEvent, SyncKind, TraceEvent
+from ..mpi.memory import RegionKind
+from ..mpi.trace import SyncKind
+
+if TYPE_CHECKING:
+    from ..intervals import DebugInfo
+    from ..mpi.trace import TraceEvent
 
 __all__ = [
     "FORMAT_V2",
@@ -127,10 +130,13 @@ def _chain_next(prev: bytes, payload: bytes) -> bytes:
     return h.digest()
 
 
-# the writers live in repro.pipeline.writer: analysis only reads traces
-# and never loads them
+# the writers live in repro.pipeline.writer and the chain tools in
+# repro.pipeline.chain: a default analysis loads neither
 __getattr__, __dir__ = lazy_exports(__name__, {
-    name: "..writer" for name in ("BinaryTraceWriter", "make_trace_writer")
+    "BinaryTraceWriter": "..writer",
+    "make_trace_writer": "..writer",
+    "compare_chain": "..chain",
+    "trace_chain": "..chain",
 })
 
 
@@ -241,8 +247,10 @@ class TraceReader:
     # -- iteration -----------------------------------------------------------
 
     def __iter__(self) -> Iterator[TraceEvent]:
+        from .decode import chunks
+
         self._begin(None)
-        return (event for events, _cursor in self._chunks(None)
+        return (event for events, _cursor in chunks(self, None)
                 for event in events)
 
     def wire_stream(self, start: Optional[dict] = None) -> "WireStream":
@@ -286,10 +294,12 @@ class TraceReader:
         dicts; they are valid against the same trace file or any
         append-only extension of it (checkpoint metadata pins identity
         by the chain value, or by file size once a salvage read has
-        dropped the chain).
+        dropped the chain).  Decoding lives in :mod:`repro.pipeline.decode`.
         """
+        from .decode import chunks
+
         self._begin(start)
-        return self._chunks(start)
+        return chunks(self, start)
 
     def _begin(self, start: Optional[dict]) -> None:
         """Reset per-pass state, or adopt a resume cursor's."""
@@ -359,14 +369,6 @@ class TraceReader:
                 fh.seek(fh.tell() - len(hay) + min(hits))
                 return True
             overlap = hay[-3:]
-
-    def _chunks(self, start: Optional[dict]
-                ) -> Iterator[Tuple[List[TraceEvent], dict]]:
-        stream = WireStream(self, start)
-        for payload, off, nevents in stream:
-            events = stream.decode_or_quarantine(payload, off, nevents)
-            if events is not None:
-                yield events, stream.cursor()
 
 
 class WireStream:
@@ -602,92 +604,21 @@ class WireStream:
             f"chunk {self.chunk}: access [{lo}, {hi}) is empty or has a "
             f"negative address", path=self.path)
 
-    def _access(self, payload, pos: int) -> Tuple[MemoryAccess, int]:
-        flags = payload[pos]
-        lo, hi, tid, fid, line, origin, flush_gen = \
-            _ACCESS.unpack_from(payload, pos + 1)
-        if not 0 <= lo < hi:
-            raise self.bad_interval(lo, hi)
-        pos += 1 + _ACCESS.size
-        accum = None
-        excl = None
-        if flags & _FLAG_ACCUM:
-            accum = self.strings[_U32.unpack_from(payload, pos)[0]]
-            pos += _U32.size
-        if flags & _FLAG_EXCL:
-            excl = _I64.unpack_from(payload, pos)[0]
-            pos += _I64.size
-        key = fid << 32 | line
-        debug = self._debug.get(key)
-        if debug is None:
-            debug = self._debug[key] = DebugInfo(self.strings[fid], line)
-        return MemoryAccess(Interval(lo, hi), self.access_table[tid], debug,
-                            origin, 0, flush_gen, accum, excl), pos
-
-    def _region(self, payload, pos: int) -> RegionInfo:
-        return RegionInfo(self.region_table[payload[pos]],
-                          bool(payload[pos + 1]))
-
     def decode(self, payload: bytes, off: int,
                nevents: int) -> List[TraceEvent]:
-        """Materialize one chunk's records as trace-event objects."""
-        strings = self.strings
-        access = self._access
-        region = self._region
-        out: List[TraceEvent] = []
-        try:
-            for _ in range(nevents):
-                tag = payload[off]
-                off += 1
-                if tag == _TAG_LOCAL:
-                    seq, rank = _LOCAL.unpack_from(payload, off)
-                    acc, off = access(payload, off + _LOCAL.size)
-                    out.append(LocalEvent(seq, rank, acc,
-                                          region(payload, off)))
-                    off += 2
-                elif tag == _TAG_RMA:
-                    seq, rank, target, wid = _RMA.unpack_from(payload, off)
-                    off += _RMA.size
-                    op = strings[_U32.unpack_from(payload, off)[0]]
-                    nbytes = _I64.unpack_from(payload, off + _U32.size)[0]
-                    oacc, off = access(payload, off + _U32.size + _I64.size)
-                    tacc, off = access(payload, off)
-                    out.append(RmaEvent(
-                        seq, rank, op, target, wid, oacc, tacc,
-                        region(payload, off), region(payload, off + 2),
-                        nbytes))
-                    off += 4
-                elif tag == _TAG_SYNC:
-                    seq, rank, kid, wid = _SYNC.unpack_from(payload, off)
-                    off += _SYNC.size
-                    out.append(SyncEvent(seq, rank, self.sync_table[kid],
-                                         wid))
-                else:
-                    raise TraceFormatError(
-                        f"chunk {self.chunk}: unknown event tag {tag}",
-                        path=self.path)
-        except (struct.error, IndexError) as exc:
-            raise TraceFormatError(
-                f"chunk {self.chunk}: malformed event record ({exc})",
-                path=self.path) from None
-        if off != len(payload):
-            raise TraceFormatError(
-                f"chunk {self.chunk}: {len(payload) - off} trailing bytes",
-                path=self.path)
-        return out
+        """Materialize one chunk's records as trace-event objects
+        (:func:`repro.pipeline.decode.decode`)."""
+        from .decode import decode
+
+        return decode(self, payload, off, nevents)
 
     def decode_or_quarantine(self, payload: bytes, off: int,
                              nevents: int) -> Optional[List[TraceEvent]]:
         """:meth:`decode`, except that a salvage reader quarantines a
         chunk that fails to decode (and gets ``None``)."""
-        try:
-            return self.decode(payload, off, nevents)
-        except TraceFormatError:
-            if self.reader.strict:
-                raise
-        self.events -= nevents
-        self._lose(nevents)
-        return None
+        from .decode import decode_or_quarantine
+
+        return decode_or_quarantine(self, payload, off, nevents)
 
     # -- timeline records -----------------------------------------------------
 
@@ -736,89 +667,3 @@ class WireStream:
 #: bytes of an access record's optional fields, by its two flag bits:
 #: a u32 accum-op string id (flag 1) and an i64 exclusive epoch (flag 2)
 _ACCESS_EXTRA = (0, _U32.size, _I64.size, _U32.size + _I64.size)
-
-
-# -- chain helpers (incremental analysis) ------------------------------------
-
-
-class _FrameWalk(WireStream):
-    """A :class:`WireStream` over the frames alone: the chain commits to
-    payload bytes, so the chunks' string tables are not decoded."""
-
-    def _take_strings(self, payload: bytes, chunk_no: int) -> int:
-        return 0
-
-
-def trace_chain(path: Union[str, Path], upto: Optional[int] = None) -> dict:
-    """Rolling hash chain of a trace, computed without decoding events.
-
-    A strict, tail-mode :class:`WireStream` walk of the frames only —
-    one crc verify, one sha256 update and one stored-digest compare per
-    chunk, no string table decoded — so it is cheap enough to run at
-    serve admission on every upload.  Returns::
-
-        {"algo": "sha256",
-         "chunks": [hex chain value after chunk 1, 2, ...],
-         "offsets": [file offset just past chunk 1, 2, ...],
-         "events": [cumulative event count after chunk 1, 2, ...],
-         "complete": bool}            # reached a valid trailer
-
-    ``upto`` stops after that many chunks (``complete`` is then about
-    the trailer only if it was reached, i.e. normally False).  A torn
-    tail simply ends the walk (``complete=False``), matching tail-reader
-    semantics.  Damage raises :class:`~repro.mpi.errors.TraceFormatError`
-    — a stored chain digest that disagrees with the recomputed chain (a
-    rewritten prefix) as :class:`~repro.mpi.errors.TraceChainMismatch`.
-    """
-    reader = TraceReader(path)
-    reader.tail = True
-    stream = _FrameWalk(reader)
-    chunks: List[str] = []
-    offsets: List[int] = []
-    events: List[int] = []
-    for _chunk in islice(stream, upto):
-        chunks.append(stream.chain.hex())
-        offsets.append(stream.pos)
-        events.append(stream.events)
-    return {
-        "algo": CHAIN_ALGO,
-        "chunks": chunks,
-        "offsets": offsets,
-        "events": events,
-        "complete": reader.complete,
-    }
-
-
-def compare_chain(old: dict, new: dict) -> dict:
-    """Relate two :func:`trace_chain` results.
-
-    Returns ``{"relation", "common", "diverged_at"}`` where relation is
-    one of ``identical`` (same chunks), ``extension`` (``new`` extends
-    ``old`` append-only), ``truncated`` (``new`` is a proper prefix of
-    ``old``) or ``diverged``; ``common`` counts the shared prefix
-    chunks and ``diverged_at`` names the first differing chunk (1-based)
-    for ``diverged``, else None.
-
-    Because each value hashes the whole prefix, one equal chain value
-    at index k proves byte-identity of chunks 1..k — the list compare
-    here is belt and braces, not a per-chunk requirement.
-    """
-    a, b = old["chunks"], new["chunks"]
-    common = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        common += 1
-    if common == len(a) == len(b):
-        relation = "identical"
-    elif common == len(a):
-        relation = "extension"
-    elif common == len(b):
-        relation = "truncated"
-    else:
-        relation = "diverged"
-    return {
-        "relation": relation,
-        "common": common,
-        "diverged_at": common + 1 if relation == "diverged" else None,
-    }

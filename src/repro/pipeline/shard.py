@@ -1,9 +1,11 @@
 """Event dispatch: one recorded trace event -> the detector hook it drives.
 
 :func:`dispatch_event` is the single trace-event → detector-hook mapping
-shared by serial replay (:func:`repro.mpi.trace_io.replay_trace`), the
-decoded path of :func:`repro.pipeline.analyze_trace` and the flat
-core's sync events; :func:`dispatch_batch` feeds a whole chunk.
+shared by serial replay (:func:`repro.mpi.trace_io.replay_trace`) and
+the decoded path of :func:`repro.pipeline.analyze_trace`;
+:func:`dispatch_sync` is its synchronization part, which the flat
+core's wire ingestion calls with a sync record's fields, and
+:func:`dispatch_batch` feeds a whole chunk.
 
 Every modelled detector keys its canonical state by memory rank (the
 BST detectors per ``(rank, window)``, MUST-RMA's shadow cells per
@@ -27,6 +29,7 @@ __all__ = [
     "ReplayWindow",
     "dispatch_batch",
     "dispatch_event",
+    "dispatch_sync",
 ]
 
 
@@ -52,21 +55,27 @@ def dispatch_event(
             event.origin_region, event.target_region,
         )
     elif isinstance(event, SyncEvent):
-        kind = event.kind
-        if kind is SyncKind.WIN_CREATE:
-            detector.on_win_create(ReplayWindow(event.wid, nranks))
-        elif kind is SyncKind.WIN_FREE:
-            detector.on_win_free(event.wid)
-        elif kind is SyncKind.LOCK_ALL:
-            detector.on_epoch_start(event.rank, event.wid)
-        elif kind is SyncKind.UNLOCK_ALL:
-            detector.on_epoch_end(event.rank, event.wid)
-        elif kind in (SyncKind.FLUSH, SyncKind.FLUSH_ALL):
-            detector.on_flush(event.rank, event.wid)
-        elif kind is SyncKind.BARRIER:
-            detector.on_barrier()
-        elif kind is SyncKind.FENCE:
-            detector.on_fence(event.wid, nranks)
+        dispatch_sync(detector, event.kind, event.rank, event.wid, nranks)
+
+
+def dispatch_sync(detector: DetectorProtocol, kind: SyncKind, rank: int,
+                  wid: int, nranks: int) -> None:
+    """Feed one synchronization event, given by its fields (the flat
+    core's wire ingestion builds no event object for it)."""
+    if kind is SyncKind.WIN_CREATE:
+        detector.on_win_create(ReplayWindow(wid, nranks))
+    elif kind is SyncKind.WIN_FREE:
+        detector.on_win_free(wid)
+    elif kind is SyncKind.LOCK_ALL:
+        detector.on_epoch_start(rank, wid)
+    elif kind is SyncKind.UNLOCK_ALL:
+        detector.on_epoch_end(rank, wid)
+    elif kind in (SyncKind.FLUSH, SyncKind.FLUSH_ALL):
+        detector.on_flush(rank, wid)
+    elif kind is SyncKind.BARRIER:
+        detector.on_barrier()
+    elif kind is SyncKind.FENCE:
+        detector.on_fence(wid, nranks)
 
 
 def dispatch_batch(

@@ -9,7 +9,7 @@ timeline), which is also exactly what the HTML report renderer eats.
 
 Next to each entry the scheduler may store a *chain sidecar*
 (``<sha>-<detector>.chain.json``): the trace's per-chunk rolling hash
-chain (:func:`repro.pipeline.format.trace_chain`).  Sidecars are the
+chain (:func:`repro.pipeline.chain.trace_chain`).  Sidecars are the
 admission-time index for incremental re-analysis — a new upload whose
 chain extends a cached trace's chain resumes from that trace's last
 checkpoint cursor instead of chunk 0.

@@ -35,15 +35,15 @@ import queue as _queue
 import shutil
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .. import obs
+from .._fields import Fields
 from ..mpi.errors import CheckpointError, TraceFormatError
 from ..pipeline import checkpoint as _ckpt
 from ..pipeline.engine import analyze_trace
-from ..pipeline.format import compare_chain, trace_chain
+from ..pipeline.chain import compare_chain, trace_chain
 from .cache import VerdictCache, trace_sha256
 from .journal import JobJournal
 
@@ -85,32 +85,47 @@ def job_ckpt_dir(base: Union[str, Path], sha: str, detector: str) -> Path:
     return Path(base) / f"{sha[:16]}-{detector}"
 
 
-@dataclass
-class Job:
-    """One submitted analysis and everything the journal knows about it."""
+class Job(Fields):
+    """One submitted analysis and everything the journal knows about it.
 
-    id: str
-    tenant: str
-    detector: str
-    trace_sha: str
-    trace_path: str
-    state: str = "queued"
-    attempts: int = 0
-    submitted_at: float = 0.0
-    updated_at: float = 0.0
-    reason: Optional[str] = None
-    cached: bool = False
-    races: Optional[int] = None
-    events: Optional[int] = None
-    wall_seconds: Optional[float] = None
-    #: incremental lineage: the already-analyzed trace whose chunk chain
-    #: this trace extends, and how many chunks that prefix covers —
-    #: journaled at submit so crash recovery re-runs the job with the
-    #: same prefix-resume plan it was admitted with
-    resumed_from: Optional[str] = None
-    prefix_chunks: int = 0
-    #: resume accounting of the winning attempt (lane/from_seq/skipped)
-    resumed: List[dict] = field(default_factory=list)
+    ``resumed_from`` and ``prefix_chunks`` are its incremental lineage:
+    the already-analyzed trace whose chunk chain this trace extends,
+    and how many chunks that prefix covers — journaled at submit so
+    crash recovery re-runs the job with the same prefix-resume plan it
+    was admitted with.  ``resumed`` is the resume accounting of the
+    winning attempt (lane/from_seq/skipped).
+    """
+
+    _fields = ("id", "tenant", "detector", "trace_sha", "trace_path",
+               "state", "attempts", "submitted_at", "updated_at", "reason",
+               "cached", "races", "events", "wall_seconds", "resumed_from",
+               "prefix_chunks", "resumed")
+
+    def __init__(self, id: str, tenant: str, detector: str, trace_sha: str,
+                 trace_path: str, state: str = "queued", attempts: int = 0,
+                 submitted_at: float = 0.0, updated_at: float = 0.0,
+                 reason: Optional[str] = None, cached: bool = False,
+                 races: Optional[int] = None, events: Optional[int] = None,
+                 wall_seconds: Optional[float] = None,
+                 resumed_from: Optional[str] = None, prefix_chunks: int = 0,
+                 resumed: Optional[List[dict]] = None) -> None:
+        self.id = id
+        self.tenant = tenant
+        self.detector = detector
+        self.trace_sha = trace_sha
+        self.trace_path = trace_path
+        self.state = state
+        self.attempts = attempts
+        self.submitted_at = submitted_at
+        self.updated_at = updated_at
+        self.reason = reason
+        self.cached = cached
+        self.races = races
+        self.events = events
+        self.wall_seconds = wall_seconds
+        self.resumed_from = resumed_from
+        self.prefix_chunks = prefix_chunks
+        self.resumed = [] if resumed is None else resumed
 
     def to_dict(self) -> dict:
         return {

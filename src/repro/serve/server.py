@@ -38,13 +38,13 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
+from .._fields import Fields
 from ..detectors import detector_names
 from ..mpi.errors import TraceFormatError
 from ..pipeline import TraceReader
@@ -64,24 +64,26 @@ _TENANT_OK = set("abcdefghijklmnopqrstuvwxyz"
                  "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 
 
-@dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(Fields, frozen=True):
     """Everything ``repro serve`` needs, as one frozen bag."""
 
-    state_dir: str
-    host: str = "127.0.0.1"
-    port: int = 0
-    workers: int = 2
-    max_queue: int = 16
-    tenant_cap: int = 4
-    retries: int = 2
-    deadline_s: Optional[float] = None
-    max_rss_mb: Optional[int] = None
-    ckpt_every: Optional[int] = None
-    drain_s: float = 10.0
-    max_body_mb: int = 256
-    cache_max: Optional[int] = 256
-    quiet: bool = True
+    _fields = ("state_dir", "host", "port", "workers", "max_queue",
+               "tenant_cap", "retries", "deadline_s", "max_rss_mb",
+               "ckpt_every", "drain_s", "max_body_mb", "cache_max", "quiet")
+
+    def __init__(self, state_dir: str, host: str = "127.0.0.1",
+                 port: int = 0, workers: int = 2, max_queue: int = 16,
+                 tenant_cap: int = 4, retries: int = 2,
+                 deadline_s: Optional[float] = None,
+                 max_rss_mb: Optional[int] = None,
+                 ckpt_every: Optional[int] = None, drain_s: float = 10.0,
+                 max_body_mb: int = 256, cache_max: Optional[int] = 256,
+                 quiet: bool = True) -> None:
+        for name, value in zip(self._fields, (
+                state_dir, host, port, workers, max_queue, tenant_cap,
+                retries, deadline_s, max_rss_mb, ckpt_every, drain_s,
+                max_body_mb, cache_max, quiet)):
+            object.__setattr__(self, name, value)
 
 
 def write_endpoint(state_dir: Union[str, Path], host: str, port: int) -> Path:

@@ -2,7 +2,6 @@
 
 import pickle
 from array import array
-from dataclasses import replace
 
 import pytest
 
@@ -17,9 +16,9 @@ def _store():
     for i in range(8):
         a = acc(10 * i, 10 * i + 4, RW, file="ckpt.c", line=i % 2)
         if i % 2:
-            a = replace(a, accum_op=f"MPI_CKPT_OP{i % 4}", excl_epoch=2)
+            a = a.replace(accum_op=f"MPI_CKPT_OP{i % 4}", excl_epoch=2)
         if i == 5:  # a fragment of two ranks' accumulates
-            a = replace(a, origin=((0, 1), (2, 0)))
+            a = a.replace(origin=((0, 1), (2, 0)))
         store.insert(access_to_rec(a))
     store.remove(next(iter(store)))  # the table keeps the first row's tail
     return store

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 from repro.core.forensics import (
     FORENSICS_SCHEMA,
@@ -88,8 +87,7 @@ def test_render_explain_names_everything():
 def test_origin_set_shows_every_origin():
     """A fragment of two ranks' accumulates names both, and the
     diagnostic shows both ranks' timelines."""
-    stored = replace(
-        acc(0, 8, AccessType.RMA_WRITE, file="acc.c", line=1),
+    stored = acc(0, 8, AccessType.RMA_WRITE, file="acc.c", line=1).replace(
         accum_op="sum", origin=((0, 0), (1, 0)))
     new = acc(0, 8, AccessType.LOCAL_READ, file="acc.c", line=2, origin=2)
     bundle = json.loads(json.dumps(capture_forensics(

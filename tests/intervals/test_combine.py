@@ -1,7 +1,5 @@
 """Exhaustive tests of the Table-1 combination rules."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.intervals import AccessType, Interval, combine_accesses, combined_type
@@ -86,8 +84,7 @@ class TestMixedAccumulates:
 
     @staticmethod
     def _acc_access(op, origin=0, line=1):
-        return replace(acc(0, 8, RW, line=line, origin=origin),
-                       accum_op=op)
+        return acc(0, 8, RW, line=line, origin=origin).replace(accum_op=op)
 
     def test_same_op_fragment_keeps_the_op(self):
         frag = combine_accesses(self._acc_access("sum", line=1),
@@ -143,7 +140,7 @@ class TestMixedOriginFragment:
 
     def test_cross_origin_fragment_keeps_every_origin(self):
         frag = combine_accesses(
-            replace(self._acc_access("max", origin=2), flush_gen=3),
+            self._acc_access("max", origin=2).replace(flush_gen=3),
             self._acc_access("max", origin=0, line=2))
         assert frag.origin == ((0, 0), (2, 3))
         assert frag.accum_op == "max"  # the same-op exemption survives
@@ -153,8 +150,8 @@ class TestMixedOriginFragment:
         frag = combine_accesses(self._acc_access("max", origin=0),
                                 self._acc_access("max", origin=2, line=2))
         frag = combine_accesses(
-            frag, replace(self._acc_access("max", origin=0, line=3),
-                          flush_gen=1))
+            frag, self._acc_access("max", origin=0, line=3).replace(
+                flush_gen=1))
         frag = combine_accesses(frag, self._acc_access("max", origin=1,
                                                        line=4))
         # one pair per rank, with its newest flush generation
