@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from typing import List, Sequence, Tuple
 
 from .. import obs
@@ -265,11 +266,10 @@ def compose_scenario(seed: int, index: int) -> Scenario:
 
 def generate_corpus(seed: int, n: int) -> List[Scenario]:
     """The first ``n`` scenarios of ``seed``, in index order."""
-    out: List[Scenario] = []
-    for i in range(n):
-        sc = compose_scenario(seed, i)
-        obs.counter("scenarios.generated", category=sc.category).add(1)
-        out.append(sc)
+    out = [compose_scenario(seed, i) for i in range(n)]
+    # one registry add per category (first-seen order), not per scenario
+    for category, count in Counter(sc.category for sc in out).items():
+        obs.counter("scenarios.generated", category=category).add(count)
     return out
 
 

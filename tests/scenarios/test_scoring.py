@@ -211,3 +211,17 @@ class TestObsMetrics:
                      if k.startswith("scenarios.generated")}
         assert sum(generated.values()) == 12
         assert len(generated) == len({sc.category for sc in corpus})
+
+    def test_generated_counts_equal_per_scenario_counting(self):
+        """One add per category leaves the registry exactly as one add
+        per scenario did, counter order included."""
+        with obs.scope() as reg:
+            corpus = generate_corpus(7, 60)
+            batched = reg.snapshot()
+        with obs.scope() as reg:
+            for sc in corpus:
+                obs.counter("scenarios.generated",
+                            category=sc.category).add(1)
+            per_scenario = reg.snapshot()
+        assert batched == per_scenario
+        assert list(batched["counters"]) == list(per_scenario["counters"])
