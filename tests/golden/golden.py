@@ -31,6 +31,14 @@ Artifacts: ``exit`` (the exit code), ``json`` (the ``--json`` body),
 ``report-html``, ``metrics-json``, and ``explain`` / ``explain-json``
 (``repro explain`` text and ``--json``).
 
+The live runtime: :func:`_live_program` fires every interposition hook
+on three simulated ranks, run with no detector (``baseline``), under
+each detector of :data:`repro.detectors.DETECTORS` (its ``tool`` name)
+and under ``our`` aborting on its first race (``our-abort``).  Each run
+digests ``outcome``, ``clock`` (every rank's simulated ``now`` and its
+per-category breakdown), ``trace`` (the trace log), ``timeline``,
+``verdicts`` and ``forensics``, keyed ``live/<run>/<artifact>``.
+
 The paper experiments: ``repro run <ids> --json`` over :data:`RUN_IDS`
 (every experiment but fig11, fig12 and table4, which take minutes),
 one ``run/<id>/json`` digest per experiment plus ``run/all/exit``.
@@ -279,6 +287,98 @@ def _damaged(run: Run, fixture: str, trace: Path) -> None:
         **run.explain(trace, "--salvage")})
 
 
+def _at(line: int):
+    """An explicit access site, so no edit to this file moves a digest."""
+    from repro.intervals import DebugInfo
+
+    return DebugInfo("live.c", line)
+
+
+def _live_program(ctx):
+    """Every live interposition hook: two window creations, a lock_all
+    epoch with each one-sided op (request completions and both flushes
+    included), shared and exclusive per-target locks, barriers, a fence
+    epoch and two frees.  In the second lock_all epoch each rank stores
+    to the bytes its left neighbour puts into: a race on every rank."""
+    r = ctx.rank
+    right = (r + 1) % ctx.size
+    buf = ctx.alloc("buf", 8, rma_hint=True)
+    res = ctx.alloc("res", 8)
+    tmp = ctx.stack_alloc("tmp", 4)
+    mem = ctx.alloc("mem", 8)
+    win = yield ctx.win_allocate("win", 16)
+    cwin = yield ctx.win_create("cwin", mem)
+    ctx.win_lock_all(win)
+    ctx.store(buf, 0, r + 1, count=4, debug=_at(1))
+    ctx.put(win, right, 0, buf, 0, 2, debug=_at(2))
+    ctx.get(win, right, 4, buf, 4, 2, debug=_at(3))
+    ctx.accumulate(win, right, 8, buf, 0, 2, op="sum", debug=_at(4))
+    ctx.get_accumulate(win, right, 10, buf, res, 0, 0, 2, op="max",
+                       debug=_at(5))
+    ctx.wait(ctx.rput(win, right, 12, buf, 6, 1, debug=_at(6)))
+    ctx.wait(ctx.rget(win, right, 13, res, 4, 1, debug=_at(7)))
+    ctx.win_flush(win, right)
+    ctx.load(buf, 0, 2, debug=_at(8))
+    ctx.store(tmp, 0, r, debug=_at(9))
+    ctx.win_flush_all(win)
+    ctx.win_unlock_all(win)
+    yield ctx.barrier()
+    ctx.win_lock(cwin, right)
+    ctx.get(cwin, right, 0, res, 0, 2, debug=_at(10))
+    ctx.win_unlock(cwin, right)
+    ctx.win_lock(cwin, right, exclusive=True)
+    ctx.put(cwin, right, 2, buf, 0, 2, debug=_at(11))
+    ctx.win_unlock(cwin, right)
+    yield ctx.barrier()
+    ctx.win_lock_all(cwin)
+    ctx.put(cwin, right, 4, buf, 0, 2, debug=_at(12))
+    ctx.store(mem, 4, r, count=2, debug=_at(13))
+    ctx.win_unlock_all(cwin)
+    yield ctx.win_fence(win)
+    ctx.put(win, right, 0, buf, 0, 4, debug=_at(14))
+    ctx.load(buf, 0, debug=_at(15))
+    yield ctx.win_fence(win)
+    yield ctx.win_free(cwin)
+    yield ctx.win_free(win)
+
+
+def _live(run: Run) -> None:
+    """:func:`_live_program` on three simulated ranks with no detector,
+    under each detector of the registry, and under ``our`` aborting on
+    its first race: the simulated clock, the trace log, the timeline and
+    the verdicts and forensics of each run."""
+    from repro import obs
+    from repro.core.report import DataRaceError
+    from repro.detectors import DETECTORS
+    from repro.mpi import World
+    from repro.obs.registry import Registry
+    from repro.pipeline.engine import canonical_forensics, canonical_verdicts
+
+    runs = [("baseline", None, {})]
+    runs += [(spec.tool, spec.load(), {}) for spec in DETECTORS]
+    runs.append(("our-abort", DETECTORS[0].load(), {"abort_on_race": True}))
+    for path, cls, kwargs in runs:
+        dets = [] if cls is None else [cls(**kwargs)]
+        with _environ({}), obs.scope(Registry(), merge=False) as reg:
+            world = World(3, dets, trace=True)
+            try:
+                world.run(_live_program)
+                outcome = "completed"
+            except DataRaceError:
+                outcome = "aborted on a race"
+            tl = reg.timeline.snapshot()
+        reports = [rep for d in dets for rep in d.reports]
+        run.add("live", path, {
+            "outcome": outcome,
+            "clock": _json_text({"now": world.clock.now,
+                                 "breakdown": world.clock.breakdown}),
+            "trace": "\n".join(repr(e) for e in world.trace_log),
+            "timeline": _json_text(tl),
+            "verdicts": _json_text(canonical_verdicts(reports)),
+            "forensics": _json_text(canonical_forensics(reports)),
+        })
+
+
 def _experiments(run: Run, ids: Tuple[str, ...] = RUN_IDS) -> None:
     """``repro run --json`` over ``ids``: one digest each."""
     rc, stdout = _cli(["run", *ids, "--json"], {})
@@ -308,6 +408,7 @@ def collect(root: Path) -> Dict[str, str]:
     run = Run(root)
     for fixture, paths in PATHS.items():
         paths(run, fixture, traces[fixture])
+    _live(run)
     _experiments(run)
     return dict(sorted(run.digests.items()))
 
