@@ -3,7 +3,7 @@
 Algorithm 1's fragmentation (§4.1) keeps the records of a store
 pairwise disjoint, and every stored interval is non-empty: a trace
 access is checked for ``0 <= lo < hi`` where it is decoded
-(:meth:`~repro.pipeline.format.WireStream.decode` and
+(:func:`repro.pipeline.decode.decode` and
 :meth:`~repro.core.flatcore.FlatDetector.ingest_wire`), and a live
 access is an :class:`~repro.intervals.Interval`, which refuses empty
 ones.  Disjoint non-empty intervals sorted by lower bound have sorted

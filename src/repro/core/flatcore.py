@@ -12,16 +12,15 @@ allocation, no ``MemoryAccess.replace``, no per-call predicate closure, no
 tree descent.  ``MemoryAccess`` objects are materialized only at the
 cold edges (race reports, request-completion matching inputs).
 
-Batch ingestion (:meth:`FlatDetector.ingest_batch`) feeds one chunk of
-decoded trace events through a loop that hoists every loop-invariant —
-the obs registry, the alias-filter policy, the open-epoch routing
-index — so the per-event cost is the event-kind dispatch plus the
-record path itself; nothing in the product calls it any more (the e2e
-benchmark's traced run wraps it).  Wire ingestion
-(:meth:`FlatDetector.ingest_wire`) goes further for ``repro-trace-v2``
-files: it reads the chunk's binary records directly, builds no event
-objects, and is how every trace file reaches the flat core (a salvage
-read decodes each chunk first, to quarantine one that fails).
+The core has two entries.  Wire ingestion
+(:meth:`FlatDetector.ingest_wire`) is how every ``repro-trace-v2``
+file reaches it: it reads a chunk's binary records directly and builds
+no event objects (a salvage read decodes each chunk first, to
+quarantine one that fails).  The runtime hooks (:meth:`on_local`,
+``on_rma``) take one live or decoded event at a time into
+:meth:`_ingest`; decoded trace events reach them through
+:func:`~repro.pipeline.shard.dispatch_batch`, as they reach every other
+detector.
 
 It is the only "ours" the product builds: every entry point resolves
 it from :data:`repro.detectors.DETECTORS`.  The object core is the
@@ -59,7 +58,6 @@ from ..intervals.intern import (
 from ..intervals.access import DebugInfo
 from ..mpi.errors import TraceFormatError
 from ..mpi.memory import RegionKind
-from ..mpi.trace import LocalEvent, RmaEvent
 from . import base as _base
 from .base import COMPLETED_LOCALLY, OurDetectorBase
 
@@ -80,89 +78,13 @@ class FlatDetector(OurDetectorBase):
     #: properties without verdict noise).  Not a user knob.
     race_check: bool = True
 
-    # -- batch ingestion -------------------------------------------------------
+    # -- trace ingestion -------------------------------------------------------
 
     def ingest_batch(self, events, nranks: int, *, timeline=None) -> int:
-        """Feed one chunk of trace events, hoisting per-event overhead.
-
-        Same event→hook mapping as
-        :func:`repro.pipeline.shard.dispatch_event` (sync events still
-        go through it), same timeline feed-before-analyze ordering, so
-        rings and forensics stay byte-identical to the per-event loop.
-        """
-        from ..pipeline.shard import dispatch_event
-
-        try:
-            n = len(events)
-        except TypeError:
-            events = list(events)
-            n = len(events)
-        feed = timeline.record_event_fanout if timeline is not None else None
-        reg = obs.active()
-        ingest = self._ingest
-        filt = self.filter
-        policy = filt.policy
-        alias = policy is FilterPolicy.ALIAS
-        keep_all = policy is FilterPolicy.ALL
-        open_epochs = self._open_epochs
-        # open epochs rarely change within a chunk: route local events
-        # through a per-rank index, rebuilt only after sync events.
-        # Built by one pass over the set, so for ranks with several
-        # open epochs the relative order matches the set iteration
-        # order the object core's ``on_local`` sees.
-        by_rank: dict = {}
-        for r, w in open_epochs:
-            by_rank.setdefault(r, []).append(w)
-        get_wids = by_rank.get
-        # filter counters accumulate in locals and flush at sync events
-        # and batch end — nothing reads them mid-batch (forensics
-        # bundles carry tree/sync state only; the obs fold runs after
-        # the analysis), and checkpoints land on chunk boundaries
-        seen = 0
-        kept = 0
-        window = RegionKind.WINDOW
-        stack = RegionKind.STACK
-        local_cls = LocalEvent
-        rma_cls = RmaEvent
-        for event in events:
-            if feed is not None:
-                feed(event, nranks)
-            cls = event.__class__
-            if cls is local_cls:
-                seen += 1
-                region = event.region
-                if alias:
-                    if (region.kind is not window
-                            and not region.may_alias_rma):
-                        continue
-                elif not keep_all and region.kind is stack:  # TSAN
-                    continue
-                kept += 1
-                wids = get_wids(event.rank)
-                if wids:
-                    rank = event.rank
-                    access = event.access
-                    for wid in wids:
-                        ingest(rank, wid, access, reg)
-            elif cls is rma_cls:
-                wid = event.wid
-                ingest(event.rank, wid, event.origin_access, reg)
-                ingest(event.target, wid, event.target_access, reg)
-            else:
-                # sync events (and any event subclasses) take the
-                # shared per-event mapping; the epoch routing index is
-                # then rebuilt — epoch starts/ends are sync events
-                filt.seen += seen
-                filt.kept += kept
-                seen = kept = 0
-                dispatch_event(self, event, nranks)
-                by_rank = {}
-                for r, w in open_epochs:
-                    by_rank.setdefault(r, []).append(w)
-                get_wids = by_rank.get
-        filt.seen += seen
-        filt.kept += kept
-        return n
+        """:func:`~repro.pipeline.shard.dispatch_batch`; no caller in the
+        package (the e2e traced run wraps it; ROADMAP item 4 deletes it)."""
+        from ..pipeline.shard import dispatch_batch
+        return dispatch_batch(self, events, nranks, timeline=timeline)
 
     def ingest_wire(self, payload, off: int, nevents: int, ctx,
                     nranks: int, *, timeline=None) -> int:
@@ -176,8 +98,8 @@ class FlatDetector(OurDetectorBase):
         directly from the wire integers — a ``MemoryAccess`` is only
         ever materialized for a race report.  Every analysed access is
         checked for ``0 <= lo < hi`` as it is unpacked, as
-        :meth:`~repro.pipeline.format.WireStream.decode` checks it; a
-        local the filter drops is not.  Sync records go by their fields
+        :func:`repro.pipeline.decode.decode` checks it; a local the
+        filter drops is not.  Sync records go by their fields
         to :func:`~repro.pipeline.shard.dispatch_sync`, the mapping
         decoded sync events take: they are rare and drive the
         epoch/window state machine.  The record stream

@@ -198,45 +198,6 @@ class EpochTracker:
             )
         st.ops_issued += 1
 
-    # -- checkpointing ---------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Checkpointable copy of all epoch states (``repro-ckpt-v1``).
-
-        Keys are flattened to ``"rank,wid"`` strings so the snapshot
-        survives JSON as well as pickle round-trips.
-        """
-        return {
-            "%d,%d" % key: {
-                "active": st.active,
-                "mode": st.mode,
-                "ops_issued": st.ops_issued,
-                "flush_gen": st.flush_gen,
-                "epochs_completed": st.epochs_completed,
-                "target_locks": {str(t): x
-                                 for t, x in st.target_locks.items()},
-                "exposed": st.exposed,
-            }
-            for key, st in self._state.items()
-        }
-
-    def restore(self, snap: dict) -> None:
-        """Adopt a :meth:`snapshot`; in-flight epochs resume as-is."""
-        state: Dict[Tuple[int, int], _EpochState] = {}
-        for key, d in snap.items():
-            rank, wid = (int(part) for part in key.split(","))
-            state[(rank, wid)] = _EpochState(
-                active=d["active"],
-                mode=d["mode"],
-                ops_issued=d["ops_issued"],
-                flush_gen=d["flush_gen"],
-                epochs_completed=d["epochs_completed"],
-                target_locks={int(t): bool(x)
-                              for t, x in d["target_locks"].items()},
-                exposed=d.get("exposed", False),
-            )
-        self._state = state
-
     # -- queries ---------------------------------------------------------------
 
     def active(self, rank: int, wid: int) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 from time import perf_counter_ns
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .timeline import make_timeline
 
@@ -149,10 +149,6 @@ class SpanNode:
             self.children[name] = node
         return node
 
-    def self_ns(self) -> int:
-        """Time not attributed to any child span."""
-        return self.total_ns - sum(c.total_ns for c in self.children.values())
-
     def to_dict(self) -> dict:
         return {
             "count": self.count,
@@ -167,14 +163,6 @@ class SpanNode:
         self.total_ns += d.get("total_ns", 0)
         for name, sub in d.get("children", {}).items():
             self.child(name).merge_dict(sub)
-
-    def walk(self, path: str = "") -> Iterator[Tuple[str, "SpanNode"]]:
-        """(slash path, node) pairs, depth first, children name-sorted."""
-        for name in sorted(self.children):
-            node = self.children[name]
-            sub = f"{path}/{name}" if path else name
-            yield sub, node
-            yield from node.walk(sub)
 
 
 class _Span:

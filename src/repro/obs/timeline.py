@@ -23,9 +23,10 @@ differ only in the payload they hold by reference:
 * live (:meth:`Timeline.record`, :meth:`~Timeline.record_rma`,
   :meth:`~Timeline.record_sync`): a local's ``MemoryAccess``, or an RMA
   op's ``(op, target, origin access, target access)``;
-* replayed trace events (:meth:`Timeline.record_event`,
-  :meth:`~Timeline.record_event_fanout`): the local event's access, or
-  the RMA event itself;
+* replayed trace events (:meth:`Timeline.record_event_fanout`, fed by
+  :func:`~repro.pipeline.shard.dispatch_batch`; its one-lane form
+  :meth:`~Timeline.record_event` is kept for the e2e benchmark's traced
+  run): the local event's access, or the RMA event itself;
 * the flat core's wire records (appended through
   :meth:`Timeline.ring`): the event's record bytes, with ``fmt`` the
   chunk's :meth:`~repro.pipeline.format.WireStream.timeline_event`;

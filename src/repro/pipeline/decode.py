@@ -8,7 +8,7 @@ core sees any of its records; the baseline detectors, fed decoded
 chunks; and iterating a :class:`~repro.pipeline.format.TraceReader`
 (the Chrome export, trace tools).  :class:`~repro.pipeline.format.
 WireStream` and :class:`~repro.pipeline.format.TraceReader` reach it
-through their ``decode``, ``decode_or_quarantine``, ``__iter__`` and
+through their ``decode_or_quarantine``, ``__iter__`` and
 ``iter_chunks`` methods.
 """
 

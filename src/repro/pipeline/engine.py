@@ -242,27 +242,27 @@ def _feed_chunks(det, reader, timeline, start):
     """Feed ``det`` chunk by chunk from ``start``: the one ingest loop.
 
     Yields ``(events_in_chunk, cursor)`` after each chunk; the cursor is
-    the chunk-boundary resume point checkpoints record.  A detector with
-    wire ingestion (the flat core) reads each chunk's records, and the
-    timeline keeps lazily formatted record tuples.  A salvage read
-    decodes each chunk first: one that fails is quarantined before the
-    detector sees any of its records.  Detectors without wire ingestion
-    (the baselines) are fed decoded trace events.
+    the chunk-boundary resume point checkpoints record.  A chunk is
+    decoded first when the read is salvage (one that fails is
+    quarantined before the detector sees any of its records) or when
+    the detector has no wire ingestion (the baselines).  The flat core
+    then takes the chunk's records (``ingest_wire``, the timeline
+    keeping lazily formatted record tuples), and any other detector its
+    decoded events (:func:`~repro.pipeline.shard.dispatch_batch`).
     """
     nranks = reader.nranks
     ingest_wire = getattr(det, "ingest_wire", None)
-    if ingest_wire is None:
-        for chunk, cursor in reader.iter_chunks(start=start):
-            dispatch_batch(det, chunk, nranks, timeline=timeline)
-            yield len(chunk), cursor
-        return
+    decode = ingest_wire is None or not reader.strict
     wire = reader.wire_stream(start)
-    salvage = not reader.strict
     for payload, off, count in wire:
-        if salvage and wire.decode_or_quarantine(payload, off,
-                                                 count) is None:
-            continue
-        ingest_wire(payload, off, count, wire, nranks, timeline=timeline)
+        if decode:
+            events = wire.decode_or_quarantine(payload, off, count)
+            if events is None:
+                continue
+        if ingest_wire is not None:
+            ingest_wire(payload, off, count, wire, nranks, timeline=timeline)
+        else:
+            dispatch_batch(det, events, nranks, timeline=timeline)
         yield count, wire.cursor()
 
 

@@ -5,7 +5,8 @@ shared by serial replay (:func:`repro.mpi.trace_io.replay_trace`) and
 the decoded path of :func:`repro.pipeline.analyze_trace`;
 :func:`dispatch_sync` is its synchronization part, which the flat
 core's wire ingestion calls with a sync record's fields, and
-:func:`dispatch_batch` feeds a whole chunk.
+:func:`dispatch_batch` is the one loop that feeds decoded events to any
+detector, the flat core included.
 
 Every modelled detector keys its canonical state by memory rank (the
 BST detectors per ``(rank, window)``, MUST-RMA's shadow cells per
@@ -85,27 +86,16 @@ def dispatch_batch(
     *,
     timeline=None,
 ) -> int:
-    """Feed a whole chunk of events to one detector; returns the count.
-
-    Detectors exposing ``ingest_batch`` (the flat core) take the chunk
-    wholesale — per-event dispatch overhead (isinstance ladder, hook
-    indirection, timeline lookup) is paid once per chunk.  Everything
-    else gets the per-event loop with identical semantics.
+    """Feed a chunk of decoded events to one detector, one event at a
+    time through :func:`dispatch_event`; returns the count.
 
     ``timeline`` gets each event *before* it is analyzed, fanned out to
     the lanes of the ranks it concerns, as serial replay records it.
     """
-    ingest = getattr(detector, "ingest_batch", None)
-    if ingest is not None:
-        return ingest(events, nranks, timeline=timeline)
     n = 0
-    if timeline is None:
-        for event in events:
-            dispatch_event(detector, event, nranks)
-            n += 1
-    else:
-        for event in events:
+    for event in events:
+        if timeline is not None:
             timeline.record_event_fanout(event, nranks)
-            dispatch_event(detector, event, nranks)
-            n += 1
+        dispatch_event(detector, event, nranks)
+        n += 1
     return n

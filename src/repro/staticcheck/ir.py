@@ -82,11 +82,6 @@ class StaticProgram:
     def nranks(self) -> int:
         return max(self.ops, default=-1) + 1
 
-    def all_lines(self) -> List[int]:
-        return sorted(
-            {op.line for ops in self.ops.values() for op in ops if not op.is_sync}
-        )
-
 
 def op_accesses(
     op: SOp, rank: int

@@ -25,7 +25,6 @@ import pytest
 
 from repro.detectors import detector_class, detector_names
 from repro.faultinject import corrupt_checkpoint, flip_bytes
-from repro.mpi.epoch import EpochTracker
 from repro.pipeline import (
     BinaryTraceWriter,
     CheckpointError,
@@ -120,28 +119,6 @@ def test_detector_restore_rejects_wrong_class():
     other = detector_class("mc")()
     with pytest.raises(ValueError, match="checkpoint is for detector"):
         other.restore(ours.snapshot())
-
-
-def test_epoch_tracker_snapshot_roundtrip():
-    t = EpochTracker()
-    t.lock_all(0, 0)
-    t.note_op(0, 0)
-    t.flush(0, 0)
-    t.note_op(0, 0)
-    t.lock(1, 0, target=2, exclusive=True)
-    t.fence(2, 1)
-
-    fresh = EpochTracker()
-    fresh.restore(t.snapshot())
-    assert fresh.snapshot() == t.snapshot()
-    # in-flight epochs resume as-is and keep evolving identically
-    for tracker in (t, fresh):
-        tracker.note_op(0, 0)
-        tracker.unlock_all(0, 0)
-        tracker.unlock(1, 0, target=2)
-    assert fresh.snapshot() == t.snapshot()
-    assert fresh.flush_gen(0, 0) == 1
-    assert fresh.epochs_completed(0, 0) == 1
 
 
 # -- unit: the checkpoint store ----------------------------------------------

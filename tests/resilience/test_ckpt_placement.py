@@ -9,6 +9,7 @@ work, the gap between checkpoints within the worst-case redo DESIGN.md
 checkpoint at its last cursor.
 """
 
+import shutil
 import time
 
 import pytest
@@ -162,18 +163,28 @@ def test_both_cadences_match_a_plain_run(mv8192_trace, tmp_path):
 
 def test_resume_from_the_rules_checkpoint_matches(mv8192_trace, tmp_path,
                                                   cursors):
-    """Stop right after the first mid-trace checkpoint, then resume."""
+    """Resume from the first mid-trace checkpoint, as after a kill
+    right after it: a copy taken when it is written, wherever the rule
+    places later ones (the store prunes to two generations)."""
     plain = analyze_trace(mv8192_trace)
-    ck = tmp_path / "ck"
-    analyze_trace(mv8192_trace, ckpt_dir=ck)
+    kept = tmp_path / "first"
+    kept.mkdir()
+
+    def keep_first(lane, seq, path):
+        # write hooks run after the prune, so the new file is on disk
+        if not any(kept.iterdir()):
+            shutil.copy(path, kept / path.name)
+
+    add_write_hook(keep_first)
+    try:
+        analyze_trace(mv8192_trace, ckpt_dir=tmp_path / "ck")
+    finally:
+        remove_write_hook(keep_first)
     first = cursors[0]
     assert first < plain.events_total
-    # keep only the first generation, as a kill right after it would
-    for path in sorted(ck.glob("serial-*.ckpt"))[1:]:
-        path.unlink()
-    header, _ = CheckpointStore(ck).load_latest()
+    header, _ = CheckpointStore(kept).load_latest()
     assert header["meta"]["events_applied"] == first
-    resumed = analyze_trace(mv8192_trace, ckpt_dir=ck, resume=True)
+    resumed = analyze_trace(mv8192_trace, ckpt_dir=kept, resume=True)
     assert resumed.checkpoint["resumed"][0]["events_skipped"] == first
     assert_parity(resumed, plain)
 
