@@ -100,13 +100,15 @@ NOT_IN_SERVE = NOT_IN_SERVE_JOB + DATACLASS_MACHINERY + (
 #: the flat store is sorted typed-array blocks instead of an AVL tree;
 #: 241,870 once no module on the path is a dataclass and other
 #: commands' handlers, event decode, the chain tools and the flat
-#: store's checkpoint encoding load only where they run (budget: that
+#: store's checkpoint encoding load only where they run; 237,692 once
+#: the flat core drops its decoded-event loop and the engine, the
+#: dispatcher and the wire walker their duplicate paths (budget: that
 #: plus 4,254 B of headroom)
-ANALYZE_SOURCE_BUDGET = 246_124
+ANALYZE_SOURCE_BUDGET = 241_946
 
-#: the same for the daemon at readiness: 336,872 (budget: that plus
-#: 4,254 B)
-SERVE_SOURCE_BUDGET = 341_126
+#: the same for the daemon at readiness: 336,872, then 332,694
+#: (budget: that plus 4,254 B)
+SERVE_SOURCE_BUDGET = 336_948
 
 #: the only modules whose classes a checkpoint payload pickles by name
 #: (``ReplayWindow`` is the window a trace replay registers)
